@@ -15,7 +15,7 @@ order, which matches the strong Kleene tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 from .errors import (
@@ -94,6 +94,7 @@ class Circuit:
     annotations: tuple
     gates: tuple
     output_wire: int
+    has_negations: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "annotations", tuple(self.annotations))
@@ -113,18 +114,21 @@ class Circuit:
                     raise BadShapeError("negative input index")
             else:
                 raise BadShapeError(f"unknown annotation {a!r}")
+        n = self.num_wires
+        negations = False
         for g in self.gates:
             if isinstance(g, Comparator):
-                lo, hi = min(g.min_wire, g.max_wire), max(g.min_wire, g.max_wire)
-                if lo < 0 or hi >= self.num_wires:
+                if not (0 <= g.min_wire < n and 0 <= g.max_wire < n):
                     raise IndexOutOfRangeError(f"gate {g} out of range")
             elif isinstance(g, Negation):
-                if g.wire < 0 or g.wire >= self.num_wires:
+                if not 0 <= g.wire < n:
                     raise IndexOutOfRangeError(f"gate {g} out of range")
+                negations = True
             else:
                 raise BadShapeError(f"unknown gate {g!r}")
         if not (0 <= self.output_wire < self.num_wires):
             raise IndexOutOfRangeError(f"output wire {self.output_wire} out of range")
+        object.__setattr__(self, "has_negations", negations)
 
     @property
     def num_inputs(self) -> int:
@@ -134,10 +138,6 @@ class Circuit:
             if isinstance(a, (Input, NegInput)) and a.index > top:
                 top = a.index
         return top + 1
-
-    @property
-    def has_negations(self) -> bool:
-        return any(isinstance(g, Negation) for g in self.gates)
 
     @property
     def is_all_down(self) -> bool:
@@ -195,13 +195,13 @@ def eval(
     c: Circuit,
     x: Sequence[Bit],
     allow_negations: bool = False,
-    with_trace: bool = True,
+    with_trace: bool = False,
 ):
     """Run the circuit on Boolean inputs.
 
     Returns ``(wire_outputs, answer, trace)``.  Negation gates are rejected
-    unless ``allow_negations`` is set.  ``with_trace=False`` returns None in
-    the trace slot, which matters for very large property corpora.
+    unless ``allow_negations`` is set.  The trace slot holds None unless
+    ``with_trace`` asks for one snapshot per gate.
     """
     if c.has_negations and not allow_negations:
         raise NegationNotSupportedError("circuit contains negation gates")
@@ -225,7 +225,7 @@ def eval(
 def eval_tri(
     c: Circuit,
     x: Sequence[Tri],
-    with_trace: bool = True,
+    with_trace: bool = False,
 ):
     """Run the circuit over {0, STAR, 1}. Negation gates are rejected."""
     if c.has_negations:

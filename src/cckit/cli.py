@@ -1,17 +1,23 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 decision answered false, 2 usage or parse or
-precondition error, 3 internal invariant violation.  ``-`` stands for
-stdin or stdout in file positions.
+precondition error, 3 internal invariant violation or any other internal
+failure.  ``-`` stands for stdin or stdout in file positions.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .circuit import STAR, Circuit, Const, dual, eval, eval_tri, normalize_down, resolve_inputs
-from .errors import BadShapeError, CckitError, InternalBoundViolationError
+from .errors import (
+    BadShapeError,
+    CckitError,
+    IndexOutOfRangeError,
+    InternalBoundViolationError,
+)
 from .formats import (
     parse_circuit,
     parse_digraph,
@@ -49,18 +55,26 @@ from .verify import render_report, run_suite, _SUITES
 
 
 def _read(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as e:
+        raise CckitError(f"cannot read {path}: {e.strerror or e}") from None
+    except UnicodeDecodeError as e:
+        raise CckitError(f"{path} is not UTF-8 text (byte {e.start})") from None
 
 
 def _write(path: str, text: str):
     if path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as e:
+        raise CckitError(f"cannot write {path}: {e.strerror or e}") from None
 
 
 def _bits(s: str):
@@ -77,23 +91,19 @@ def _bits(s: str):
     return out
 
 
-def _value_char(v) -> str:
-    return str(v)
-
-
 def cmd_eval(args) -> int:
     c = parse_circuit(_read(args.file))
     x = _bits(args.tri if args.tri is not None else (args.input or ""))
     if args.tri is not None:
-        outputs, answer, trace = eval_tri(c, x)
+        outputs, answer, trace = eval_tri(c, x, with_trace=args.trace)
     else:
-        outputs, answer, trace = eval(c, x, allow_negations=True)
+        outputs, answer, trace = eval(c, x, allow_negations=True, with_trace=args.trace)
     if args.trace:
         for k, snap in enumerate(trace.snapshots):
-            print(f"step {k} " + "".join(_value_char(v) for v in snap))
+            print(f"step {k} " + "".join(map(str, snap)))
     for w, v in enumerate(outputs):
-        print(f"w{w}={_value_char(v)}")
-    print(f"answer={_value_char(answer)}")
+        print(f"w{w}={v}")
+    print(f"answer={answer}")
     return 0 if answer == 1 else 1
 
 
@@ -160,8 +170,7 @@ def cmd_reduce(args) -> int:
         if args.target is None:
             raise BadShapeError("needs --target")
         if args.layer:
-            layered, node_map = layer(g, args.src)
-            c = reach_to_ccv(layered, node_map[args.target])
+            c, node_map = _layered_circuit(g, args.src, args.target)
             sidecar = [f"n{v} {i}" for v, i in sorted(node_map.items())]
         else:
             c = reach_to_ccv(g, args.target)
@@ -228,16 +237,25 @@ def cmd_gs(args) -> int:
     return 0
 
 
+def _layered_circuit(g, src: int, target: int):
+    """Pebbling circuit for src -> target in g, through layer()."""
+    if not 0 <= target < g.n:
+        raise IndexOutOfRangeError(f"target {target} out of range")
+    layered, node_map = layer(g, src)
+    return reach_to_ccv(layered, node_map[target]), node_map
+
+
 def cmd_reach(args) -> int:
     g = parse_digraph(_read(args.file))
-    layered, node_map = layer(g, args.src)
-    c = reach_to_ccv(layered, node_map[args.target])
-    _, answer, _ = eval(c, (), with_trace=False)
+    c, _ = _layered_circuit(g, args.src, args.target)
+    _, answer, _ = eval(c, ())
     print(f"reachable={answer}")
     return 0 if answer == 1 else 1
 
 
 def cmd_verify(args) -> int:
+    if args.cases is not None and args.cases < 0:
+        raise BadShapeError(f"--cases must be at least 0, not {args.cases}")
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     ok = True
     for name in names:
@@ -307,6 +325,13 @@ def main(argv=None) -> int:
     except CckitError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except Exception as e:  # a bug: keep exit 1 meaning "no"
+        tb = e.__traceback__
+        while tb.tb_next is not None:
+            tb = tb.tb_next
+        where = f"{os.path.basename(tb.tb_frame.f_code.co_filename)}:{tb.tb_lineno}"
+        print(f"internal error: {type(e).__name__}: {e} ({where})", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -15,6 +15,8 @@ serialize are mutual inverses.
 
 from __future__ import annotations
 
+import re
+
 from .circuit import Circuit, Comparator, Const, Input, NegInput, Negation
 from .errors import CckitError, ParseError
 from .matching import BipartiteGraph
@@ -23,32 +25,36 @@ from .stable_marriage import SMInstance
 
 
 def _lines(text):
-    out = []
+    """Yield ``(line number, tokens)`` for each significant line."""
     for no, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if body:
-            out.append((no, body.split()))
-    return out
+        toks = raw.split("#", 1)[0].split()
+        if toks:
+            yield no, toks
 
 
 def _eof_line(text) -> int:
     return max(1, len(text.splitlines()))
 
 
+_INT = re.compile(r"-?[0-9]+")
+
+
 def _int(token, no, what):
-    try:
-        return int(token, 10)
-    except ValueError:
-        raise ParseError(no, f"bad {what} {token!r}") from None
+    if _INT.fullmatch(token) is None:
+        raise ParseError(no, f"bad {what} {token!r}")
+    return int(token)
 
 
-def _header(rows, text, expect):
-    if not rows:
+def _header(text, expect):
+    """The significant lines after the ``expect`` header, as an iterator."""
+    rows = _lines(text)
+    first = next(rows, None)
+    if first is None:
         raise ParseError(_eof_line(text), f"missing `{expect}` header")
-    no, toks = rows[0]
+    no, toks = first
     if toks != expect.split():
         raise ParseError(no, f"expected `{expect}` header")
-    return rows[1:]
+    return rows
 
 
 def _need(count, toks, no):
@@ -57,10 +63,13 @@ def _need(count, toks, no):
 
 
 def parse_circuit(text: str) -> Circuit:
-    rows = _header(_lines(text), text, "CCV v1")
+    rows = _header(text, "CCV v1")
     wires = None
     annots = {}
     gates = []
+    # One Comparator per wire pair, found by the tokens as written (so a
+    # repeated line skips integer parsing) and by the pair of integers.
+    shared = {}
     output = None
     for no, toks in rows:
         kind = toks[0]
@@ -96,11 +105,15 @@ def parse_circuit(text: str) -> Circuit:
             _need(3, toks, no)
             if wires is None:
                 raise ParseError(no, "`gate` before `wires`")
-            a = _int(toks[1], no, "wire")
-            b = _int(toks[2], no, "wire")
-            if not (0 <= a < wires and 0 <= b < wires):
-                raise ParseError(no, f"gate ({a}, {b}) out of range")
-            gates.append(Comparator(a, b))
+            g = shared.get((toks[1], toks[2]))
+            if g is None:
+                a = _int(toks[1], no, "wire")
+                b = _int(toks[2], no, "wire")
+                if not (0 <= a < wires and 0 <= b < wires):
+                    raise ParseError(no, f"gate ({a}, {b}) out of range")
+                g = shared.get((a, b)) or Comparator(a, b)
+                shared[a, b] = shared[toks[1], toks[2]] = g
+            gates.append(g)
         elif kind == "neg":
             _need(2, toks, no)
             if wires is None:
@@ -120,20 +133,19 @@ def parse_circuit(text: str) -> Circuit:
                 raise ParseError(no, f"wire {output} out of range")
         else:
             raise ParseError(no, f"unknown directive {kind!r}")
-    end = _eof_line(text)
     if wires is None:
-        raise ParseError(end, "missing `wires`")
+        raise ParseError(_eof_line(text), "missing `wires`")
     for w in range(wires):
         if w not in annots:
-            raise ParseError(end, f"wire {w} has no annotation")
+            raise ParseError(_eof_line(text), f"wire {w} has no annotation")
     if output is None:
-        raise ParseError(end, "missing `output`")
+        raise ParseError(_eof_line(text), "missing `output`")
     try:
         return Circuit(
             wires, tuple(annots[w] for w in range(wires)), tuple(gates), output
         )
     except CckitError as exc:  # pragma: no cover - directives already validated
-        raise ParseError(end, str(exc)) from None
+        raise ParseError(_eof_line(text), str(exc)) from None
 
 
 def _annot_token(a) -> str:
@@ -160,7 +172,7 @@ def serialize_circuit(c: Circuit) -> str:
 def parse_graph(text: str):
     """Returns (graph, designation): designation is None,
     ("edge", (i, j)) or ("top", j)."""
-    rows = _header(_lines(text), text, "GRAPH v1")
+    rows = _header(text, "GRAPH v1")
     bottom = top = None
     edges = []
     target = None
@@ -210,11 +222,10 @@ def parse_graph(text: str):
                 target = ("top", j)
         else:
             raise ParseError(no, f"unknown directive {kind!r}")
-    end = _eof_line(text)
     if bottom is None:
-        raise ParseError(end, "missing `bottom`")
+        raise ParseError(_eof_line(text), "missing `bottom`")
     if top is None:
-        raise ParseError(end, "missing `top`")
+        raise ParseError(_eof_line(text), "missing `top`")
     return BipartiteGraph(bottom, top, frozenset(edges)), target
 
 
@@ -232,7 +243,7 @@ def serialize_graph(g: BipartiteGraph, designation=None) -> str:
 
 
 def parse_sm(text: str) -> SMInstance:
-    rows = _header(_lines(text), text, "SM v1")
+    rows = _header(text, "SM v1")
     n = None
     men = {}
     women = {}
@@ -265,13 +276,12 @@ def parse_sm(text: str) -> SMInstance:
             store[who] = prefs
         else:
             raise ParseError(no, f"unknown directive {kind!r}")
-    end = _eof_line(text)
     if n is None:
-        raise ParseError(end, "missing `n`")
+        raise ParseError(_eof_line(text), "missing `n`")
     for label, store in (("man", men), ("woman", women)):
         for i in range(n):
             if i not in store:
-                raise ParseError(end, f"missing row for {label} {i}")
+                raise ParseError(_eof_line(text), f"missing row for {label} {i}")
     return SMInstance(
         n, tuple(men[i] for i in range(n)), tuple(women[i] for i in range(n))
     )
@@ -287,7 +297,7 @@ def serialize_sm(inst: SMInstance) -> str:
 
 
 def parse_digraph(text: str) -> Digraph:
-    rows = _header(_lines(text), text, "DIGRAPH v1")
+    rows = _header(text, "DIGRAPH v1")
     n = None
     arcs = []
     for no, toks in rows:

@@ -90,7 +90,8 @@ def reach_to_ccv(g: Digraph, target: int) -> Circuit:
     0, node k's marker).  Gadget k first drops pebble k onto nu_0, then
     sweeps all ordered pairs, moving a pebble along each edge whose tail
     is marked; non-edges get dummy gates so gate positions depend only on
-    (n, k, i, j).
+    (n, k, i, j).  The sweep is the same in every round, so all n rounds
+    share its gate objects.
     """
     n = g.n
     if not 0 <= target < n:
@@ -99,13 +100,13 @@ def reach_to_ccv(g: Digraph, target: int) -> Circuit:
         if i >= j:
             raise PreconditionViolatedError(f"edge ({i}, {j}) is not ascending")
     anns = [Const(1)] * n + [Const(0)] * n
+    sweep = [
+        Comparator(n + i, n + j) if (i, j) in g.edges else Comparator(n + i, n + i)
+        for i in range(n)
+        for j in range(i + 1, n)
+    ]
     gates = []
     for k in range(n):
         gates.append(Comparator(k, n))
-        for i in range(n):
-            for j in range(i + 1, n):
-                if (i, j) in g.edges:
-                    gates.append(Comparator(n + i, n + j))
-                else:
-                    gates.append(Comparator(n + i, n + i))
+        gates.extend(sweep)
     return Circuit(2 * n, tuple(anns), tuple(gates), n + target)

@@ -417,7 +417,7 @@ def _suite_tri(cases, seed):
         x = [rng.choice((0, STAR, 1)) for _ in range(c.num_inputs)]
         want_outputs, want_answer, _ = eval_tri(c, x)
         inst, rail_map = tri_to_bool(c, x)
-        outputs, answer, trace = eval(inst.circuit, ())
+        outputs, answer, trace = eval(inst.circuit, (), with_trace=True)
         bad = None
         # rail order is restored after each complete two-gate pair (and
         # after the collector), not in between the pair's halves
@@ -524,7 +524,7 @@ def _suite_reductions(cases, seed):
         closed_n = close_circuit(cn, rng.bits(cn.num_inputs))
         plain, wmap = ccvneg_to_ccv(closed_n)
         want = closed_n.answer(allow_negations=True)
-        outputs, got, trace = eval(plain.circuit, ())
+        outputs, got, trace = eval(plain.circuit, (), with_trace=True)
         if got != want:
             fail("ccvneg_to_ccv wrong:\n" + serialize_circuit(closed_n.circuit))
         t_wire = 2 * closed_n.circuit.num_wires

@@ -52,7 +52,7 @@ def test_dummy_gate_changes_nothing():
 
 def test_empty_circuit_echoes_annotations():
     c = Circuit(3, (Const(1), Input(0), NegInput(0)), (), 2)
-    outputs, answer, trace = eval(c, (0,))
+    outputs, answer, trace = eval(c, (0,), with_trace=True)
     assert outputs == (1, 0, 1)
     assert answer == 1
     assert trace.snapshots == ((1, 0, 1),)
@@ -85,9 +85,15 @@ def test_negation_needs_opt_in():
 
 def test_trace_has_one_snapshot_per_gate():
     c = Circuit(2, wires(2), (Comparator(0, 1), Comparator(1, 0)), 0)
-    _, _, trace = eval(c, (1, 0))
+    _, _, trace = eval(c, (1, 0), with_trace=True)
     assert len(trace.snapshots) == 3
     assert trace.snapshots[0] == (1, 0)
+
+
+def test_trace_is_built_only_on_request():
+    c = Circuit(2, wires(2), (Comparator(0, 1),), 0)
+    assert eval(c, (1, 0))[2] is None
+    assert eval_tri(c, (STAR, 0))[2] is None
 
 
 def test_updown_properties():

@@ -201,3 +201,49 @@ def test_verify_output_is_deterministic(capsys):
 def test_usage_error_exits_two(capsys):
     assert main(["frobnicate"]) == 2
     assert main([]) == 2
+
+
+def test_unreadable_input_exits_two(capsys, tmp_path):
+    missing = tmp_path / "missing.ccv"
+    code, out, err = run(capsys, "eval", str(missing))
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot read ") and err.count("\n") == 1
+    latin = tmp_path / "latin.ccv"
+    latin.write_bytes(b"CCV v1\n# caf\xe9\nwires 1\n")
+    code, _, err = run(capsys, "eval", str(latin))
+    assert code == 2 and "not UTF-8" in err
+    code, _, err = run(capsys, "reduce", "dual", fx("const_demo.ccv"), str(tmp_path / "no" / "out.ccv"))
+    assert code == 2 and err.startswith("error: cannot write ")
+
+
+def test_out_of_range_targets_exit_two(capsys, tmp_path):
+    demo = fx("reach_demo.digraph")
+    for target in ("99", "-1", "5"):
+        code, out, err = run(capsys, "reach", demo, "--target", target)
+        assert code == 2 and out == ""
+        assert err == f"error: target {target} out of range\n"
+    code, _, err = run(capsys, "reduce", "reach-to-ccv", demo, "-", "--layer", "--target", "9")
+    assert code == 2 and "target 9 out of range" in err
+    code, _, err = run(capsys, "reduce", "reach-to-ccv", demo, "-", "--target", "9")
+    assert code == 2 and "target 9 out of range" in err
+
+
+def test_negative_case_count_exits_two(capsys):
+    code, out, err = run(capsys, "verify", "universal", "--cases", "-5")
+    assert code == 2 and out == ""
+    assert "--cases" in err
+    code, out, _ = run(capsys, "verify", "universal", "--cases", "0")
+    assert code == 0 and out == "universal: pass (0 cases)\n"
+
+
+def test_unexpected_exception_exits_three(capsys, monkeypatch):
+    from cckit import cli
+
+    def broken(args):
+        raise KeyError("boom")
+
+    monkeypatch.setattr(cli, "cmd_lfmm", broken)
+    code, out, err = run(capsys, "lfmm", fx("greedy_demo.graph"))
+    assert code == 3 and out == ""
+    assert err.startswith("internal error: KeyError: 'boom' (test_cli.py:")
+    assert err.count("\n") == 1

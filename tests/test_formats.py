@@ -69,6 +69,41 @@ def test_parse_errors_carry_line_numbers():
         parse_circuit("CCV v1\nwires 1\nannot 0 0\nannot 0 1\noutput 0\n")
 
 
+def test_integers_are_ascii_digits_only():
+    for tok in ("1_0", "+1", "\u0663", "0x1", "1.0"):
+        with pytest.raises(ParseError) as e:
+            parse_circuit(f"CCV v1\n# size\nwires {tok}\n")
+        assert e.value.line == 3
+        assert repr(tok) in str(e.value)
+    with pytest.raises(ParseError) as e:
+        parse_circuit("CCV v1\nwires 2\nannot 0 x+1\n")
+    assert e.value.line == 3
+    with pytest.raises(ParseError) as e:
+        parse_digraph("DIGRAPH v1\nnodes 2\narc 0 \u0661\n")
+    assert e.value.line == 3
+
+
+def test_negative_integers_reach_range_checks():
+    cases = [
+        ("CCV v1\nwires -1\n", "negative wire count", 2),
+        ("CCV v1\nwires 1\nannot 0 x-2\n", "negative input index", 3),
+        ("CCV v1\nwires 1\nannot 0 0\ngate 0 -1\n", "gate (0, -1) out of range", 4),
+        ("DIGRAPH v1\nnodes -3\n", "need at least one node", 2),
+    ]
+    for text, message, line in cases:
+        with pytest.raises(ParseError) as e:
+            parse_circuit(text) if text.startswith("CCV") else parse_digraph(text)
+        assert e.value.line == line and message in str(e.value)
+
+
+def test_repeated_gate_lines_share_one_object():
+    c = parse_circuit("CCV v1\nwires 2\nannot 0 0\nannot 1 1\n"
+                      "gate 0 1\ngate 1 0\ngate 0 1\ngate 00 1\noutput 0\n")
+    assert c.gates == (Comparator(0, 1), Comparator(1, 0), Comparator(0, 1), Comparator(0, 1))
+    assert c.gates[0] is c.gates[2] is c.gates[3]
+    assert c.gates[1] is not c.gates[0]
+
+
 def test_missing_output_reported_at_eof():
     text = "CCV v1\nwires 1\nannot 0 0\n"
     with pytest.raises(ParseError) as e:
