@@ -11,7 +11,7 @@ import argparse
 import os
 import sys
 
-from .circuit import STAR, Circuit, Const, dual, eval, eval_tri, normalize_down, resolve_inputs
+from .circuit import STAR, dual, eval, eval_tri, normalize_down
 from .errors import (
     BadShapeError,
     CckitError,
@@ -33,6 +33,7 @@ from .reductions import (
     CcvInstance,
     ccv_to_3lfmm,
     ccv_to_3vlfmm,
+    close_circuit,
     double_rail,
     lfmm3_to_sm,
     lfmm_to_ccvneg,
@@ -107,13 +108,6 @@ def cmd_eval(args) -> int:
     return 0 if answer == 1 else 1
 
 
-def _close(c: Circuit, input_str) -> CcvInstance:
-    vals = resolve_inputs(c, _bits(input_str or ""))
-    return CcvInstance(
-        Circuit(c.num_wires, tuple(Const(v) for v in vals), c.gates, c.output_wire)
-    )
-
-
 def cmd_reduce(args) -> int:
     name = args.pass_name
     text = _read(args.infile)
@@ -136,7 +130,7 @@ def cmd_reduce(args) -> int:
         out = serialize_circuit(inst.circuit)
         sidecar = [f"w{w} w{a},w{b}" for w, (a, b) in sorted(rails.items())]
     elif name in ("ccv-to-3vlfmm", "ccv-to-3lfmm"):
-        inst = _close(parse_circuit(text), args.input)
+        inst = close_circuit(parse_circuit(text), _bits(args.input or ""))
         up, wmap = to_all_up(inst.circuit)
         lower = ccv_to_3vlfmm if name == "ccv-to-3vlfmm" else ccv_to_3lfmm
         lf, node_map = lower(CcvInstance(up))

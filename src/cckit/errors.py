@@ -15,7 +15,12 @@ class InputArityError(CckitError):
 
 
 class NegationNotSupportedError(CckitError):
-    """A negation gate reached an operation that only handles comparators."""
+    """A negation gate reached an operation or pass that only handles
+    comparators."""
+
+
+# the old name of the same error, still imported by callers
+HasNegationsError = NegationNotSupportedError
 
 
 class BadShapeError(CckitError):
@@ -36,10 +41,6 @@ class IndexOutOfRangeError(CckitError):
 
 class NotAllUpError(CckitError):
     """A pass required every non-dummy comparator to point at the lower index."""
-
-
-class HasNegationsError(CckitError):
-    """A pass required a negation-free instance."""
 
 
 class EdgeNotInGraphError(CckitError):

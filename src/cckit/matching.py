@@ -29,12 +29,6 @@ class BipartiteGraph:
     def neighbours_of_bottom(self, i: int) -> list:
         return sorted(j for (b, j) in self.edges if b == i)
 
-    def degree_bottom(self, i: int) -> int:
-        return sum(1 for (b, _) in self.edges if b == i)
-
-    def degree_top(self, j: int) -> int:
-        return sum(1 for (_, t) in self.edges if t == j)
-
 
 @dataclass(frozen=True)
 class MatchingB:

@@ -28,8 +28,8 @@ from .errors import (
     BadShapeError,
     DegreeTooHighError,
     EdgeNotInGraphError,
-    HasNegationsError,
     IndexOutOfRangeError,
+    NegationNotSupportedError,
     NotAllUpError,
     NotSquareError,
 )
@@ -49,10 +49,16 @@ class CcvInstance:
                 raise BadShapeError("instance circuits take no free inputs")
 
     def answer(self, allow_negations: bool = False) -> int:
-        _, ans, _ = eval(
-            self.circuit, (), allow_negations=allow_negations, with_trace=False
-        )
+        _, ans, _ = eval(self.circuit, (), allow_negations=allow_negations)
         return ans
+
+
+def close_circuit(c: Circuit, x) -> CcvInstance:
+    """Bake an input vector into constant annotations."""
+    vals = resolve_inputs(c, x)
+    return CcvInstance(
+        Circuit(c.num_wires, tuple(Const(v) for v in vals), c.gates, c.output_wire)
+    )
 
 
 @dataclass(frozen=True)
@@ -99,7 +105,7 @@ def ccv_to_3vlfmm(inst: CcvInstance):
     """
     c = inst.circuit
     if c.has_negations:
-        raise HasNegationsError("lower negations first")
+        raise NegationNotSupportedError("lower negations first")
     if not c.is_all_up:
         raise NotAllUpError("apply to_all_up first")
     m = c.num_wires
@@ -267,11 +273,9 @@ def tri_to_bool(c: Circuit, x):
     designated pair on the designated wire.  Returns (instance, rail_map).
     """
     if c.has_negations:
-        raise HasNegationsError("three-valued circuits are negation-free")
+        raise NegationNotSupportedError("three-valued circuits are negation-free")
     # a gateless copy resolves and validates the inputs in one step
-    vals, _, _ = eval_tri(
-        Circuit(c.num_wires, c.annotations, (), c.output_wire), x, with_trace=False
-    )
+    vals, _, _ = eval_tri(Circuit(c.num_wires, c.annotations, (), c.output_wire), x)
     anns = []
     for v in vals:
         if v == 0:

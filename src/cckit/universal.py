@@ -18,7 +18,7 @@ from __future__ import annotations
 from .circuit import Circuit, Comparator, Input, NegInput
 from .errors import (
     BadShapeError,
-    HasNegationsError,
+    NegationNotSupportedError,
     TooManyGatesError,
     TooManyWiresError,
 )
@@ -73,7 +73,7 @@ def encode_control(c: Circuit, m: int, n: int) -> tuple:
     dummy gates and padding slots are all-zero.
     """
     if c.has_negations:
-        raise HasNegationsError("universal circuits simulate comparator gates only")
+        raise NegationNotSupportedError("universal circuits simulate comparator gates only")
     if c.num_wires > m:
         raise TooManyWiresError(f"{c.num_wires} wires > {m}")
     if len(c.gates) > n:

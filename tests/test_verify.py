@@ -5,6 +5,7 @@ import hashlib
 import pytest
 
 from cckit import verify
+from cckit.circuit import STAR
 from cckit.errors import BadShapeError, UnknownSuiteError
 from cckit.formats import serialize_circuit, serialize_sm
 from cckit.matching import max_degree
@@ -94,11 +95,12 @@ def test_unknown_suite():
         run_suite("definitely-not-a-suite")
 
 
-def test_zero_cases_is_vacuous():
-    rep = run_suite("universal", 0)
-    assert rep == Report("universal", 0, ())
+@pytest.mark.parametrize("name", list(verify._SUITES))
+def test_zero_cases_is_vacuous(name):
+    rep = run_suite(name, 0)
+    assert rep == Report(name, 0, ())
     assert rep.passed
-    assert render_report(rep) == "universal: pass (0 cases)\n"
+    assert render_report(rep) == f"{name}: pass (0 cases)\n"
 
 
 def test_reports_are_pure_functions_of_inputs():
@@ -115,14 +117,33 @@ def test_injected_mutation_is_caught_and_serialized():
     try:
         rep = run_suite("universal", 3, seed=8)
         assert not rep.passed
+        # the fixed gadget check is case 0, so random case 0 reports as 1
+        assert rep.cases == 4
+        assert [idx for idx, _ in rep.failures] == [1]
         assert "CCV v1" in rep.failures[0][1]
         text = render_report(rep)
         assert "fail" in text and "counterexample" in text
+        assert text.startswith("universal: fail (4 cases, 1 failures)\n")
         rep2 = run_suite("reduction-ring", 3, seed=8)
         assert not rep2.passed
+        # one case may fail several checks; each is its own failure
+        assert rep2.cases == 3
+        assert [idx for idx, _ in rep2.failures] == [0, 0]
+        assert rep2.failures[0][1].startswith("coverage lowering wrong:")
+        assert rep2.failures[1][1].startswith("edge lowering wrong:")
     finally:
         verify._flip_expected = False
     assert run_suite("universal", 3, seed=8).passed
+
+
+def test_fixed_checks_number_their_own_cases(monkeypatch):
+    # a wrong rail decoding fails every gate-table row with a 0 or 1 in it;
+    # each row reports as its own case, ahead of the random case
+    monkeypatch.setattr(verify, "_RAIL_DECODE", {(0, 0): 1, (0, 1): STAR, (1, 1): 0})
+    rep = run_suite("tri-lowering", 1, seed=3)
+    assert rep.cases == 10
+    assert [idx for idx, _ in rep.failures] == [0, 1, 2, 3, 5, 6, 7, 8, 9]
+    assert rep.failures[4][1].startswith("gate table row (*,1):")
 
 
 def test_all_aggregates():
