@@ -16,7 +16,7 @@ order, which matches the strong Kleene tables.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 from .errors import (
     BadShapeError,

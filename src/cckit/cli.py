@@ -218,14 +218,10 @@ def cmd_gs(args) -> int:
         return 0
     if alg == 2:
         man, woman, _ = symmetric_gs(inst)
-    elif alg == 3:
-        man, woman, _, _ = interval_run(inst)
-    elif alg == 4:
-        man, woman, _, _ = delayed_interval_run(inst)
-    elif alg == 5:
-        man, woman, _, _ = interval_logic_run(inst)
     else:
-        man, woman, _, _ = subramanian_run(inst)
+        # algorithms 3 to 6 all return (S_M, S_W, final state, rounds)
+        run = (interval_run, delayed_interval_run, interval_logic_run, subramanian_run)
+        man, woman, _, _ = run[alg - 3](inst)
     _print_marriage(man, "man-optimal:")
     _print_marriage(woman, "woman-optimal:")
     return 0
@@ -248,8 +244,6 @@ def cmd_reach(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.cases is not None and args.cases < 0:
-        raise BadShapeError(f"--cases must be at least 0, not {args.cases}")
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     ok = True
     for name in names:

@@ -174,7 +174,7 @@ def parse_graph(text: str):
     ("edge", (i, j)) or ("top", j)."""
     rows = _header(text, "GRAPH v1")
     bottom = top = None
-    edges = []
+    edges = set()
     target = None
     for no, toks in rows:
         kind = toks[0]
@@ -201,7 +201,7 @@ def parse_graph(text: str):
                 raise ParseError(no, f"edge ({i}, {j}) out of range")
             if (i, j) in edges:
                 raise ParseError(no, f"duplicate edge ({i}, {j})")
-            edges.append((i, j))
+            edges.add((i, j))
         elif kind in ("target-edge", "target-top"):
             if target is not None:
                 raise ParseError(no, "more than one target directive")
@@ -299,7 +299,9 @@ def serialize_sm(inst: SMInstance) -> str:
 def parse_digraph(text: str) -> Digraph:
     rows = _header(text, "DIGRAPH v1")
     n = None
+    # a list keeps the frozenset's build order, which picks reach_to_ccv's error arc
     arcs = []
+    seen = set()
     for no, toks in rows:
         kind = toks[0]
         if kind == "nodes":
@@ -317,8 +319,9 @@ def parse_digraph(text: str) -> Digraph:
             v = _int(toks[2], no, "node")
             if not (0 <= u < n and 0 <= v < n):
                 raise ParseError(no, f"arc ({u}, {v}) out of range")
-            if (u, v) in arcs:
+            if (u, v) in seen:
                 raise ParseError(no, f"duplicate arc ({u}, {v})")
+            seen.add((u, v))
             arcs.append((u, v))
         else:
             raise ParseError(no, f"unknown directive {kind!r}")

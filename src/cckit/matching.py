@@ -17,17 +17,25 @@ class BipartiteGraph:
     num_bottom: int
     num_top: int
     edges: frozenset
+    # one ascending tuple of neighbours per bottom vertex, and per top vertex
+    by_bottom: tuple = field(init=False, repr=False, compare=False)
+    by_top: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "edges", frozenset(self.edges))
         if self.num_bottom < 0 or self.num_top < 0:
             raise BadShapeError("negative vertex count")
+        by_bottom = [[] for _ in range(self.num_bottom)]
+        by_top = [[] for _ in range(self.num_top)]
         for (i, j) in self.edges:
             if not (0 <= i < self.num_bottom and 0 <= j < self.num_top):
                 raise IndexOutOfRangeError(f"edge ({i}, {j}) out of range")
-
-    def neighbours_of_bottom(self, i: int) -> list:
-        return sorted(j for (b, j) in self.edges if b == i)
+            by_bottom[i].append(j)
+            by_top[j].append(i)
+        for v in by_bottom + by_top:
+            v.sort()
+        object.__setattr__(self, "by_bottom", tuple(map(tuple, by_bottom)))
+        object.__setattr__(self, "by_top", tuple(map(tuple, by_top)))
 
 
 @dataclass(frozen=True)
@@ -52,13 +60,10 @@ class MatchingB:
 
 
 def lfm_matching(g: BipartiteGraph) -> MatchingB:
-    by_bottom = [[] for _ in range(g.num_bottom)]
-    for (i, j) in g.edges:
-        by_bottom[i].append(j)
     taken = [False] * g.num_top
     pairs = []
-    for i in range(g.num_bottom):
-        for j in sorted(by_bottom[i]):
+    for i, tops in enumerate(g.by_bottom):
+        for j in tops:
             if not taken[j]:
                 taken[j] = True
                 pairs.append((i, j))
@@ -82,8 +87,4 @@ def vlfmm_decision(g: BipartiteGraph, w: int) -> int:
 
 
 def max_degree(g: BipartiteGraph) -> int:
-    deg = {}
-    for (i, j) in g.edges:
-        deg[("b", i)] = deg.get(("b", i), 0) + 1
-        deg[("t", j)] = deg.get(("t", j), 0) + 1
-    return max(deg.values(), default=0)
+    return max(map(len, g.by_bottom + g.by_top), default=0)

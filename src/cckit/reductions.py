@@ -140,6 +140,19 @@ def ccv_to_3vlfmm(inst: CcvInstance):
     return LfmmInstance(graph, ("top", target)), node_map
 
 
+def _greedy_gates(g: BipartiteGraph, offset: int = 0, skip=None) -> list:
+    """One comparator per edge, bottoms in order and each bottom's tops
+    ascending: bottom i on wire offset + num_top + i, top j on offset + j.
+    The edge ``skip``, if given, gets no gate."""
+    T = g.num_top
+    return [
+        Comparator(offset + T + i, offset + j)
+        for i, tops in enumerate(g.by_bottom)
+        for j in tops
+        if (i, j) != skip
+    ]
+
+
 def vlfmm_to_ccv(g: BipartiteGraph, target_top: int, pad_dummies: bool = False) -> CcvInstance:
     """Simulate greedy matching by wires: tops start 0, bottoms start 1.
 
@@ -152,14 +165,14 @@ def vlfmm_to_ccv(g: BipartiteGraph, target_top: int, pad_dummies: bool = False) 
         raise IndexOutOfRangeError(f"top {target_top} out of range")
     T, B = g.num_top, g.num_bottom
     anns = [Const(0)] * T + [Const(1)] * B
-    gates = []
-    for b in range(B):
-        nbrs = set(g.neighbours_of_bottom(b))
-        for t in range(T):
-            if t in nbrs:
-                gates.append(Comparator(T + b, t))
-            elif pad_dummies:
-                gates.append(Comparator(T + b, T + b))
+    if pad_dummies:
+        gates = [
+            Comparator(T + b, t) if t in tops else Comparator(T + b, T + b)
+            for b, tops in enumerate(g.by_bottom)
+            for t in range(T)
+        ]
+    else:
+        gates = _greedy_gates(g)
     return CcvInstance(Circuit(T + B, tuple(anns), tuple(gates), target_top))
 
 
@@ -239,23 +252,10 @@ def lfmm_to_ccvneg(g: BipartiteGraph, edge: tuple) -> CcvInstance:
     if (y, cc) not in g.edges:
         raise EdgeNotInGraphError(f"({y}, {cc}) is not an edge")
     B, T = y + 1, cc + 1
-    kept = [(i, j) for (i, j) in g.edges if i < B and j < T]
-
-    def copy_gates(offset, skip):
-        out = []
-        by_bottom = [[] for _ in range(B)]
-        for (i, j) in kept:
-            by_bottom[i].append(j)
-        for i in range(B):
-            for j in sorted(by_bottom[i]):
-                if (i, j) == skip:
-                    continue
-                out.append(Comparator(offset + T + i, offset + j))
-        return out
-
+    cut = BipartiteGraph(B, T, frozenset((i, j) for (i, j) in g.edges if i < B and j < T))
     half = T + B
     anns = ([Const(0)] * T + [Const(1)] * B) * 2
-    gates = copy_gates(0, None) + copy_gates(half, (y, cc))
+    gates = _greedy_gates(cut) + _greedy_gates(cut, half, (y, cc))
     c_full = cc
     c_primed = half + cc
     gates.append(Negation(c_primed))
@@ -309,22 +309,16 @@ def lfmm3_to_sm(g: BipartiteGraph, n: int) -> SMInstance:
     if max_degree(g) > 3:
         raise DegreeTooHighError("degree must be at most 3")
 
-    def rows(neigh_of):
+    def rows(adjacency):
         out = []
-        for i in range(n):
-            nbrs = sorted(neigh_of(i))
+        for nbrs in adjacency:
             rest = [j for j in range(n) if j not in nbrs]
-            out.append(tuple(nbrs + list(range(n, 2 * n)) + rest))
+            out.append(nbrs + tuple(range(n, 2 * n)) + tuple(rest))
         for _ in range(n):
             out.append(tuple(range(2 * n)))
         return tuple(out)
 
-    by_top = [[] for _ in range(n)]
-    for (i, j) in g.edges:
-        by_top[j].append(i)
-    man_pref = rows(g.neighbours_of_bottom)
-    woman_pref = rows(lambda j: by_top[j])
-    return SMInstance(2 * n, man_pref, woman_pref)
+    return SMInstance(2 * n, rows(g.by_bottom), rows(g.by_top))
 
 
 def sm_to_tri_circuit(inst: SMInstance):

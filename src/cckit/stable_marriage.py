@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .circuit import STAR, Tri, tri_and, tri_or
+from .circuit import STAR, tri_and, tri_or
 from .errors import (
     BadShapeError,
     HasStarsError,
@@ -286,9 +286,10 @@ def delayed_interval_states(inst: SMInstance) -> list:
 def _matrix_fixed_point(inst: SMInstance, adjacent_only: bool):
     """Shared engine for the two matrix algorithms.
 
-    Returns (per_step MatrixPairs from t = 0, passes executed).  With
-    ``adjacent_only`` the update keeps just the neighbouring term, which
-    is the circuit-implementable rule; otherwise full prefix AND/OR.
+    Returns the per-step MatrixPairs from t = 0, one more than the passes
+    executed.  With ``adjacent_only`` the update keeps just the
+    neighbouring term, which is the circuit-implementable rule; otherwise
+    full prefix AND/OR.
     """
     n = inst.n
     MM = [[STAR] * n for _ in range(n)]
@@ -334,11 +335,13 @@ def _matrix_fixed_point(inst: SMInstance, adjacent_only: bool):
         MM, WW = newMM, newWW
         steps.append(pair())
         if not changed:
-            return steps, rounds
+            return steps
 
 
-def _extract_marriages(inst: SMInstance, mp: MatrixPair):
+def _matrix_result(inst: SMInstance, steps):
+    """(S_M, S_W, final MatrixPair, passes) read off the last step."""
     n = inst.n
+    mp = steps[-1]
     man_match = [None] * n
     for m in range(n):
         picks = [
@@ -355,18 +358,20 @@ def _extract_marriages(inst: SMInstance, mp: MatrixPair):
         if len(picks) != 1:
             raise InternalBoundViolationError("woman-optimal extraction not unique")
         woman_match[picks[0]] = w
-    return Marriage(tuple(man_match)), Marriage(tuple(woman_match))
+    return Marriage(tuple(man_match)), Marriage(tuple(woman_match)), mp, len(steps) - 1
 
 
 def interval_logic_run(inst: SMInstance):
     """Matrix fixed point with full prefix terms.
 
-    Returns (S_M, S_W, final MatrixPair, per_step MatrixPairs from t = 0).
+    Returns (S_M, S_W, final MatrixPair, iterations).
     """
-    steps, _ = _matrix_fixed_point(inst, adjacent_only=False)
-    final = steps[-1]
-    s_m, s_w = _extract_marriages(inst, final)
-    return s_m, s_w, final, steps
+    return _matrix_result(inst, interval_logic_steps(inst))
+
+
+def interval_logic_steps(inst: SMInstance) -> list:
+    """All MatrixPairs of interval_logic_run, one per time step from 0."""
+    return _matrix_fixed_point(inst, adjacent_only=False)
 
 
 def subramanian_run(inst: SMInstance):
@@ -374,10 +379,7 @@ def subramanian_run(inst: SMInstance):
 
     Returns (S_M, S_W, final MatrixPair, iterations).
     """
-    steps, rounds = _matrix_fixed_point(inst, adjacent_only=True)
-    final = steps[-1]
-    s_m, s_w = _extract_marriages(inst, final)
-    return s_m, s_w, final, rounds
+    return _matrix_result(inst, _matrix_fixed_point(inst, adjacent_only=True))
 
 
 def is_stable(inst: SMInstance, mar: Marriage) -> int:

@@ -73,6 +73,7 @@ from .stable_marriage import (
     feasible_to_marriage,
     gale_shapley,
     interval_logic_run,
+    interval_logic_steps,
     interval_run,
     is_feasible_pair,
     is_stable,
@@ -546,7 +547,7 @@ def _case_sm_ladder(rng, i):
     man2, woman2, r2 = symmetric_gs(inst)
     man3, woman3, state3, r3 = interval_run(inst)
     man4, woman4, state4, r4 = delayed_interval_run(inst)
-    sm5, sw5, final5, steps5 = interval_logic_run(inst)
+    sm5, sw5, final5, r5 = interval_logic_run(inst)
     sm6, sw6, final6, r6 = subramanian_run(inst)
 
     if not (man1 == man2 == man3 == man4 == sm5 == sm6):
@@ -555,7 +556,7 @@ def _case_sm_ladder(rng, i):
         yield show("woman-optimal marriages disagree")
     if r1 > n * n or r2 > n * n:
         yield show(f"proposal rounds {r1}/{r2} exceed n^2")
-    if max(r3, r4, len(steps5) - 1, r6) > 2 * n * n:
+    if max(r3, r4, r5, r6) > 2 * n * n:
         yield show("interval/matrix rounds exceed 2n^2")
     if is_stable(inst, man1) != 1:
         yield show("man-optimal marriage unstable")
@@ -573,8 +574,7 @@ def _case_sm_ladder(rng, i):
         via_intervals = [
             matrix_of_intervals(small, s) for s in delayed_interval_states(small)
         ]
-        _, _, _, steps = interval_logic_run(small)
-        if via_intervals != steps:
+        if via_intervals != interval_logic_steps(small):
             yield "per-step interval/matrix mismatch\n" + serialize_sm(small)
 
     if n <= 5:
@@ -850,6 +850,8 @@ _SUITES = {
 
 def run_suite(name: str, cases=None, seed: int = 1) -> Report:
     """Run one property suite; ``cases`` overrides its default volume."""
+    if cases is not None and cases < 0:
+        raise BadShapeError(f"--cases must be at least 0, not {cases}")
     if name == "all":
         total = 0
         failures = []

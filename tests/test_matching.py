@@ -67,6 +67,25 @@ def test_graph_validation():
     assert lfm_matching(BipartiteGraph(0, 3, frozenset())).pairs == frozenset()
 
 
+def test_adjacency_is_ascending_per_vertex():
+    g = g_of(3, 4, (2, 1), (0, 3), (0, 1), (2, 0))
+    assert g.by_bottom == ((1, 3), (), (0, 1))
+    assert g.by_top == ((2,), (0, 2), (), (0,))
+    assert BipartiteGraph(0, 3, frozenset()).by_bottom == ()
+    assert BipartiteGraph(0, 3, frozenset()).by_top == ((), (), ())
+    assert BipartiteGraph(2, 0, frozenset()).by_bottom == ((), ())
+    assert BipartiteGraph(2, 0, frozenset()).by_top == ()
+
+
+def test_graphs_with_the_same_edges_are_equal():
+    a = g_of(2, 3, (0, 2), (1, 0), (0, 1))
+    b = BipartiteGraph(2, 3, [(0, 1), (0, 2), (1, 0)])
+    assert a == b and hash(a) == hash(b)
+    assert a != g_of(2, 3, (0, 2), (1, 0))
+    assert a != g_of(2, 4, (0, 2), (1, 0), (0, 1))
+    assert "by_bottom" not in repr(a) and "by_top" not in repr(a)
+
+
 def test_matching_accessors():
     m = MatchingB(frozenset({(0, 1), (2, 0)}))
     assert m.bottom_partner(0) == 1

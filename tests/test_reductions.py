@@ -122,6 +122,37 @@ def test_cover_to_circuit_exact():
     assert padded.answer() == vlfmm_decision(g, 0)
 
 
+def test_cover_to_circuit_gate_order():
+    # bottoms in order, each against its tops ascending; padding puts a
+    # dummy on the bottom's own wire for every non-edge
+    g = BipartiteGraph(2, 2, frozenset({(1, 0), (0, 1), (0, 0)}))
+    C = Comparator
+    c = vlfmm_to_ccv(g, 1).circuit
+    assert c.num_wires == 4 and c.output_wire == 1
+    assert c.annotations == (Const(0), Const(0), Const(1), Const(1))
+    assert c.gates == (C(2, 0), C(2, 1), C(3, 0))
+    padded = vlfmm_to_ccv(g, 0, pad_dummies=True).circuit
+    assert padded.gates == (C(2, 0), C(2, 1), C(3, 0), C(3, 3))
+
+
+def test_edge_to_negation_gate_order():
+    # two copies of the truncated graph's greedy gates, the second without
+    # the designated edge, then NOT on the primed top and one comparator
+    g = BipartiteGraph(2, 3, frozenset({(0, 0), (0, 1), (1, 0), (1, 2)}))
+    C, N = Comparator, Negation
+    want = {
+        (0, 0): (4, (C(1, 0), N(2), C(0, 2))),
+        (0, 1): (6, (C(2, 0), C(2, 1), C(5, 3), N(4), C(1, 4))),
+        (1, 0): (6, (C(1, 0), C(2, 0), C(4, 3), N(3), C(0, 3))),
+        (1, 2): (10, (C(3, 0), C(3, 1), C(4, 0), C(4, 2),
+                      C(8, 5), C(8, 6), C(9, 5), N(7), C(2, 7))),
+    }
+    for (i, j), (wires, gates) in want.items():
+        c = lfmm_to_ccvneg(g, (i, j)).circuit
+        assert (c.num_wires, c.output_wire, c.gates) == (wires, j, gates)
+        assert c.annotations == ((Const(0),) * (j + 1) + (Const(1),) * (i + 1)) * 2
+
+
 def test_edge_to_negation_circuit():
     g = BipartiteGraph(2, 3, frozenset({(0, 0), (0, 1), (1, 0), (1, 2)}))
     for e in sorted(g.edges):

@@ -14,6 +14,7 @@ from cckit.stable_marriage import (
     feasible_to_marriage,
     gale_shapley,
     interval_logic_run,
+    interval_logic_steps,
     interval_run,
     is_feasible_pair,
     is_stable,
@@ -85,12 +86,12 @@ def test_ladder_agreement_and_bounds():
         man2, woman2, r2 = symmetric_gs(inst)
         man3, woman3, state3, r3 = interval_run(inst)
         man4, woman4, state4, r4 = delayed_interval_run(inst)
-        sm5, sw5, final5, steps5 = interval_logic_run(inst)
+        sm5, sw5, final5, r5 = interval_logic_run(inst)
         sm6, sw6, final6, r6 = subramanian_run(inst)
         assert man1 == man2 == man3 == man4 == sm5 == sm6
         assert woman2 == woman3 == woman4 == sw5 == sw6
         assert r1 <= n * n and r2 <= n * n
-        assert max(r3, r4, r6) <= 2 * n * n
+        assert max(r3, r4, r5, r6) <= 2 * n * n
         assert state3 == state4
         assert final5 == final6
         assert is_stable(inst, man1) == 1
@@ -120,8 +121,9 @@ def test_per_step_matrix_equality():
     for seed in (3, 14, 159, 2653):
         inst = gen_sm(seed, 1 + seed % 5)
         via = [matrix_of_intervals(inst, s) for s in delayed_interval_states(inst)]
-        _, _, _, steps = interval_logic_run(inst)
+        steps = interval_logic_steps(inst)
         assert via == steps
+        assert interval_logic_run(inst)[3] == len(steps) - 1
 
 
 def test_matrix_of_intervals_rows():

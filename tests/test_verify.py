@@ -103,6 +103,13 @@ def test_zero_cases_is_vacuous(name):
     assert render_report(rep) == f"{name}: pass (0 cases)\n"
 
 
+def test_negative_volume_is_rejected():
+    with pytest.raises(BadShapeError, match="at least 0, not -5"):
+        run_suite("universal", -5)
+    with pytest.raises(BadShapeError, match="at least 0, not -1"):
+        run_suite("all", -1)
+
+
 def test_reports_are_pure_functions_of_inputs():
     a = run_suite("reduction-ring", 12, seed=31337)
     b = run_suite("reduction-ring", 12, seed=31337)
