@@ -158,16 +158,6 @@ class Circuit:
         ) and not self.has_negations
 
 
-@dataclass(frozen=True)
-class Trace:
-    """Wire-value snapshots: the initial state, then one per gate."""
-
-    snapshots: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "snapshots", tuple(self.snapshots))
-
-
 def _resolve(c: Circuit, x: Sequence, negate) -> list:
     vals = []
     for a in c.annotations:
@@ -201,7 +191,8 @@ def eval(
 
     Returns ``(wire_outputs, answer, trace)``.  Negation gates are rejected
     unless ``allow_negations`` is set.  The trace slot holds None unless
-    ``with_trace`` asks for one snapshot per gate.
+    ``with_trace`` asks for the wire values as a tuple of snapshots: the
+    initial state, then one per gate.
     """
     if c.has_negations and not allow_negations:
         raise NegationNotSupportedError("circuit contains negation gates")
@@ -218,8 +209,7 @@ def eval(
         if with_trace:
             snaps.append(tuple(vals))
     outputs = tuple(vals)
-    trace = Trace(tuple(snaps)) if with_trace else None
-    return outputs, outputs[c.output_wire], trace
+    return outputs, outputs[c.output_wire], tuple(snaps) if with_trace else None
 
 
 def eval_tri(
@@ -243,8 +233,7 @@ def eval_tri(
         if with_trace:
             snaps.append(tuple(vals))
     outputs = tuple(vals)
-    trace = Trace(tuple(snaps)) if with_trace else None
-    return outputs, outputs[c.output_wire], trace
+    return outputs, outputs[c.output_wire], tuple(snaps) if with_trace else None
 
 
 def dual(c: Circuit) -> Circuit:

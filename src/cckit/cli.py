@@ -52,7 +52,7 @@ from .stable_marriage import (
     symmetric_gs,
 )
 from .universal import build_universal, encode_control
-from .verify import render_report, run_suite, _SUITES
+from .verify import SUITES, render_report, run_suite
 
 
 def _read(path: str) -> str:
@@ -100,7 +100,7 @@ def cmd_eval(args) -> int:
     else:
         outputs, answer, trace = eval(c, x, allow_negations=True, with_trace=args.trace)
     if args.trace:
-        for k, snap in enumerate(trace.snapshots):
+        for k, snap in enumerate(trace):
             print(f"step {k} " + "".join(map(str, snap)))
     for w, v in enumerate(outputs):
         print(f"w{w}={v}")
@@ -244,7 +244,7 @@ def cmd_reach(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    names = list(_SUITES) if args.suite == "all" else [args.suite]
+    names = list(SUITES) if args.suite == "all" else [args.suite]
     ok = True
     for name in names:
         report = run_suite(name, args.cases, args.seed)

@@ -9,6 +9,7 @@ other answers back out (wire maps, node maps, rail maps).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .circuit import (
     STAR,
@@ -94,15 +95,8 @@ def to_all_up(c: Circuit):
     return up, {w: m - 1 - down_map[w] for w in down_map}
 
 
-def ccv_to_3vlfmm(inst: CcvInstance):
-    """Gate-by-gate lowering of an all-up circuit to degree-3 greedy matching.
-
-    Both vertex sides carry one node per (layer, wire), id layer*m + wire,
-    layer 0 holding the inputs and layer l the state after l gates.  A top
-    node ends up covered by the greedy matching exactly when its wire
-    carries 1 at its layer.  Returns (instance, node_map) with node_map
-    keyed by (layer, wire).
-    """
+def _layer_edges(inst: CcvInstance):
+    """Edges of ccv_to_3vlfmm's graph, its node_map and its target top."""
     c = inst.circuit
     if c.has_negations:
         raise NegationNotSupportedError("lower negations first")
@@ -129,14 +123,26 @@ def ccv_to_3vlfmm(inst: CcvInstance):
             if w not in involved:
                 edges.append((nid(layer, w), nid(layer - 1, w)))
                 edges.append((nid(layer, w), nid(layer, w)))
-    count = (len(c.gates) + 1) * m
-    graph = BipartiteGraph(count, count, frozenset(edges))
     node_map = {
         (layer, wire): nid(layer, wire)
         for layer in range(len(c.gates) + 1)
         for wire in range(m)
     }
-    target = nid(len(c.gates), c.output_wire)
+    return edges, node_map, nid(len(c.gates), c.output_wire)
+
+
+def ccv_to_3vlfmm(inst: CcvInstance):
+    """Gate-by-gate lowering of an all-up circuit to degree-3 greedy matching.
+
+    Both vertex sides carry one node per (layer, wire), id layer*m + wire,
+    layer 0 holding the inputs and layer l the state after l gates.  A top
+    node ends up covered by the greedy matching exactly when its wire
+    carries 1 at its layer.  Returns (instance, node_map) with node_map
+    keyed by (layer, wire).
+    """
+    edges, node_map, target = _layer_edges(inst)
+    count = len(node_map)
+    graph = BipartiteGraph(count, count, frozenset(edges))
     return LfmmInstance(graph, ("top", target)), node_map
 
 
@@ -178,20 +184,25 @@ def vlfmm_to_ccv(g: BipartiteGraph, target_top: int, pad_dummies: bool = False) 
 
 def ccv_to_3lfmm(inst: CcvInstance):
     """Edge-designated variant: one extra top/bottom pair turns top
-    coverage into edge membership.  Same preconditions as ccv_to_3vlfmm,
-    which runs underneath.  Returns (instance, node_map)."""
-    lf, node_map = ccv_to_3vlfmm(inst)
-    g = lf.graph
-    old_target = lf.designated[1]
-    w_t = g.num_top
-    w_b = g.num_bottom
-    edges = set(g.edges)
-    edges.add((w_b, old_target))
-    edges.add((w_b, w_t))
-    bigger = BipartiteGraph(g.num_bottom + 1, g.num_top + 1, frozenset(edges))
-    # w_b prefers the old target; it settles for w_t exactly when the old
-    # target was already matched, so the designated edge tracks coverage.
-    return LfmmInstance(bigger, ("edge", (w_b, w_t))), node_map
+    coverage into edge membership.  Same preconditions and node_map as
+    ccv_to_3vlfmm.  Returns (instance, node_map)."""
+    edges, node_map, old_target = _layer_edges(inst)
+    w = len(node_map)  # id of both the new bottom and the new top
+    # bottom w prefers the old target; it settles for top w exactly when
+    # the old target was already matched, so the designated edge tracks
+    # coverage.
+    edges += [(w, old_target), (w, w)]
+    bigger = BipartiteGraph(w + 1, w + 1, frozenset(edges))
+    return LfmmInstance(bigger, ("edge", (w, w))), node_map
+
+
+def _rail_gates(g, t):
+    """The double-rail lowering of one gate, with ``t`` the zero wire."""
+    if isinstance(g, Comparator):
+        a, b = g.min_wire, g.max_wire
+        return Comparator(2 * a, 2 * b), Comparator(2 * b + 1, 2 * a + 1)
+    z = 2 * g.wire
+    return Comparator(z, t), Comparator(z + 1, z), Comparator(t, z + 1)
 
 
 def double_rail(c: Circuit):
@@ -212,20 +223,8 @@ def double_rail(c: Circuit):
         else:
             anns.extend((NegInput(a.index), Input(a.index)))
     anns.append(Const(0))
-    gates = []
-    for g in c.gates:
-        if isinstance(g, Comparator):
-            gates.append(Comparator(2 * g.min_wire, 2 * g.max_wire))
-            if g.is_dummy:
-                gates.append(Comparator(2 * g.min_wire + 1, 2 * g.min_wire + 1))
-            else:
-                gates.append(Comparator(2 * g.max_wire + 1, 2 * g.min_wire + 1))
-        else:
-            z = 2 * g.wire
-            gates.append(Comparator(z, t))
-            gates.append(Comparator(z + 1, z))
-            gates.append(Comparator(t, z + 1))
-    out = Circuit(2 * m + 1, tuple(anns), tuple(gates), 2 * c.output_wire)
+    gates = tuple(r for g in c.gates for r in _rail_gates(g, t))
+    out = Circuit(2 * m + 1, tuple(anns), gates, 2 * c.output_wire)
     return out, {w: 2 * w for w in range(m)}
 
 
@@ -386,20 +385,26 @@ def sm_to_tri_circuit(inst: SMInstance):
     return circuit, dict(binding)
 
 
+@lru_cache(maxsize=1)
 def _sm_rail_prefix(inst: SMInstance):
-    """Shared front half of the optimal-pair circuits."""
+    """Shared front half of the optimal-pair circuits, double-railed once
+    per instance.  Returns (circuit, cell_map, rail_map); the two maps
+    name wires of the circuit before double-railing."""
     tri_c, cell_map = sm_to_tri_circuit(inst)
     closed, rail_map = tri_to_bool(tri_c, (STAR,) * tri_c.num_inputs)
-    return closed.circuit, cell_map, rail_map
+    railed, _ = double_rail(closed.circuit)
+    return railed, cell_map, rail_map
 
 
-def _optimal_pair_circuit(inst, pair, side, prefix=None):
+def _optimal_pair_circuit(inst, pair, side):
+    """The railed prefix plus a tail of at most three gates, which is
+    written on the prefix's wires before double-railing and railed here."""
     n = inst.n
     m, w = pair
     if not (0 <= m < n and 0 <= w < n):
         raise IndexOutOfRangeError(f"pair {pair} out of range")
-    base, cell_map, rail_map = prefix if prefix is not None else _sm_rail_prefix(inst)
-    gates = list(base.gates)
+    base, cell_map, rail_map = _sm_rail_prefix(inst)
+    gates = []
     if side == "m":
         rank = inst.man_pref[m].index(w)
         alpha, beta = rail_map[cell_map[("m", m, rank)]]
@@ -419,9 +424,11 @@ def _optimal_pair_circuit(inst, pair, side, prefix=None):
             delta = rail_map[cell_map[("w", w, rank + 1)]][1]
             gates.append(Comparator(beta, delta))
         answer_wire = beta
-    with_neg = Circuit(base.num_wires, base.annotations, tuple(gates), answer_wire)
-    final, _ = ccvneg_to_ccv(CcvInstance(with_neg))
-    return final
+    t = base.num_wires - 1
+    tail = tuple(r for g in gates for r in _rail_gates(g, t))
+    return CcvInstance(
+        Circuit(base.num_wires, base.annotations, base.gates + tail, 2 * answer_wire)
+    )
 
 
 def mosm_to_ccv(inst: SMInstance, pair: tuple) -> CcvInstance:

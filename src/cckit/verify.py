@@ -7,7 +7,7 @@ pure function of (seed, k) and cases can be executed in any order or in
 parallel without changing the stream.
 
 A suite is a per-case function ``case(rng, i)`` that yields the failure
-messages of random case ``i``, plus an entry in ``_SUITES``.  The runner
+messages of random case ``i``, plus an entry in ``SUITES``.  The runner
 owns the rest: it seeds case ``i`` with ``SplitMix(split(seed, i))``,
 runs the suite's fixed checks first (numbered from 0, and only when at
 least one case is asked for), and collects and sorts the failures.
@@ -61,8 +61,6 @@ from .reductions import (
     tri_to_bool,
     vlfmm_to_ccv,
     wosm_to_ccv,
-    _optimal_pair_circuit,
-    _sm_rail_prefix,
 )
 from .stable_marriage import (
     MatrixPair,
@@ -420,12 +418,12 @@ def _case_tri(rng, i):
     x = [rng.choice((0, STAR, 1)) for _ in range(c.num_inputs)]
     want_outputs, want_answer, _ = eval_tri(c, x)
     inst, rail_map = tri_to_bool(c, x)
-    outputs, answer, trace = eval(inst.circuit, (), with_trace=True)
+    outputs, answer, snaps = eval(inst.circuit, (), with_trace=True)
     bad = None
     # rail order is restored after each complete two-gate pair (and
     # after the collector), not in between the pair's halves
-    last = len(trace.snapshots) - 1
-    for s, snap in enumerate(trace.snapshots):
+    last = len(snaps) - 1
+    for s, snap in enumerate(snaps):
         if s % 2 and s != last:
             continue
         for w in range(c.num_wires):
@@ -500,8 +498,9 @@ def _case_reductions(rng, i):
 
     # coverage back to a circuit, for every top, padded and not
     g = gen_bipartite(rng.next64(), 6, 6, 0.15 + 0.1 * rng.below(4))
+    covered = {j for _, j in lfm_matching(g).pairs}
     for t in range(g.num_top):
-        want = vlfmm_decision(g, t)
+        want = 1 if t in covered else 0
         if vlfmm_to_ccv(g, t).answer() != want:
             yield "vlfmm_to_ccv wrong:\n" + serialize_graph(g, ("top", t))
         if vlfmm_to_ccv(g, t, pad_dummies=True).answer() != want:
@@ -521,12 +520,12 @@ def _case_reductions(rng, i):
     closed_n = close_circuit(cn, rng.bits(cn.num_inputs))
     plain, wmap = ccvneg_to_ccv(closed_n)
     want = closed_n.answer(allow_negations=True)
-    outputs, got, trace = eval(plain.circuit, (), with_trace=True)
+    outputs, got, snaps = eval(plain.circuit, (), with_trace=True)
     if got != want:
         yield "ccvneg_to_ccv wrong:\n" + serialize_circuit(closed_n.circuit)
     t_wire = 2 * closed_n.circuit.num_wires
     for b in _rail_boundaries(closed_n.circuit):
-        snap = trace.snapshots[b]
+        snap = snaps[b]
         if snap[t_wire] != 0 or any(
             snap[2 * w] == snap[2 * w + 1]
             for w in range(closed_n.circuit.num_wires)
@@ -642,28 +641,17 @@ def _case_sm_to_ccv(rng, i):
     woman_match = [0] * n
     for w in range(n):
         woman_match[swapped.match[w]] = w
-    prefix = _sm_rail_prefix(inst)
     bad = None
     for m in range(n):
         for w in range(n):
             want_m = 1 if man_opt.match[m] == w else 0
             want_w = 1 if woman_match[m] == w else 0
-            got_m = _optimal_pair_circuit(inst, (m, w), "m", prefix).answer()
-            got_w = _optimal_pair_circuit(inst, (m, w), "w", prefix).answer()
+            got_m = mosm_to_ccv(inst, (m, w)).answer()
+            got_w = wosm_to_ccv(inst, (m, w)).answer()
             if got_m != want_m:
                 bad = f"man-optimal pair ({m},{w}): {got_m} != {want_m}"
             if got_w != want_w:
                 bad = f"woman-optimal pair ({m},{w}): {got_w} != {want_w}"
-    # the public constructors must agree with the shared-prefix path
-    pair = (rng.below(n), rng.below(n))
-    if mosm_to_ccv(inst, pair).answer() != (
-        1 if man_opt.match[pair[0]] == pair[1] else 0
-    ):
-        bad = f"mosm_to_ccv disagrees on {pair}"
-    if wosm_to_ccv(inst, pair).answer() != (
-        1 if woman_match[pair[0]] == pair[1] else 0
-    ):
-        bad = f"wosm_to_ccv disagrees on {pair}"
     if bad:
         yield bad + "\n" + serialize_sm(inst)
 
@@ -833,7 +821,7 @@ def _case_formats(rng, i):
         yield bad + " failed"
 
 
-_SUITES = {
+SUITES = {
     "golden-fixtures": Suite(_case_golden, 9, cap=len(_GOLDEN)),
     "universal": Suite(_case_universal, 500, (_universal_gadget,)),
     "tri-lowering": Suite(_case_tri, 300, _TRI_ROWS),
@@ -855,15 +843,15 @@ def run_suite(name: str, cases=None, seed: int = 1) -> Report:
     if name == "all":
         total = 0
         failures = []
-        for sub in _SUITES:
+        for sub in SUITES:
             rep = run_suite(sub, cases, seed)
             for idx, text in rep.failures:
                 failures.append((total + idx, f"[{sub}] {text}"))
             total += rep.cases
         return Report("all", total, tuple(failures))
-    if name not in _SUITES:
+    if name not in SUITES:
         raise UnknownSuiteError(f"no suite named {name!r}")
-    suite = _SUITES[name]
+    suite = SUITES[name]
     n = suite.default if cases is None else cases
     if suite.cap is not None:
         n = min(n, suite.cap)

@@ -55,7 +55,7 @@ def test_empty_circuit_echoes_annotations():
     outputs, answer, trace = eval(c, (0,), with_trace=True)
     assert outputs == (1, 0, 1)
     assert answer == 1
-    assert trace.snapshots == ((1, 0, 1),)
+    assert trace == ((1, 0, 1),)
 
 
 def test_arity_checked():
@@ -86,8 +86,8 @@ def test_negation_needs_opt_in():
 def test_trace_has_one_snapshot_per_gate():
     c = Circuit(2, wires(2), (Comparator(0, 1), Comparator(1, 0)), 0)
     _, _, trace = eval(c, (1, 0), with_trace=True)
-    assert len(trace.snapshots) == 3
-    assert trace.snapshots[0] == (1, 0)
+    assert len(trace) == 3
+    assert trace[0] == (1, 0)
 
 
 def test_trace_is_built_only_on_request():

@@ -1,4 +1,5 @@
-"""Every name a cckit module imports is used in that module."""
+"""Every name a cckit module imports is used in that module, and no
+cckit module imports a sibling's underscore name."""
 
 import ast
 import pathlib
@@ -40,3 +41,33 @@ def test_the_scan_sees_an_unused_import():
         "print(os.sep)\n"
     )
     assert unused_imports(tree) == [(2, "system"), (3, "Optional")]
+
+
+def private_imports(tree):
+    """(line, name) of each underscore name imported from a cckit module."""
+    return sorted(
+        (node.lineno, a.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "cckit")
+        for a in node.names
+        if a.name.startswith("_")
+    )
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_sibling_imports(path):
+    assert private_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_the_scan_sees_a_private_import():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "from os import _exit\n"
+        "from .verify import SUITES, _SUITES\n"
+        "from cckit.reductions import _sm_rail_prefix as prefix\n"
+        "from . import _private\n"
+    )
+    assert private_imports(tree) == [
+        (3, "_SUITES"), (4, "_sm_rail_prefix"), (5, "_private"),
+    ]

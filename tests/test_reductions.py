@@ -1,5 +1,7 @@
 """Lowering passes: decision preservation and structural contracts."""
 
+import hashlib
+
 import pytest
 
 from cckit.circuit import (
@@ -8,6 +10,7 @@ from cckit.circuit import (
     Comparator,
     Const,
     Input,
+    NegInput,
     Negation,
     eval,
     eval_tri,
@@ -20,12 +23,14 @@ from cckit.errors import (
     NotAllUpError,
     NotSquareError,
 )
+from cckit.formats import serialize_circuit
 from cckit.matching import BipartiteGraph, lfm_matching, lfmm_decision, max_degree, vlfmm_decision
 from cckit.reductions import (
     CcvInstance,
     ccv_to_3lfmm,
     ccv_to_3vlfmm,
     ccvneg_to_ccv,
+    double_rail,
     lfmm3_to_sm,
     lfmm_to_ccvneg,
     mosm_to_ccv,
@@ -177,6 +182,22 @@ def test_double_rail_keeps_answer_and_complements():
         assert outputs[2 * inst.circuit.num_wires] == 0
 
 
+def test_double_rail_gate_list():
+    # a dummy rails to a dummy on each rail, a comparator swaps roles on
+    # the complement rails, a negation is three gates through wire 2m
+    c = Circuit(
+        2,
+        (Const(1), NegInput(0)),
+        (Comparator(1, 1), Comparator(0, 1), Negation(1)),
+        1,
+    )
+    C = Comparator
+    out, wmap = double_rail(c)
+    assert (out.num_wires, out.output_wire, wmap) == (5, 2, {0: 0, 1: 2})
+    assert out.annotations == (Const(1), Const(0), NegInput(0), Input(0), Const(0))
+    assert out.gates == (C(2, 2), C(3, 3), C(0, 2), C(3, 1), C(2, 4), C(3, 2), C(4, 3))
+
+
 def test_tri_lowering_gate_table():
     c = Circuit(2, (Input(0), Input(1)), (Comparator(0, 1),), 0)
     decode = {(0, 0): 0, (0, 1): STAR, (1, 1): 1}
@@ -261,3 +282,42 @@ def test_optimal_pair_circuits():
             assert wosm_to_ccv(inst, (m, w)).answer() == (
                 1 if swapped.match[w] == m else 0
             )
+
+
+def test_optimal_pair_circuits_are_pinned():
+    # sha256 of every pair circuit's text, man- then woman-optimal
+    h = hashlib.sha256()
+    for seed in (1, 2, 3):
+        for n in range(1, 5):
+            inst = gen_sm(seed, n)
+            for m in range(n):
+                for w in range(n):
+                    for build in (mosm_to_ccv, wosm_to_ccv):
+                        h.update(serialize_circuit(build(inst, (m, w)).circuit).encode())
+    assert h.hexdigest() == (
+        "3c9be3928b06c3d19ddda4c9c6c079a536c0492319da5eeb8f1d7cccc34655e5"
+    )
+
+
+def test_pair_circuits_rail_the_prefix_once(monkeypatch):
+    from cckit import reductions
+
+    calls = []
+
+    def counting(c):
+        calls.append(len(c.gates))
+        return double_rail(c)
+
+    monkeypatch.setattr(reductions, "double_rail", counting)
+    reductions._sm_rail_prefix.cache_clear()
+    inst = gen_sm(4242, 3)
+    circuits = [
+        build(inst, (m, w)).circuit
+        for build in (mosm_to_ccv, wosm_to_ccv)
+        for m in range(3)
+        for w in range(3)
+    ]
+    assert len(calls) == 1
+    prefix = 2 * calls[0]  # a comparator rails to two gates
+    assert all(c.gates[:prefix] == circuits[0].gates[:prefix] for c in circuits)
+    assert all(len(c.gates) - prefix <= 7 for c in circuits)  # NOT and two comparators

@@ -95,7 +95,7 @@ def test_unknown_suite():
         run_suite("definitely-not-a-suite")
 
 
-@pytest.mark.parametrize("name", list(verify._SUITES))
+@pytest.mark.parametrize("name", list(verify.SUITES))
 def test_zero_cases_is_vacuous(name):
     rep = run_suite(name, 0)
     assert rep == Report(name, 0, ())
@@ -157,7 +157,7 @@ def test_all_aggregates():
     rep = run_suite("all", 2, seed=4)
     assert rep.suite == "all"
     assert rep.passed
-    assert rep.cases >= sum(1 for _ in verify._SUITES)
+    assert rep.cases >= sum(1 for _ in verify.SUITES)
 
 
 def test_three_degree_outputs_hold_the_bound():
