@@ -19,10 +19,6 @@ class NegationNotSupportedError(CckitError):
     comparators."""
 
 
-# the old name of the same error, still imported by callers
-HasNegationsError = NegationNotSupportedError
-
-
 class BadShapeError(CckitError):
     """Structurally invalid value (bad counts, bad bounds, bad parameters)."""
 

@@ -299,8 +299,6 @@ def serialize_sm(inst: SMInstance) -> str:
 def parse_digraph(text: str) -> Digraph:
     rows = _header(text, "DIGRAPH v1")
     n = None
-    # a list keeps the frozenset's build order, which picks reach_to_ccv's error arc
-    arcs = []
     seen = set()
     for no, toks in rows:
         kind = toks[0]
@@ -322,12 +320,11 @@ def parse_digraph(text: str) -> Digraph:
             if (u, v) in seen:
                 raise ParseError(no, f"duplicate arc ({u}, {v})")
             seen.add((u, v))
-            arcs.append((u, v))
         else:
             raise ParseError(no, f"unknown directive {kind!r}")
     if n is None:
         raise ParseError(_eof_line(text), "missing `nodes`")
-    return Digraph(n, frozenset(arcs))
+    return Digraph(n, frozenset(seen))
 
 
 def serialize_digraph(g: Digraph) -> str:

@@ -96,9 +96,9 @@ def reach_to_ccv(g: Digraph, target: int) -> Circuit:
     n = g.n
     if not 0 <= target < n:
         raise IndexOutOfRangeError(f"target {target} out of range")
-    for (i, j) in g.edges:
-        if i >= j:
-            raise PreconditionViolatedError(f"edge ({i}, {j}) is not ascending")
+    bad = min(((i, j) for (i, j) in g.edges if i >= j), default=None)
+    if bad is not None:
+        raise PreconditionViolatedError(f"edge {bad} is not ascending")
     anns = [Const(1)] * n + [Const(0)] * n
     sweep = [
         Comparator(n + i, n + j) if (i, j) in g.edges else Comparator(n + i, n + i)

@@ -241,122 +241,64 @@ def fixture_text(name: str) -> str:
     return (files("cckit") / "fixtures" / name).read_text()
 
 
-def _chk_annotated():
-    c = parse_circuit(fixture_text("annotated_demo.ccv"))
-    outputs, answer, _ = eval(c, (1, 1, 1))
-    if outputs != (0, 1, 1, 0, 1, 0) or answer != 0:
-        return _show("circuit", serialize_circuit(c), (0, 1, 1, 0, 1, 0), outputs)
+# (parse, serialize) for each fixture suffix; graphs travel as (graph, designation)
+_CODECS = {
+    "ccv": (parse_circuit, serialize_circuit),
+    "graph": (parse_graph, lambda gd: serialize_graph(*gd)),
+    "digraph": (parse_digraph, serialize_digraph),
+}
 
 
-def _chk_greedy():
-    g, _ = parse_graph(fixture_text("greedy_demo.graph"))
-    got = lfm_matching(g).pairs
-    want = frozenset({(0, 0), (2, 2), (3, 1)})
-    if got != want:
-        return _show("graph", serialize_graph(g), want, got)
-    if lfmm_decision(g, (3, 1)) != 1 or lfmm_decision(g, (1, 0)) != 0:
-        return "edge decisions off on the greedy fixture"
-    if vlfmm_decision(g, 2) != 1:
-        return "top 2 should be covered"
+def _codec(name: str):
+    return _CODECS[name.rpartition(".")[2]]
 
 
-def _chk_consts():
-    c = parse_circuit(fixture_text("const_demo.ccv"))
-    outputs, _, _ = eval(c, ())
-    if outputs != (1, 1, 0):
-        return _show("circuit", serialize_circuit(c), (1, 1, 0), outputs)
-    douts, _, _ = eval(dual(c), ())
-    if douts != (0, 0, 1):
-        return _show("dual circuit", serialize_circuit(dual(c)), (0, 0, 1), douts)
+def _load(name: str):
+    return _codec(name)[0](fixture_text(name))
 
 
-def _chk_cover():
-    g, desig = parse_graph(fixture_text("cover_demo.graph"))
-    inst = vlfmm_to_ccv(g, 0)
-    outputs, _, _ = eval(inst.circuit, ())
-    tops = outputs[: g.num_top]
-    if tops != (1, 1, 1, 0):
-        return _show("graph", serialize_graph(g, desig), (1, 1, 1, 0), tops)
-    bottoms = outputs[g.num_top :]
-    if bottoms != (0, 0, 0):
-        return f"bottom wires should all end 0, got {bottoms}"
-
-
-def _chk_negation():
-    c = parse_circuit(fixture_text("negation_demo.ccv"))
-    outputs, answer, _ = eval(c, (), allow_negations=True)
-    if outputs != (1, 1, 1):
-        return _show("circuit", serialize_circuit(c), (1, 1, 1), outputs)
+def _negation_lowered(c):
     lowered, _ = ccvneg_to_ccv(CcvInstance(c))
-    louts, lans, _ = eval(lowered.circuit, ())
-    if louts != (1, 0, 1, 0, 1, 0, 0) or lans != answer:
-        return _show(
-            "lowered circuit",
-            serialize_circuit(lowered.circuit),
-            (1, 0, 1, 0, 1, 0, 0),
-            louts,
-        )
+    return eval(c, (), allow_negations=True)[0], eval(lowered.circuit, ())[:2]
 
 
-def _chk_edge_decision():
-    g, desig = parse_graph(fixture_text("edge_decision_demo.graph"))
-    inst = lfmm_to_ccvneg(g, desig[1])
-    outputs, answer, _ = eval(inst.circuit, (), allow_negations=True)
-    if answer != 1 or outputs[2] != 1:
-        return _show("graph", serialize_graph(g, desig), 1, answer)
-    if outputs != (1, 0, 1, 0, 0, 1, 0, 1, 0, 1):
-        return _show(
-            "circuit",
-            serialize_circuit(inst.circuit),
-            (1, 0, 1, 0, 0, 1, 0, 1, 0, 1),
-            outputs,
-        )
-
-
-def _chk_reach():
-    g = parse_digraph(fixture_text("reach_demo.digraph"))
-    if reachable_set(g, 0) != {0, 1, 2, 3, 4}:
-        return "all five nodes should be reachable from 0"
-    c = reach_to_ccv(g, 0)
-    outputs, _, _ = eval(c, ())
-    if outputs[: g.n] != (0,) * g.n or outputs[g.n :] != (1,) * g.n:
-        return _show("circuit", serialize_circuit(c), "iotas 0, nus 1", outputs)
-
-
-def _chk_matching_layers():
-    c = parse_circuit(fixture_text("const_demo.ccv"))
+def _layer_statuses(c):
     lf, node_map = ccv_to_3vlfmm(CcvInstance(c))
-    statuses = tuple(
-        vlfmm_decision(lf.graph, node_map[(len(c.gates), w)]) for w in range(3)
+    return tuple(
+        vlfmm_decision(lf.graph, node_map[(len(c.gates), w)]) for w in range(c.num_wires)
     )
-    if statuses != (1, 1, 0):
-        return _show("graph", serialize_graph(lf.graph), (1, 1, 0), statuses)
 
 
-def _chk_encode():
-    c = parse_circuit(fixture_text("const_demo.ccv"))
-    enc = encode_control(c, 3, 2)
-    if sum(enc) != 2 or len(enc) != 3 * 2 * 2:
-        return f"expected 2 one-bits in a 12-bit encoding, got {enc}"
-
-
-# each returns its first failure message, or None
+# (fixture, computation on the parsed fixture, exact expected value)
 _GOLDEN = (
-    _chk_annotated,
-    _chk_greedy,
-    _chk_consts,
-    _chk_cover,
-    _chk_negation,
-    _chk_edge_decision,
-    _chk_reach,
-    _chk_matching_layers,
-    _chk_encode,
+    ("annotated_demo.ccv", lambda c: eval(c, (1, 1, 1))[:2], ((0, 1, 1, 0, 1, 0), 0)),
+    ("greedy_demo.graph",
+     lambda gd: (lfm_matching(gd[0]).pairs, lfmm_decision(gd[0], (3, 1)),
+                 lfmm_decision(gd[0], (1, 0)), vlfmm_decision(gd[0], 2)),
+     (frozenset({(0, 0), (2, 2), (3, 1)}), 1, 0, 1)),
+    ("const_demo.ccv", lambda c: (eval(c, ())[0], eval(dual(c), ())[0]),
+     ((1, 1, 0), (0, 0, 1))),
+    # tops (1, 1, 1, 0), then bottoms (0, 0, 0)
+    ("cover_demo.graph", lambda gd: eval(vlfmm_to_ccv(gd[0], 0).circuit, ())[0],
+     (1, 1, 1, 0, 0, 0, 0)),
+    ("negation_demo.ccv", _negation_lowered, ((1, 1, 1), ((1, 0, 1, 0, 1, 0, 0), 1))),
+    ("edge_decision_demo.graph",
+     lambda gd: eval(lfmm_to_ccvneg(gd[0], gd[1][1]).circuit, (), allow_negations=True)[:2],
+     ((1, 0, 1, 0, 0, 1, 0, 1, 0, 1), 1)),
+    # reachable set, then iotas 0 and nus 1
+    ("reach_demo.digraph", lambda g: (reachable_set(g, 0), eval(reach_to_ccv(g, 0), ())[0]),
+     ({0, 1, 2, 3, 4}, (0,) * 5 + (1,) * 5)),
+    ("const_demo.ccv", _layer_statuses, (1, 1, 0)),
+    ("const_demo.ccv", lambda c: encode_control(c, 3, 2),
+     (0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1)),
 )
 
 
 def _case_golden(rng, i):
-    msg = _GOLDEN[i]()
-    return () if msg is None else (msg,)
+    name, compute, expected = _GOLDEN[i]
+    got = compute(_load(name))
+    if got != expected:
+        yield _show(f"fixture {name}", fixture_text(name), expected, got)
 
 
 # -- universal --------------------------------------------------------------
@@ -764,14 +706,9 @@ def _case_strictification(rng, i):
 # -- formats -----------------------------------------------------------------
 
 def _fixture_round_trip(name):
+    parse, serialize = _codec(name)
     text = fixture_text(name)
-    if name.endswith(".ccv"):
-        again = serialize_circuit(parse_circuit(text))
-    elif name.endswith(".graph"):
-        again = serialize_graph(*parse_graph(text))
-    else:
-        again = serialize_digraph(parse_digraph(text))
-    if again != text:
+    if serialize(parse(text)) != text:
         yield f"fixture {name} does not round-trip"
 
 

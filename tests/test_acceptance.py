@@ -1,66 +1,47 @@
 """Acceptance gate: every property suite at full volume, zero tolerance.
 
-Each test runs one suite through the same entry point the command line
-uses and demands an empty failure list.  Volumes are the suite defaults
-(500 universal simulations, 1000 structural-invariant circuits, and so
-on); equality checks are exact throughout, no tolerances anywhere.
+One gate runs each suite in ``verify.SUITES`` through the same entry
+point the command line uses and demands an empty failure list, so a new
+suite is gated as soon as it is registered.  Volumes are the suite
+defaults (500 universal simulations, 1000 structural-invariant circuits,
+and so on); equality checks are exact throughout, no tolerances anywhere.
 """
 
 import sys
 
-from cckit.verify import run_suite
+from cckit.verify import SUITES, run_suite
+
+# the gates' established test names; any other suite is gated as test_<suite>
+NAMES = {
+    "golden-fixtures": "test_golden_fixtures_reproduce_exactly",
+    "universal": "test_universal_circuit_simulation",
+    "tri-lowering": "test_three_valued_lowering",
+    "reduction-ring": "test_reduction_ring_equivalences",
+    "sm-ladder": "test_marriage_algorithm_ladder",
+    "feasible-pairs": "test_feasible_pair_bijection",
+    "sm-to-ccv": "test_marriage_to_circuit_pipeline",
+    "reachability": "test_reachability_pebbling",
+    "structural-invariants": "test_structural_invariants",
+    "strictification": "test_strictification",
+    "formats": "test_format_round_trips_and_determinism",
+}
 
 
-def _gate(name, cases=None, seed=1):
-    report = run_suite(name, cases, seed)
-    verdict = "PASS" if report.passed else "FAIL"
-    sys.stdout.write(f"{report.suite}: {verdict} ({report.cases} cases)\n")
-    if report.failures:
-        idx, text = report.failures[0]
-        sys.stdout.write(f"first counterexample (case {idx}):\n{text}\n")
-    assert report.failures == (), f"{name} had {len(report.failures)} failures"
-    return report
+def gate(name):
+    def test():
+        report = run_suite(name)
+        verdict = "PASS" if report.passed else "FAIL"
+        sys.stdout.write(f"{report.suite}: {verdict} ({report.cases} cases)\n")
+        if report.failures:
+            idx, text = report.failures[0]
+            sys.stdout.write(f"first counterexample (case {idx}):\n{text}\n")
+        assert report.failures == (), f"{name} had {len(report.failures)} failures"
+
+    test.__name__ = NAMES.get(name, "test_" + name.replace("-", "_"))
+    return test
 
 
-def test_golden_fixtures_reproduce_exactly():
-    _gate("golden-fixtures")
-
-
-def test_universal_circuit_simulation():
-    _gate("universal")
-
-
-def test_three_valued_lowering():
-    _gate("tri-lowering")
-
-
-def test_reduction_ring_equivalences():
-    _gate("reduction-ring")
-
-
-def test_marriage_algorithm_ladder():
-    _gate("sm-ladder")
-
-
-def test_feasible_pair_bijection():
-    _gate("feasible-pairs")
-
-
-def test_marriage_to_circuit_pipeline():
-    _gate("sm-to-ccv")
-
-
-def test_reachability_pebbling():
-    _gate("reachability")
-
-
-def test_structural_invariants():
-    _gate("structural-invariants")
-
-
-def test_strictification():
-    _gate("strictification")
-
-
-def test_format_round_trips_and_determinism():
-    _gate("formats")
+for suite in SUITES:
+    test = gate(suite)
+    globals()[test.__name__] = test
+del suite, test

@@ -1,9 +1,11 @@
 """Command-line behaviour: output shapes and exit codes."""
 
+import hashlib
 import io
 import pathlib
 
 import cckit
+import pytest
 from cckit.cli import main
 
 FIXTURES = str(pathlib.Path(cckit.__file__).parent / "fixtures")
@@ -124,6 +126,55 @@ def test_reduce_marriage_pair(capsys, tmp_path):
     )
     assert code == 0
     assert out.startswith("CCV v1\n")
+
+
+SQUARE_GRAPH = "GRAPH v1\nbottom 2\ntop 2\nedge 0 0\nedge 0 1\nedge 1 0\n"
+TWO_SM = "SM v1\nn 2\nman 0: 0 1\nman 1: 1 0\nwoman 0: 1 0\nwoman 1: 0 1\n"
+
+
+def sha_or_none(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else None
+
+
+# (pass, fixture name or inline text, extra args, output sha256, .map sha256)
+REDUCE_PINS = [
+    ("neg-elim", "negation_demo.ccv", (),
+     "fc9a709436e91613c0b640b98ad4fddb4486e07d7b6f3557dbf467617fdd4645",
+     "108f4ee776d05c490521f239f2f3fd64c58dcb61c85ffa193ea82860d2d27b0c"),
+    ("ccv-to-3vlfmm", "const_demo.ccv", (),
+     "d70c6605eff3de6b3c4e9ae04b995a07a902a95625d6c5f0130948e6a27c6c16",
+     "83451b31c019cfc35be0de1cf84de40e02f96620e25ce5f698b0f5b64c68e3b1"),
+    ("ccv-to-3lfmm", "const_demo.ccv", (),
+     "a89a5831829f4e718f9ff12f49f424b6f64dd5ae74ff2a3eab1548e555c082f0",
+     "83451b31c019cfc35be0de1cf84de40e02f96620e25ce5f698b0f5b64c68e3b1"),
+    ("lfmm-to-ccvneg", "edge_decision_demo.graph", (),
+     "5265b9e752c5c46833f27ef4254068e1f322362784fa4323e9acbd2d9dc15e0b", None),
+    ("lfmm3-to-sm", SQUARE_GRAPH, (),
+     "d86d89c87135d9bbf5e18dd1578423cf9c178a097f54fa4f7d8a7be432015410", None),
+    ("wosm-to-ccv", TWO_SM, ("--pair", "0", "1"),
+     "c0e9c780a2d2cae7c064ee8ba2c96b805185031ad8f90563e4787654b504de59", None),
+    ("reach-to-ccv", "reach_demo.digraph", ("--target", "4"),
+     "9e0ccf614c8e4c578d82ce7c013a7500cc902a4f80af618c1bb51261623de32f", None),
+    ("reach-to-ccv", "reach_demo.digraph", ("--target", "4", "--layer"),
+     "a97ffefc1781f1edd9a38f5b9cfcf25e34ae3be60699ba87aea3c7012617b3d3",
+     "589c4b20d97c3405e4d980640c3f7ac4abac29fbd03dd27a8dfcdfb9abe07ceb"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, source, extra, out_sha, map_sha", REDUCE_PINS,
+    ids=[pin[0] + ("-layer" if "--layer" in pin[2] else "") for pin in REDUCE_PINS],
+)
+def test_reduce_pass_output_is_pinned(capsys, tmp_path, name, source, extra, out_sha, map_sha):
+    if "\n" in source:
+        (tmp_path / "in").write_text(source)
+        source = str(tmp_path / "in")
+    else:
+        source = fx(source)
+    out = tmp_path / "out"
+    assert run(capsys, "reduce", name, source, str(out), *extra) == (0, "", "")
+    assert sha_or_none(out) == out_sha
+    assert sha_or_none(tmp_path / "out.map") == map_sha
 
 
 def test_lfmm_prints_matching_and_decides(capsys):

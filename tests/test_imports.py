@@ -1,5 +1,6 @@
-"""Every name a cckit module imports is used in that module, and no
-cckit module imports a sibling's underscore name."""
+"""Every name a cckit module imports is used in that module, no cckit
+module imports a sibling's underscore name, and every module-level
+underscore name is used in the module that defines it."""
 
 import ast
 import pathlib
@@ -71,3 +72,45 @@ def test_the_scan_sees_a_private_import():
     assert private_imports(tree) == [
         (3, "_SUITES"), (4, "_sm_rail_prefix"), (5, "_private"),
     ]
+
+
+def unused_private_names(tree):
+    """(line, name) of each module-level underscore function, class or
+    assignment target that the module never reads."""
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.setdefault(node.name, node.lineno)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for n in ast.walk(target):
+                    if isinstance(n, ast.Name):
+                        defined.setdefault(n.id, node.lineno)
+    read = {
+        n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+    }
+    return sorted(
+        (line, name)
+        for name, line in defined.items()
+        if name.startswith("_") and not name.startswith("__") and name not in read
+    )
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_private_name_is_used(path):
+    assert unused_private_names(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_the_scan_sees_an_unused_private_name():
+    tree = ast.parse(
+        "__version__ = '1'\n"
+        "_LIMIT = 3\n"
+        "_seen, _count = set(), 0\n"
+        "_count += 1\n"
+        "def _helper(): return _LIMIT\n"
+        "def _dead(): return _helper()\n"
+        "class _Gone: pass\n"
+        "def public(): return _seen\n"
+    )
+    assert unused_private_names(tree) == [(3, "_count"), (6, "_dead"), (7, "_Gone")]

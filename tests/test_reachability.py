@@ -8,6 +8,7 @@ from cckit.errors import (
     IndexOutOfRangeError,
     PreconditionViolatedError,
 )
+from cckit.formats import parse_digraph
 from cckit.reachability import Digraph, layer, reach_to_ccv, reachable_set
 from cckit.verify import SplitMix, gen_digraph, split
 
@@ -50,6 +51,19 @@ def test_pebbling_requires_ascending():
         reach_to_ccv(g, 0)
     with pytest.raises(PreconditionViolatedError):
         reach_to_ccv(Digraph(2, frozenset({(1, 1)})), 0)
+
+
+def test_pebbling_error_names_the_least_descending_arc():
+    # the named arc must not depend on the order the arcs were inserted in
+    arcs = [(1, 0), (2, 0), (2, 1), (3, 1)]
+    graphs = [Digraph(8, edges) for edges in (arcs, arcs[::-1], set(arcs))]
+    graphs += [
+        parse_digraph("DIGRAPH v1\nnodes 8\n" + "".join(f"arc {u} {v}\n" for u, v in order))
+        for order in (arcs, arcs[::-1])
+    ]
+    for g in graphs:
+        with pytest.raises(PreconditionViolatedError, match=r"^edge \(1, 0\) is not"):
+            reach_to_ccv(g, 0)
 
 
 def test_pebbling_marks_every_node():

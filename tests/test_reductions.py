@@ -19,7 +19,7 @@ from cckit.errors import (
     BadShapeError,
     DegreeTooHighError,
     EdgeNotInGraphError,
-    HasNegationsError,
+    NegationNotSupportedError,
     NotAllUpError,
     NotSquareError,
 )
@@ -81,7 +81,7 @@ def test_coverage_lowering_requires_all_up():
     with pytest.raises(NotAllUpError):
         ccv_to_3vlfmm(inst)
     negs = CcvInstance(Circuit(1, (Const(1),), (Negation(0),), 0))
-    with pytest.raises(HasNegationsError):
+    with pytest.raises(NegationNotSupportedError):
         ccv_to_3vlfmm(negs)
 
 
@@ -219,7 +219,7 @@ def test_tri_lowering_answer_is_definite_one():
 
 def test_tri_lowering_rejects_negations():
     c = Circuit(1, (Input(0),), (Negation(0),), 0)
-    with pytest.raises(HasNegationsError):
+    with pytest.raises(NegationNotSupportedError):
         tri_to_bool(c, (0,))
 
 

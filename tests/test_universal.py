@@ -5,7 +5,7 @@ import pytest
 from cckit.circuit import Circuit, Comparator, Input, Negation, eval
 from cckit.errors import (
     BadShapeError,
-    HasNegationsError,
+    NegationNotSupportedError,
     TooManyGatesError,
     TooManyWiresError,
 )
@@ -53,7 +53,7 @@ def test_encode_rejects_oversized_circuits():
     with pytest.raises(TooManyGatesError):
         encode_control(small, 3, 0)
     neg = Circuit(1, (Input(0),), (Negation(0),), 0)
-    with pytest.raises(HasNegationsError):
+    with pytest.raises(NegationNotSupportedError):
         encode_control(neg, 2, 1)
 
 

@@ -153,6 +153,20 @@ def test_fixed_checks_number_their_own_cases(monkeypatch):
     assert rep.failures[4][1].startswith("gate table row (*,1):")
 
 
+def test_each_golden_row_fails_alone_and_names_its_fixture(monkeypatch):
+    golden = verify._GOLDEN
+    assert len(golden) == 9
+    assert not [name for name in vars(verify) if name.startswith("_chk_")]
+    for row, (name, compute, _) in enumerate(golden):
+        perturbed = golden[:row] + ((name, compute, "perturbed"),) + golden[row + 1 :]
+        monkeypatch.setattr(verify, "_GOLDEN", perturbed)
+        rep = run_suite("golden-fixtures")
+        assert [idx for idx, _ in rep.failures] == [row]
+        msg = rep.failures[0][1]
+        assert msg.startswith("expected 'perturbed', got ")
+        assert msg.endswith(f"; fixture {name}:\n{verify.fixture_text(name)}")
+
+
 def test_all_aggregates():
     rep = run_suite("all", 2, seed=4)
     assert rep.suite == "all"
