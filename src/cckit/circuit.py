@@ -181,23 +181,40 @@ def resolve_inputs(c: Circuit, x: Sequence[Bit]) -> tuple:
     return tuple(_resolve(c, x, lambda v: 1 - v))
 
 
+def _recorder(on_step):
+    """(snapshot list, callback that fills it and then calls on_step)."""
+    snaps = []
+    if on_step is None:
+        return snaps, snaps.append
+
+    def both(snap):
+        snaps.append(snap)
+        on_step(snap)
+
+    return snaps, both
+
+
 def eval(
     c: Circuit,
     x: Sequence[Bit],
     allow_negations: bool = False,
     with_trace: bool = False,
+    on_step=None,
 ):
     """Run the circuit on Boolean inputs.
 
     Returns ``(wire_outputs, answer, trace)``.  Negation gates are rejected
-    unless ``allow_negations`` is set.  The trace slot holds None unless
-    ``with_trace`` asks for the wire values as a tuple of snapshots: the
-    initial state, then one per gate.
+    unless ``allow_negations`` is set.  A snapshot is the wire values as a
+    tuple: the initial state, then one per gate.  ``on_step`` is called
+    with each snapshot as it is made.  The trace slot holds None unless
+    ``with_trace`` asks for all snapshots as one tuple.
     """
     if c.has_negations and not allow_negations:
         raise NegationNotSupportedError("circuit contains negation gates")
     vals = list(resolve_inputs(c, x))
-    snaps = [tuple(vals)] if with_trace else None
+    snaps, step = _recorder(on_step) if with_trace else (None, on_step)
+    if step is not None:
+        step(tuple(vals))
     for g in c.gates:
         if isinstance(g, Comparator):
             p = vals[g.min_wire]
@@ -206,34 +223,40 @@ def eval(
             vals[g.max_wire] = p | q
         else:
             vals[g.wire] = 1 - vals[g.wire]
-        if with_trace:
-            snaps.append(tuple(vals))
+        if step is not None:
+            step(tuple(vals))
     outputs = tuple(vals)
-    return outputs, outputs[c.output_wire], tuple(snaps) if with_trace else None
+    return outputs, outputs[c.output_wire], None if snaps is None else tuple(snaps)
 
 
 def eval_tri(
     c: Circuit,
     x: Sequence[Tri],
     with_trace: bool = False,
+    on_step=None,
 ):
-    """Run the circuit over {0, STAR, 1}. Negation gates are rejected."""
+    """Run the circuit over {0, STAR, 1}. Negation gates are rejected.
+
+    Returns and snapshots as in :func:`eval`.
+    """
     if c.has_negations:
         raise NegationNotSupportedError("three-valued evaluation has no negation")
     for v in x:
         if v not in _TRI_RANK:
             raise BadShapeError(f"three-valued input {v!r}")
     vals = _resolve(c, x, tri_not)
-    snaps = [tuple(vals)] if with_trace else None
+    snaps, step = _recorder(on_step) if with_trace else (None, on_step)
+    if step is not None:
+        step(tuple(vals))
     for g in c.gates:
         p = vals[g.min_wire]
         q = vals[g.max_wire]
         vals[g.min_wire] = tri_and(p, q)
         vals[g.max_wire] = tri_or(p, q)
-        if with_trace:
-            snaps.append(tuple(vals))
+        if step is not None:
+            step(tuple(vals))
     outputs = tuple(vals)
-    return outputs, outputs[c.output_wire], tuple(snaps) if with_trace else None
+    return outputs, outputs[c.output_wire], None if snaps is None else tuple(snaps)
 
 
 def dual(c: Circuit) -> Circuit:

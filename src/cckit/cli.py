@@ -8,6 +8,7 @@ failure.  ``-`` stands for stdin or stdout in file positions.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 
@@ -95,13 +96,17 @@ def _bits(s: str):
 def cmd_eval(args) -> int:
     c = parse_circuit(_read(args.file))
     x = _bits(args.tri if args.tri is not None else (args.input or ""))
-    if args.tri is not None:
-        outputs, answer, trace = eval_tri(c, x, with_trace=args.trace)
-    else:
-        outputs, answer, trace = eval(c, x, allow_negations=True, with_trace=args.trace)
+    show = None
     if args.trace:
-        for k, snap in enumerate(trace):
-            print(f"step {k} " + "".join(map(str, snap)))
+        steps = itertools.count()
+
+        def show(snap):
+            print(f"step {next(steps)} " + "".join(map(str, snap)))
+
+    if args.tri is not None:
+        outputs, answer, _ = eval_tri(c, x, on_step=show)
+    else:
+        outputs, answer, _ = eval(c, x, allow_negations=True, on_step=show)
     for w, v in enumerate(outputs):
         print(f"w{w}={v}")
     print(f"answer={answer}")
@@ -111,7 +116,7 @@ def cmd_eval(args) -> int:
 def cmd_reduce(args) -> int:
     name = args.pass_name
     text = _read(args.infile)
-    sidecar = []
+    sidecar = None  # correspondence lines, for passes that have them
 
     if name == "normalize-down":
         c = parse_circuit(text)
@@ -164,10 +169,10 @@ def cmd_reduce(args) -> int:
         if args.target is None:
             raise BadShapeError("needs --target")
         if args.layer:
-            c, node_map = _layered_circuit(g, args.src, args.target)
+            c, node_map = _layered_circuit(g, args.src, args.target, args.pad)
             sidecar = [f"n{v} {i}" for v, i in sorted(node_map.items())]
         else:
-            c = reach_to_ccv(g, args.target)
+            c = reach_to_ccv(g, args.target, pad_dummies=args.pad)
         out = serialize_circuit(c)
     elif name == "universal":
         c = parse_circuit(text)
@@ -179,12 +184,14 @@ def cmd_reduce(args) -> int:
     else:
         raise BadShapeError(f"unknown pass {name!r}")
 
+    if sidecar is None and args.map is not None:
+        raise BadShapeError(f"{name} writes no correspondence data; drop --map")
     _write(args.outfile, out)
     map_path = args.map
     if map_path is None and args.outfile != "-":
         map_path = args.outfile + ".map"
-    if sidecar and map_path is not None:
-        _write(map_path, "\n".join(sidecar) + "\n")
+    if sidecar is not None and map_path is not None:
+        _write(map_path, "".join(line + "\n" for line in sidecar))
     return 0
 
 
@@ -227,12 +234,12 @@ def cmd_gs(args) -> int:
     return 0
 
 
-def _layered_circuit(g, src: int, target: int):
+def _layered_circuit(g, src: int, target: int, pad_dummies: bool = False):
     """Pebbling circuit for src -> target in g, through layer()."""
     if not 0 <= target < g.n:
         raise IndexOutOfRangeError(f"target {target} out of range")
     layered, node_map = layer(g, src)
-    return reach_to_ccv(layered, node_map[target]), node_map
+    return reach_to_ccv(layered, node_map[target], pad_dummies), node_map
 
 
 def cmd_reach(args) -> int:
@@ -274,6 +281,8 @@ def _parser() -> argparse.ArgumentParser:
     rd.add_argument("--target", type=int)
     rd.add_argument("--src", type=int, default=0)
     rd.add_argument("--layer", action="store_true", help="time-expand the digraph first")
+    rd.add_argument("--pad", action="store_true",
+                    help="reach-to-ccv: a dummy gate for every non-arc pair")
     rd.set_defaults(fn=cmd_reduce)
 
     lf = sub.add_parser("lfmm", help="greedy matching and designated decisions")

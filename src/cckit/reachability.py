@@ -82,16 +82,18 @@ def layer(g: Digraph, src: int):
     return Digraph(n * n, frozenset(arcs)), node_map
 
 
-def reach_to_ccv(g: Digraph, target: int) -> Circuit:
+def reach_to_ccv(g: Digraph, target: int, pad_dummies: bool = False) -> Circuit:
     """Pebbling circuit deciding whether node 0 reaches target.
 
     Needs every edge (i, j) to satisfy i < j (see layer()).  Wires k and
     n+k carry iota_k (constant 1, the pebble supply) and nu_k (constant
     0, node k's marker).  Gadget k first drops pebble k onto nu_0, then
-    sweeps all ordered pairs, moving a pebble along each edge whose tail
-    is marked; non-edges get dummy gates so gate positions depend only on
-    (n, k, i, j).  The sweep is the same in every round, so all n rounds
-    share its gate objects.
+    sweeps the arcs in (i, j) order, moving a pebble along each arc whose
+    tail is marked: n*(1+|E|) gates in all.  ``pad_dummies`` also gives
+    every non-arc pair i < j a dummy gate, so gate positions depend only
+    on (n, k, i, j), the uniformity the paper's argument needs; that form
+    has n*(1+n(n-1)/2) gates and the same final wire values.  The sweep
+    is the same in every round, so all n rounds share its gate objects.
     """
     n = g.n
     if not 0 <= target < n:
@@ -100,11 +102,14 @@ def reach_to_ccv(g: Digraph, target: int) -> Circuit:
     if bad is not None:
         raise PreconditionViolatedError(f"edge {bad} is not ascending")
     anns = [Const(1)] * n + [Const(0)] * n
-    sweep = [
-        Comparator(n + i, n + j) if (i, j) in g.edges else Comparator(n + i, n + i)
-        for i in range(n)
-        for j in range(i + 1, n)
-    ]
+    if pad_dummies:
+        sweep = [
+            Comparator(n + i, n + j) if (i, j) in g.edges else Comparator(n + i, n + i)
+            for i in range(n)
+            for j in range(i + 1, n)
+        ]
+    else:
+        sweep = [Comparator(n + i, n + j) for (i, j) in sorted(g.edges)]
     gates = []
     for k in range(n):
         gates.append(Comparator(k, n))

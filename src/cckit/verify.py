@@ -285,9 +285,11 @@ _GOLDEN = (
     ("edge_decision_demo.graph",
      lambda gd: eval(lfmm_to_ccvneg(gd[0], gd[1][1]).circuit, (), allow_negations=True)[:2],
      ((1, 0, 1, 0, 0, 1, 0, 1, 0, 1), 1)),
-    # reachable set, then iotas 0 and nus 1
-    ("reach_demo.digraph", lambda g: (reachable_set(g, 0), eval(reach_to_ccv(g, 0), ())[0]),
-     ({0, 1, 2, 3, 4}, (0,) * 5 + (1,) * 5)),
+    # reachable set, then iotas 0 and nus 1, unpadded and padded
+    ("reach_demo.digraph",
+     lambda g: (reachable_set(g, 0), eval(reach_to_ccv(g, 0), ())[0],
+                eval(reach_to_ccv(g, 0, pad_dummies=True), ())[0]),
+     ({0, 1, 2, 3, 4}, (0,) * 5 + (1,) * 5, (0,) * 5 + (1,) * 5)),
     ("const_demo.ccv", _layer_statuses, (1, 1, 0)),
     ("const_demo.ccv", lambda c: encode_control(c, 3, 2),
      (0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1)),

@@ -96,6 +96,22 @@ def test_trace_is_built_only_on_request():
     assert eval_tri(c, (STAR, 0))[2] is None
 
 
+def test_on_step_sees_each_snapshot_as_it_is_made():
+    c = Circuit(3, wires(3), (Comparator(0, 1), Negation(2), Comparator(2, 0)), 0)
+    seen = []
+    _, _, trace = eval(c, (1, 0, 1), allow_negations=True, on_step=seen.append)
+    assert trace is None and len(seen) == 4
+    assert tuple(seen) == eval(c, (1, 0, 1), allow_negations=True, with_trace=True)[2]
+    both = []
+    _, _, trace = eval(c, (1, 0, 1), allow_negations=True, with_trace=True, on_step=both.append)
+    assert tuple(both) == trace == tuple(seen)
+    tri = Circuit(2, wires(2), (Comparator(0, 1),), 0)
+    seen = []
+    _, _, trace = eval_tri(tri, (STAR, 1), on_step=seen.append)
+    assert trace is None
+    assert tuple(seen) == eval_tri(tri, (STAR, 1), with_trace=True)[2] == ((STAR, 1), (STAR, 1))
+
+
 def test_updown_properties():
     up = Circuit(2, wires(2), (Comparator(1, 0),), 0)
     down = Circuit(2, wires(2), (Comparator(0, 1),), 0)

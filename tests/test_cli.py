@@ -44,6 +44,27 @@ def test_eval_trace(capsys):
     assert "answer=1" in lines[-1]
 
 
+def test_eval_trace_prints_the_library_trace(capsys, tmp_path):
+    from cckit.circuit import eval, eval_tri
+    from cckit.formats import parse_circuit
+
+    c = parse_circuit(pathlib.Path(fx("negation_demo.ccv")).read_text())
+    code, out, _ = run(capsys, "eval", fx("negation_demo.ccv"), "--trace")
+    trace = eval(c, (), allow_negations=True, with_trace=True)[2]
+    assert out.splitlines()[: len(trace)] == [
+        f"step {k} " + "".join(map(str, snap)) for k, snap in enumerate(trace)
+    ]
+    p = tmp_path / "t.ccv"
+    p.write_text("CCV v1\nwires 3\nannot 0 x0\nannot 1 x1\nannot 2 !x1\n"
+                 "gate 0 1\ngate 2 0\noutput 1\n")
+    code, out, _ = run(capsys, "eval", str(p), "--tri", "1*", "--trace")
+    assert code == 0
+    trace = eval_tri(parse_circuit(p.read_text()), (1, "*"), with_trace=True)[2]
+    assert out.splitlines() == [
+        f"step {k} " + "".join(map(str, snap)) for k, snap in enumerate(trace)
+    ] + ["w0=*", "w1=1", "w2=*", "answer=1"]
+
+
 def test_eval_tri(capsys, tmp_path):
     p = tmp_path / "t.ccv"
     p.write_text("CCV v1\nwires 2\nannot 0 x0\nannot 1 x1\ngate 0 1\noutput 1\n")
@@ -85,6 +106,25 @@ def test_reduce_stdout_skips_sidecar(capsys):
     code, out, _ = run(capsys, "reduce", "dual", fx("const_demo.ccv"), "-")
     assert code == 0
     assert out.startswith("CCV v1\n")
+
+
+def test_reduce_map_needs_correspondence_data(capsys, tmp_path):
+    out, side = tmp_path / "o.ccv", tmp_path / "o.side"
+    for argv in (
+        ("lfmm-to-ccvneg", fx("edge_decision_demo.graph")),
+        ("reach-to-ccv", fx("reach_demo.digraph"), "--target", "4"),
+    ):
+        code, stdout, err = run(capsys, "reduce", *argv[:2], str(out), "--map", str(side), *argv[2:])
+        assert code == 2 and stdout == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists() and not side.exists()
+    # a pass with correspondence data writes its sidecar even when it is empty
+    p = tmp_path / "none.ccv"
+    p.write_text("CCV v1\nwires 1\nannot 0 x0\noutput 0\n")
+    code, _, _ = run(capsys, "reduce", "universal", str(p), "-", "--map", str(side))
+    assert code == 0 and side.read_text() == ""
+    code, _, _ = run(capsys, "reduce", "universal", str(p), str(out))
+    assert code == 0 and (tmp_path / "o.ccv.map").read_text() == ""
 
 
 def test_reduce_tri_lower_needs_input(capsys, tmp_path):
@@ -154,8 +194,13 @@ REDUCE_PINS = [
     ("wosm-to-ccv", TWO_SM, ("--pair", "0", "1"),
      "c0e9c780a2d2cae7c064ee8ba2c96b805185031ad8f90563e4787654b504de59", None),
     ("reach-to-ccv", "reach_demo.digraph", ("--target", "4"),
-     "9e0ccf614c8e4c578d82ce7c013a7500cc902a4f80af618c1bb51261623de32f", None),
+     "f5e2582cb3a0deb2820d5fb9464668d4eecd98161f2665f4fb0e8750e7016d01", None),
     ("reach-to-ccv", "reach_demo.digraph", ("--target", "4", "--layer"),
+     "f706ee86f2c4af9c203dc7ea1672f1c463d3ebb83d287468c8ba70adebee4a41",
+     "589c4b20d97c3405e4d980640c3f7ac4abac29fbd03dd27a8dfcdfb9abe07ceb"),
+    ("reach-to-ccv", "reach_demo.digraph", ("--target", "4", "--pad"),
+     "9e0ccf614c8e4c578d82ce7c013a7500cc902a4f80af618c1bb51261623de32f", None),
+    ("reach-to-ccv", "reach_demo.digraph", ("--target", "4", "--layer", "--pad"),
      "a97ffefc1781f1edd9a38f5b9cfcf25e34ae3be60699ba87aea3c7012617b3d3",
      "589c4b20d97c3405e4d980640c3f7ac4abac29fbd03dd27a8dfcdfb9abe07ceb"),
 ]
@@ -163,7 +208,10 @@ REDUCE_PINS = [
 
 @pytest.mark.parametrize(
     "name, source, extra, out_sha, map_sha", REDUCE_PINS,
-    ids=[pin[0] + ("-layer" if "--layer" in pin[2] else "") for pin in REDUCE_PINS],
+    ids=[
+        pin[0] + "".join(f"-{flag}" for flag in ("layer", "pad") if f"--{flag}" in pin[2])
+        for pin in REDUCE_PINS
+    ],
 )
 def test_reduce_pass_output_is_pinned(capsys, tmp_path, name, source, extra, out_sha, map_sha):
     if "\n" in source:

@@ -79,14 +79,41 @@ def test_pebbling_marks_every_node():
     assert outputs[:4] == (0, 0, 0, 1)
 
 
-def test_pebbling_on_random_layered_graphs():
+def random_layered_graphs():
+    """(digraph, source, layered digraph, node map, layered target) x 40."""
     for i in range(40):
         rng = SplitMix(split(6, i))
         g = gen_digraph(rng.next64(), 6, 0.3)
         src = rng.below(g.n)
         layered, node_map = layer(g, src)
-        c = reach_to_ccv(layered, node_map[rng.below(g.n)])
+        yield g, src, layered, node_map, node_map[rng.below(g.n)]
+
+
+def test_pebbling_on_random_layered_graphs():
+    for g, src, layered, node_map, target in random_layered_graphs():
+        c = reach_to_ccv(layered, target)
         outputs, _, _ = eval(c, (), with_trace=False)
         oracle = reachable_set(g, src)
         for v in range(g.n):
             assert (outputs[layered.n + node_map[v]] == 1) == (v in oracle)
+
+
+def test_pebbling_gate_counts():
+    g = Digraph(5, frozenset({(0, 1), (0, 2), (2, 3), (2, 4)}))
+    assert len(reach_to_ccv(g, 4).gates) == 5 * (1 + 4)
+    assert len(reach_to_ccv(g, 4, pad_dummies=True).gates) == 5 * (1 + 5 * 4 // 2)
+    for _, _, layered, _, target in random_layered_graphs():
+        n, arcs = layered.n, len(layered.edges)
+        plain = reach_to_ccv(layered, target)
+        padded = reach_to_ccv(layered, target, pad_dummies=True)
+        assert len(plain.gates) == n * (1 + arcs)
+        assert not any(gate.is_dummy for gate in plain.gates)
+        assert len(padded.gates) == n * (1 + n * (n - 1) // 2)
+        assert sum(not gate.is_dummy for gate in padded.gates) == n * (1 + arcs)
+
+
+def test_padding_changes_no_wire():
+    for _, _, layered, _, target in random_layered_graphs():
+        plain = eval(reach_to_ccv(layered, target), ())
+        padded = eval(reach_to_ccv(layered, target, pad_dummies=True), ())
+        assert plain == padded
