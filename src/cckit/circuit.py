@@ -181,40 +181,19 @@ def resolve_inputs(c: Circuit, x: Sequence[Bit]) -> tuple:
     return tuple(_resolve(c, x, lambda v: 1 - v))
 
 
-def _recorder(on_step):
-    """(snapshot list, callback that fills it and then calls on_step)."""
-    snaps = []
-    if on_step is None:
-        return snaps, snaps.append
-
-    def both(snap):
-        snaps.append(snap)
-        on_step(snap)
-
-    return snaps, both
-
-
-def eval(
-    c: Circuit,
-    x: Sequence[Bit],
-    allow_negations: bool = False,
-    with_trace: bool = False,
-    on_step=None,
-):
+def eval(c: Circuit, x: Sequence[Bit], allow_negations: bool = False, on_step=None):
     """Run the circuit on Boolean inputs.
 
-    Returns ``(wire_outputs, answer, trace)``.  Negation gates are rejected
+    Returns ``(wire_outputs, answer)``.  Negation gates are rejected
     unless ``allow_negations`` is set.  A snapshot is the wire values as a
     tuple: the initial state, then one per gate.  ``on_step`` is called
-    with each snapshot as it is made.  The trace slot holds None unless
-    ``with_trace`` asks for all snapshots as one tuple.
+    with each snapshot as it is made.
     """
     if c.has_negations and not allow_negations:
         raise NegationNotSupportedError("circuit contains negation gates")
     vals = list(resolve_inputs(c, x))
-    snaps, step = _recorder(on_step) if with_trace else (None, on_step)
-    if step is not None:
-        step(tuple(vals))
+    if on_step is not None:
+        on_step(tuple(vals))
     for g in c.gates:
         if isinstance(g, Comparator):
             p = vals[g.min_wire]
@@ -223,18 +202,13 @@ def eval(
             vals[g.max_wire] = p | q
         else:
             vals[g.wire] = 1 - vals[g.wire]
-        if step is not None:
-            step(tuple(vals))
+        if on_step is not None:
+            on_step(tuple(vals))
     outputs = tuple(vals)
-    return outputs, outputs[c.output_wire], None if snaps is None else tuple(snaps)
+    return outputs, outputs[c.output_wire]
 
 
-def eval_tri(
-    c: Circuit,
-    x: Sequence[Tri],
-    with_trace: bool = False,
-    on_step=None,
-):
+def eval_tri(c: Circuit, x: Sequence[Tri], on_step=None):
     """Run the circuit over {0, STAR, 1}. Negation gates are rejected.
 
     Returns and snapshots as in :func:`eval`.
@@ -245,18 +219,17 @@ def eval_tri(
         if v not in _TRI_RANK:
             raise BadShapeError(f"three-valued input {v!r}")
     vals = _resolve(c, x, tri_not)
-    snaps, step = _recorder(on_step) if with_trace else (None, on_step)
-    if step is not None:
-        step(tuple(vals))
+    if on_step is not None:
+        on_step(tuple(vals))
     for g in c.gates:
         p = vals[g.min_wire]
         q = vals[g.max_wire]
         vals[g.min_wire] = tri_and(p, q)
         vals[g.max_wire] = tri_or(p, q)
-        if step is not None:
-            step(tuple(vals))
+        if on_step is not None:
+            on_step(tuple(vals))
     outputs = tuple(vals)
-    return outputs, outputs[c.output_wire], None if snaps is None else tuple(snaps)
+    return outputs, outputs[c.output_wire]
 
 
 def dual(c: Circuit) -> Circuit:

@@ -104,17 +104,44 @@ def cmd_eval(args) -> int:
             print(f"step {next(steps)} " + "".join(map(str, snap)))
 
     if args.tri is not None:
-        outputs, answer, _ = eval_tri(c, x, on_step=show)
+        outputs, answer = eval_tri(c, x, on_step=show)
     else:
-        outputs, answer, _ = eval(c, x, allow_negations=True, on_step=show)
+        outputs, answer = eval(c, x, allow_negations=True, on_step=show)
     for w, v in enumerate(outputs):
         print(f"w{w}={v}")
     print(f"answer={answer}")
     return 0 if answer == 1 else 1
 
 
+# The optional flags each pass reads; any other one given to it is an error.
+PASS_FLAGS = {
+    "normalize-down": (),
+    "dual": (),
+    "neg-elim": (),
+    "tri-lower": ("input",),
+    "ccv-to-3vlfmm": ("input",),
+    "ccv-to-3lfmm": ("input",),
+    "vlfmm-to-ccv": (),
+    "lfmm-to-ccvneg": (),
+    "lfmm3-to-sm": (),
+    "mosm-to-ccv": ("pair",),
+    "wosm-to-ccv": ("pair",),
+    "reach-to-ccv": ("target", "src", "layer", "pad"),
+    "universal": (),
+}
+
+
 def cmd_reduce(args) -> int:
     name = args.pass_name
+    if name not in PASS_FLAGS:
+        raise BadShapeError(f"unknown pass {name!r}")
+    given = [f for f in ("input", "pair", "target", "src") if getattr(args, f) is not None]
+    given += [f for f in ("layer", "pad") if getattr(args, f)]
+    stray = [f"--{f}" for f in given if f not in PASS_FLAGS[name]]
+    if stray:
+        raise BadShapeError(f"{name} does not read {', '.join(stray)}")
+    if args.src is not None and not args.layer:
+        raise BadShapeError("--src needs --layer")
     text = _read(args.infile)
     sidecar = None  # correspondence lines, for passes that have them
 
@@ -169,20 +196,18 @@ def cmd_reduce(args) -> int:
         if args.target is None:
             raise BadShapeError("needs --target")
         if args.layer:
-            c, node_map = _layered_circuit(g, args.src, args.target, args.pad)
+            c, node_map = _layered_circuit(g, args.src or 0, args.target, args.pad)
             sidecar = [f"n{v} {i}" for v, i in sorted(node_map.items())]
         else:
             c = reach_to_ccv(g, args.target, pad_dummies=args.pad)
         out = serialize_circuit(c)
-    elif name == "universal":
+    else:  # universal
         c = parse_circuit(text)
         m = max(2, c.num_wires)
         n = len(c.gates)
         enc = encode_control(c, m, n)
         out = serialize_circuit(build_universal(m, n))
         sidecar = [f"b{i} {b}" for i, b in enumerate(enc)]
-    else:
-        raise BadShapeError(f"unknown pass {name!r}")
 
     if sidecar is None and args.map is not None:
         raise BadShapeError(f"{name} writes no correspondence data; drop --map")
@@ -245,7 +270,7 @@ def _layered_circuit(g, src: int, target: int, pad_dummies: bool = False):
 def cmd_reach(args) -> int:
     g = parse_digraph(_read(args.file))
     c, _ = _layered_circuit(g, args.src, args.target)
-    _, answer, _ = eval(c, ())
+    _, answer = eval(c, ())
     print(f"reachable={answer}")
     return 0 if answer == 1 else 1
 
@@ -266,8 +291,9 @@ def _parser() -> argparse.ArgumentParser:
 
     ev = sub.add_parser("eval", help="evaluate a circuit")
     ev.add_argument("file")
-    ev.add_argument("--input", help="bit string, one character per input variable")
-    ev.add_argument("--tri", help="string over 0, *, 1 for three-valued evaluation")
+    values = ev.add_mutually_exclusive_group()
+    values.add_argument("--input", help="bit string, one character per input variable")
+    values.add_argument("--tri", help="string over 0, *, 1 for three-valued evaluation")
     ev.add_argument("--trace", action="store_true", help="print every snapshot")
     ev.set_defaults(fn=cmd_eval)
 
@@ -279,7 +305,7 @@ def _parser() -> argparse.ArgumentParser:
     rd.add_argument("--input", help="bit string closing the circuit's inputs")
     rd.add_argument("--pair", nargs=2, type=int, metavar=("M", "W"))
     rd.add_argument("--target", type=int)
-    rd.add_argument("--src", type=int, default=0)
+    rd.add_argument("--src", type=int, help="reach-to-ccv --layer: source node (default 0)")
     rd.add_argument("--layer", action="store_true", help="time-expand the digraph first")
     rd.add_argument("--pad", action="store_true",
                     help="reach-to-ccv: a dummy gate for every non-arc pair")

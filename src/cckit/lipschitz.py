@@ -85,6 +85,6 @@ def circuit_function(c: Circuit) -> TruthTable:
     rows = []
     for i in range(1 << k):
         x = [(i >> b) & 1 for b in range(k)]
-        outputs, _, _ = eval(c, x)
+        outputs, _ = eval(c, x)
         rows.append(outputs)
     return TruthTable(k, c.num_wires, tuple(rows))

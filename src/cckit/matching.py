@@ -49,12 +49,6 @@ class MatchingB:
         if len(set(bottoms)) != len(bottoms) or len(set(tops)) != len(tops):
             raise BadShapeError("a vertex is matched twice")
 
-    def bottom_partner(self, i: int):
-        for (b, t) in self.pairs:
-            if b == i:
-                return t
-        return None
-
     def covers_top(self, j: int) -> bool:
         return any(t == j for (_, t) in self.pairs)
 

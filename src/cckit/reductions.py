@@ -50,7 +50,7 @@ class CcvInstance:
                 raise BadShapeError("instance circuits take no free inputs")
 
     def answer(self, allow_negations: bool = False) -> int:
-        _, ans, _ = eval(self.circuit, (), allow_negations=allow_negations)
+        _, ans = eval(self.circuit, (), allow_negations=allow_negations)
         return ans
 
 
@@ -274,7 +274,7 @@ def tri_to_bool(c: Circuit, x):
     if c.has_negations:
         raise NegationNotSupportedError("three-valued circuits are negation-free")
     # a gateless copy resolves and validates the inputs in one step
-    vals, _, _ = eval_tri(Circuit(c.num_wires, c.annotations, (), c.output_wire), x)
+    vals, _ = eval_tri(Circuit(c.num_wires, c.annotations, (), c.output_wire), x)
     anns = []
     for v in vals:
         if v == 0:

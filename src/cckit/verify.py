@@ -310,10 +310,10 @@ def _universal_gadget():
     # one-hot on pair (0, 1): simulate a single plain comparator
     for x in range(2):
         for y in range(2):
-            _, answer, _ = eval(univ, [1, 0, x, y])
+            _, answer = eval(univ, [1, 0, x, y])
             if answer != (x & y):
                 yield f"gadget on ({x},{y}) answered {answer}"
-    outputs, _, _ = eval(univ, [0, 0, 1, 0])
+    outputs, _ = eval(univ, [0, 0, 1, 0])
     if outputs[0] != 1 or outputs[1] != 0:
         yield "all-zero controls must pass data through"
     if len(univ.gates) != 8:
@@ -331,7 +331,7 @@ def _case_universal(rng, i):
     if _flip_expected and i == 0:
         expected ^= 1
     univ = build_universal(m, n)
-    _, answer, _ = eval(univ, list(enc) + y)
+    _, answer = eval(univ, list(enc) + y)
     if answer != expected:
         yield _show("circuit", serialize_circuit(c), expected, answer)
 
@@ -343,9 +343,9 @@ _RAIL_DECODE = {(0, 0): 0, (0, 1): STAR, (1, 1): 1}
 
 def _tri_row(p, q):
     table = Circuit(2, (Input(0), Input(1)), (Comparator(0, 1),), 0)
-    want, _, _ = eval_tri(table, (p, q))
+    want, _ = eval_tri(table, (p, q))
     inst, rail_map = tri_to_bool(table, (p, q))
-    outputs, _, _ = eval(inst.circuit, ())
+    outputs, _ = eval(inst.circuit, ())
     got = tuple(
         _RAIL_DECODE.get((outputs[a], outputs[b]))
         for (a, b) in (rail_map[w] for w in range(2))
@@ -360,9 +360,10 @@ _TRI_ROWS = tuple(partial(_tri_row, p, q) for p in (0, STAR, 1) for q in (0, STA
 def _case_tri(rng, i):
     c = gen_circuit(rng.next64(), 5, 12, with_neg=False)
     x = [rng.choice((0, STAR, 1)) for _ in range(c.num_inputs)]
-    want_outputs, want_answer, _ = eval_tri(c, x)
+    want_outputs, want_answer = eval_tri(c, x)
     inst, rail_map = tri_to_bool(c, x)
-    outputs, answer, snaps = eval(inst.circuit, (), with_trace=True)
+    snaps = []
+    outputs, answer = eval(inst.circuit, (), on_step=snaps.append)
     bad = None
     # rail order is restored after each complete two-gate pair (and
     # after the collector), not in between the pair's halves
@@ -410,12 +411,12 @@ def _case_reductions(rng, i):
         yield "normalize_down size off"
     dd = dual(c)
     for bits in itertools.product((0, 1), repeat=k):
-        base, _, _ = eval(c, bits)
-        through, _, _ = eval(down, bits)
+        base, _ = eval(c, bits)
+        through, _ = eval(down, bits)
         if any(base[w] != through[down_map[w]] for w in range(c.num_wires)):
             yield "normalize_down wire map broken:\n" + serialize_circuit(c)
             break
-        douts, _, _ = eval(dd, bits)
+        douts, _ = eval(dd, bits)
         if any(douts[w] != 1 - base[w] for w in range(c.num_wires)):
             yield "dual must negate every wire:\n" + serialize_circuit(c)
             break
@@ -464,7 +465,8 @@ def _case_reductions(rng, i):
     closed_n = close_circuit(cn, rng.bits(cn.num_inputs))
     plain, wmap = ccvneg_to_ccv(closed_n)
     want = closed_n.answer(allow_negations=True)
-    outputs, got, snaps = eval(plain.circuit, (), with_trace=True)
+    snaps = []
+    outputs, got = eval(plain.circuit, (), on_step=snaps.append)
     if got != want:
         yield "ccvneg_to_ccv wrong:\n" + serialize_circuit(closed_n.circuit)
     t_wire = 2 * closed_n.circuit.num_wires
@@ -607,7 +609,7 @@ def _case_reachability(rng, i):
     src = rng.below(g.n)
     layered, node_map = layer(g, src)
     circuit = reach_to_ccv(layered, node_map[rng.below(g.n)])
-    outputs, _, _ = eval(circuit, ())
+    outputs, _ = eval(circuit, ())
     oracle = reachable_set(g, src)
     layered_oracle = reachable_set(layered, 0)
     nu = outputs[layered.n :]
@@ -630,7 +632,7 @@ def _case_structural(rng, i):
 
     x = rng.bits(c.num_inputs)
     start = resolve_inputs(c, x)
-    outputs, _, _ = eval(c, x)
+    outputs, _ = eval(c, x)
     if sum(start) != sum(outputs):
         yield show("popcount not conserved")
 
@@ -656,8 +658,8 @@ def _case_structural(rng, i):
 
     tri_x = [rng.choice((0, STAR, 1)) for _ in range(c.num_inputs)]
     finer = [v if v != STAR else rng.choice((0, STAR, 1)) for v in tri_x]
-    coarse, _, _ = eval_tri(c, tri_x)
-    fine, _, _ = eval_tri(c, finer)
+    coarse, _ = eval_tri(c, tri_x)
+    fine, _ = eval_tri(c, finer)
     if not all(refines(f, g) for f, g in zip(fine, coarse)):
         yield show("three-valued refinement broken")
 

@@ -40,7 +40,7 @@ def test_single_gate_is_min_max():
     c = Circuit(2, wires(2), (Comparator(0, 1),), 0)
     for p in (0, 1):
         for q in (0, 1):
-            outputs, answer, _ = eval(c, (p, q))
+            outputs, answer = eval(c, (p, q))
             assert outputs == (p & q, p | q)
             assert answer == (p & q)
 
@@ -52,10 +52,9 @@ def test_dummy_gate_changes_nothing():
 
 def test_empty_circuit_echoes_annotations():
     c = Circuit(3, (Const(1), Input(0), NegInput(0)), (), 2)
-    outputs, answer, trace = eval(c, (0,), with_trace=True)
-    assert outputs == (1, 0, 1)
-    assert answer == 1
-    assert trace == ((1, 0, 1),)
+    seen = []
+    assert eval(c, (0,), on_step=seen.append) == ((1, 0, 1), 1)
+    assert seen == [(1, 0, 1)]
 
 
 def test_arity_checked():
@@ -77,7 +76,7 @@ def test_negation_needs_opt_in():
     c = Circuit(1, (Const(0),), (Negation(0),), 0)
     with pytest.raises(NegationNotSupportedError):
         eval(c, ())
-    outputs, answer, _ = eval(c, (), allow_negations=True)
+    outputs, answer = eval(c, (), allow_negations=True)
     assert outputs == (1,) and answer == 1
     with pytest.raises(NegationNotSupportedError):
         eval_tri(c, ())
@@ -85,31 +84,33 @@ def test_negation_needs_opt_in():
 
 def test_trace_has_one_snapshot_per_gate():
     c = Circuit(2, wires(2), (Comparator(0, 1), Comparator(1, 0)), 0)
-    _, _, trace = eval(c, (1, 0), with_trace=True)
-    assert len(trace) == 3
-    assert trace[0] == (1, 0)
+    seen = []
+    eval(c, (1, 0), on_step=seen.append)
+    assert seen == [(1, 0), (0, 1), (1, 0)]
 
 
 def test_trace_is_built_only_on_request():
     c = Circuit(2, wires(2), (Comparator(0, 1),), 0)
-    assert eval(c, (1, 0))[2] is None
-    assert eval_tri(c, (STAR, 0))[2] is None
+    assert eval(c, (1, 0)) == ((0, 1), 0)
+    assert eval_tri(c, (STAR, 0)) == ((0, STAR), 0)
 
 
 def test_on_step_sees_each_snapshot_as_it_is_made():
     c = Circuit(3, wires(3), (Comparator(0, 1), Negation(2), Comparator(2, 0)), 0)
     seen = []
-    _, _, trace = eval(c, (1, 0, 1), allow_negations=True, on_step=seen.append)
-    assert trace is None and len(seen) == 4
-    assert tuple(seen) == eval(c, (1, 0, 1), allow_negations=True, with_trace=True)[2]
-    both = []
-    _, _, trace = eval(c, (1, 0, 1), allow_negations=True, with_trace=True, on_step=both.append)
-    assert tuple(both) == trace == tuple(seen)
+    assert eval(c, (1, 0, 1), allow_negations=True, on_step=seen.append) == ((0, 1, 0), 0)
+    assert seen == [(1, 0, 1), (0, 1, 1), (0, 1, 0), (0, 1, 0)]
+
+    def stop(snap):
+        raise RuntimeError(snap)
+
+    with pytest.raises(RuntimeError) as first:
+        eval(c, (1, 0, 1), allow_negations=True, on_step=stop)
+    assert first.value.args == ((1, 0, 1),)
     tri = Circuit(2, wires(2), (Comparator(0, 1),), 0)
     seen = []
-    _, _, trace = eval_tri(tri, (STAR, 1), on_step=seen.append)
-    assert trace is None
-    assert tuple(seen) == eval_tri(tri, (STAR, 1), with_trace=True)[2] == ((STAR, 1), (STAR, 1))
+    assert eval_tri(tri, (STAR, 1), on_step=seen.append) == ((STAR, 1), STAR)
+    assert seen == [(STAR, 1), (STAR, 1)]
 
 
 def test_updown_properties():
@@ -136,7 +137,7 @@ def test_tri_tables():
 
 def test_eval_tri_star_propagates():
     c = Circuit(2, wires(2), (Comparator(0, 1),), 1)
-    outputs, answer, _ = eval_tri(c, (STAR, 0))
+    outputs, answer = eval_tri(c, (STAR, 0))
     assert outputs == (0, STAR)
     assert answer == STAR
 

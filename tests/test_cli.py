@@ -48,21 +48,25 @@ def test_eval_trace_prints_the_library_trace(capsys, tmp_path):
     from cckit.circuit import eval, eval_tri
     from cckit.formats import parse_circuit
 
+    def lines(snaps):
+        return [f"step {k} " + "".join(map(str, snap)) for k, snap in enumerate(snaps)]
+
     c = parse_circuit(pathlib.Path(fx("negation_demo.ccv")).read_text())
     code, out, _ = run(capsys, "eval", fx("negation_demo.ccv"), "--trace")
-    trace = eval(c, (), allow_negations=True, with_trace=True)[2]
-    assert out.splitlines()[: len(trace)] == [
-        f"step {k} " + "".join(map(str, snap)) for k, snap in enumerate(trace)
-    ]
+    assert code == 0
+    seen = []
+    eval(c, (), allow_negations=True, on_step=seen.append)
+    assert seen == [(0, 1, 1), (1, 0, 1), (1, 1, 0), (1, 1, 1)]
+    assert out.splitlines() == lines(seen) + ["w0=1", "w1=1", "w2=1", "answer=1"]
     p = tmp_path / "t.ccv"
     p.write_text("CCV v1\nwires 3\nannot 0 x0\nannot 1 x1\nannot 2 !x1\n"
                  "gate 0 1\ngate 2 0\noutput 1\n")
     code, out, _ = run(capsys, "eval", str(p), "--tri", "1*", "--trace")
     assert code == 0
-    trace = eval_tri(parse_circuit(p.read_text()), (1, "*"), with_trace=True)[2]
-    assert out.splitlines() == [
-        f"step {k} " + "".join(map(str, snap)) for k, snap in enumerate(trace)
-    ] + ["w0=*", "w1=1", "w2=*", "answer=1"]
+    seen = []
+    eval_tri(parse_circuit(p.read_text()), (1, "*"), on_step=seen.append)
+    assert seen == [(1, "*", "*"), ("*", 1, "*"), ("*", 1, "*")]
+    assert out.splitlines() == lines(seen) + ["w0=*", "w1=1", "w2=*", "answer=1"]
 
 
 def test_eval_tri(capsys, tmp_path):
@@ -74,6 +78,12 @@ def test_eval_tri(capsys, tmp_path):
     code, out, _ = run(capsys, "eval", str(p), "--tri", "0*")
     assert code == 1
     assert out.splitlines()[-1] == "answer=*"
+
+
+def test_eval_input_and_tri_exclude_each_other(capsys):
+    code, out, err = run(capsys, "eval", fx("annotated_demo.ccv"), "--input", "000", "--tri", "111")
+    assert code == 2 and out == ""
+    assert "not allowed with argument" in err
 
 
 def test_eval_arity_error_exits_two(capsys):
@@ -127,6 +137,22 @@ def test_reduce_map_needs_correspondence_data(capsys, tmp_path):
     assert code == 0 and (tmp_path / "o.ccv.map").read_text() == ""
 
 
+def test_reduce_rejects_flags_the_pass_does_not_read(capsys, tmp_path):
+    out = tmp_path / "o.ccv"
+    for argv, stray in (
+        (("dual", fx("const_demo.ccv"), "--pad", "--layer", "--target", "3"),
+         "dual does not read --target, --layer, --pad"),
+        (("reach-to-ccv", fx("reach_demo.digraph"), "--target", "4", "--src", "3"),
+         "--src needs --layer"),
+        (("reach-to-ccv", fx("reach_demo.digraph"), "--target", "0", "--input", "1"),
+         "reach-to-ccv does not read --input"),
+    ):
+        code, stdout, err = run(capsys, "reduce", *argv[:2], str(out), *argv[2:])
+        assert code == 2 and stdout == ""
+        assert err == f"error: {stray}\n"
+        assert not out.exists() and not (tmp_path / "o.ccv.map").exists()
+
+
 def test_reduce_tri_lower_needs_input(capsys, tmp_path):
     p = tmp_path / "t.ccv"
     p.write_text("CCV v1\nwires 1\nannot 0 x0\noutput 0\n")
@@ -178,19 +204,32 @@ def sha_or_none(path):
 
 # (pass, fixture name or inline text, extra args, output sha256, .map sha256)
 REDUCE_PINS = [
+    ("normalize-down", "annotated_demo.ccv", (),
+     "3d48eb787e54864ed40bdccccf4e690c5d1c14cac7b68e175490c54249971357",
+     "8a6e3016ddd66de345ae3f3d8358de346fd2c352d34094fa9b66ef2af3365e32"),
+    ("dual", "const_demo.ccv", (),
+     "104462c157a4178cedc2ccd07af0668a8088f863a4f29604a25ca5742c3961bf", None),
     ("neg-elim", "negation_demo.ccv", (),
      "fc9a709436e91613c0b640b98ad4fddb4486e07d7b6f3557dbf467617fdd4645",
      "108f4ee776d05c490521f239f2f3fd64c58dcb61c85ffa193ea82860d2d27b0c"),
+    ("tri-lower", "annotated_demo.ccv", ("--input", "1*0"),
+     "8035e7e94ed3d4d1c856a6e4c37ad06e598cd1b2798e5fcefa78ef059fd9a3d2",
+     "3e663c1c93bd728f9f8ead70a515f62c6a8b99a8936f2d7b8958c265ee6c5277"),
     ("ccv-to-3vlfmm", "const_demo.ccv", (),
      "d70c6605eff3de6b3c4e9ae04b995a07a902a95625d6c5f0130948e6a27c6c16",
      "83451b31c019cfc35be0de1cf84de40e02f96620e25ce5f698b0f5b64c68e3b1"),
     ("ccv-to-3lfmm", "const_demo.ccv", (),
      "a89a5831829f4e718f9ff12f49f424b6f64dd5ae74ff2a3eab1548e555c082f0",
      "83451b31c019cfc35be0de1cf84de40e02f96620e25ce5f698b0f5b64c68e3b1"),
+    ("vlfmm-to-ccv", "cover_demo.graph", (),
+     "09e9ffa29855fa81eb834a2b43f67e61fc98a3f21c952a41d841584ae2b9d898",
+     "4f8567f3ef6cc2a9281475b2903468778f684fe9214f4e1686778e685d9bb10d"),
     ("lfmm-to-ccvneg", "edge_decision_demo.graph", (),
      "5265b9e752c5c46833f27ef4254068e1f322362784fa4323e9acbd2d9dc15e0b", None),
     ("lfmm3-to-sm", SQUARE_GRAPH, (),
      "d86d89c87135d9bbf5e18dd1578423cf9c178a097f54fa4f7d8a7be432015410", None),
+    ("mosm-to-ccv", TWO_SM, ("--pair", "0", "0"),
+     "1299f0fa604ae6a263dfd6fd8032be89cd7339fe37bea4b3671b556c47492ab1", None),
     ("wosm-to-ccv", TWO_SM, ("--pair", "0", "1"),
      "c0e9c780a2d2cae7c064ee8ba2c96b805185031ad8f90563e4787654b504de59", None),
     ("reach-to-ccv", "reach_demo.digraph", ("--target", "4"),
@@ -203,6 +242,9 @@ REDUCE_PINS = [
     ("reach-to-ccv", "reach_demo.digraph", ("--target", "4", "--layer", "--pad"),
      "a97ffefc1781f1edd9a38f5b9cfcf25e34ae3be60699ba87aea3c7012617b3d3",
      "589c4b20d97c3405e4d980640c3f7ac4abac29fbd03dd27a8dfcdfb9abe07ceb"),
+    ("universal", "const_demo.ccv", (),
+     "3a820fdc5a5988078e147be73144a17f83967860737c75de60632bd762e407ce",
+     "7f9ecdea5a625edaf48859b6298883bd872561b47f372afcac8f5fc611b4e4fc"),
 ]
 
 
@@ -223,6 +265,12 @@ def test_reduce_pass_output_is_pinned(capsys, tmp_path, name, source, extra, out
     assert run(capsys, "reduce", name, source, str(out), *extra) == (0, "", "")
     assert sha_or_none(out) == out_sha
     assert sha_or_none(tmp_path / "out.map") == map_sha
+
+
+def test_every_pass_is_pinned():
+    from cckit.cli import PASS_FLAGS
+
+    assert {pin[0] for pin in REDUCE_PINS} == set(PASS_FLAGS)
 
 
 def test_lfmm_prints_matching_and_decides(capsys):

@@ -69,7 +69,7 @@ def test_pebbling_error_names_the_least_descending_arc():
 def test_pebbling_marks_every_node():
     g = Digraph(4, frozenset({(0, 1), (1, 3)}))
     c = reach_to_ccv(g, 3)
-    outputs, answer, _ = eval(c, ())
+    outputs, answer = eval(c, ())
     assert answer == 1
     oracle = reachable_set(g, 0)
     for v in range(4):
@@ -92,7 +92,7 @@ def random_layered_graphs():
 def test_pebbling_on_random_layered_graphs():
     for g, src, layered, node_map, target in random_layered_graphs():
         c = reach_to_ccv(layered, target)
-        outputs, _, _ = eval(c, (), with_trace=False)
+        outputs, _ = eval(c, ())
         oracle = reachable_set(g, src)
         for v in range(g.n):
             assert (outputs[layered.n + node_map[v]] == 1) == (v in oracle)

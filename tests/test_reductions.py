@@ -260,7 +260,7 @@ def test_marriage_circuit_matches_fixed_point():
         inst = gen_sm(seed, 1 + seed % 3)
         n = inst.n
         c, cell_map = sm_to_tri_circuit(inst)
-        outputs, _, _ = eval_tri(c, [STAR] * c.num_inputs, with_trace=False)
+        outputs, _ = eval_tri(c, [STAR] * c.num_inputs)
         _, _, final, _ = subramanian_run(inst)
         for m in range(n):
             for r in range(n):

@@ -32,7 +32,7 @@ def test_active_gadget_applies_the_gate():
     # control one-hot on pair (0, 1): data wire 0 takes the min
     for x in (0, 1):
         for y in (0, 1):
-            outputs, _, _ = eval(u, [1, 0, x, y])
+            outputs, _ = eval(u, [1, 0, x, y])
             assert outputs[0] == (x & y)
             assert outputs[1] == (x | y)
             assert outputs[2:] == (0, 1, 0, 1)
@@ -42,7 +42,7 @@ def test_inactive_gadget_is_identity():
     u = build_universal(2, 1)
     for x in (0, 1):
         for y in (0, 1):
-            outputs, _, _ = eval(u, [0, 0, x, y])
+            outputs, _ = eval(u, [0, 0, x, y])
             assert outputs[:2] == (x, y)
 
 
