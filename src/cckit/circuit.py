@@ -18,12 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence, Union
 
-from .errors import (
-    BadShapeError,
-    IndexOutOfRangeError,
-    InputArityError,
-    NegationNotSupportedError,
-)
+from .errors import BadShapeError, IndexOutOfRangeError, NegationNotSupportedError
 
 Bit = int
 
@@ -67,9 +62,6 @@ class NegInput:
     index: int
 
 
-Annotation = Union[Const, Input, NegInput]
-
-
 @dataclass(frozen=True)
 class Comparator:
     min_wire: int
@@ -83,9 +75,6 @@ class Comparator:
 @dataclass(frozen=True)
 class Negation:
     wire: int
-
-
-Gate = Union[Comparator, Negation]
 
 
 @dataclass(frozen=True)
@@ -165,7 +154,7 @@ def _resolve(c: Circuit, x: Sequence, negate) -> list:
             vals.append(a.value)
         else:
             if a.index >= len(x):
-                raise InputArityError(
+                raise BadShapeError(
                     f"annotation consumes input {a.index} but only {len(x)} given"
                 )
             v = x[a.index]
@@ -314,7 +303,7 @@ def compose(outer: Circuit, inners: Sequence[Circuit]) -> Circuit:
     if outer.has_negations or any(ci.has_negations for ci in inners):
         raise NegationNotSupportedError("compose is comparator-only")
     if outer.num_inputs > len(inners):
-        raise InputArityError(
+        raise BadShapeError(
             f"outer consumes {outer.num_inputs} positions, {len(inners)} inners given"
         )
     anns = []

@@ -79,7 +79,10 @@ def _write(path: str, text: str):
         raise CckitError(f"cannot write {path}: {e.strerror or e}") from None
 
 
-def _bits(s: str):
+def _bits(c, s: str):
+    """The values of an --input or --tri string for circuit c."""
+    if len(s) > c.num_inputs:
+        raise BadShapeError(f"{len(s)} input values for a circuit with {c.num_inputs} inputs")
     out = []
     for ch in s:
         if ch == "0":
@@ -95,7 +98,7 @@ def _bits(s: str):
 
 def cmd_eval(args) -> int:
     c = parse_circuit(_read(args.file))
-    x = _bits(args.tri if args.tri is not None else (args.input or ""))
+    x = _bits(c, args.tri if args.tri is not None else (args.input or ""))
     show = None
     if args.trace:
         steps = itertools.count()
@@ -158,11 +161,12 @@ def cmd_reduce(args) -> int:
         sidecar = [f"w{a} w{b}" for a, b in sorted(wmap.items())]
     elif name == "tri-lower":
         c = parse_circuit(text)
-        inst, rails = tri_to_bool(c, _bits(args.input or ""))
+        inst, rails = tri_to_bool(c, _bits(c, args.input or ""))
         out = serialize_circuit(inst.circuit)
         sidecar = [f"w{w} w{a},w{b}" for w, (a, b) in sorted(rails.items())]
     elif name in ("ccv-to-3vlfmm", "ccv-to-3lfmm"):
-        inst = close_circuit(parse_circuit(text), _bits(args.input or ""))
+        c = parse_circuit(text)
+        inst = close_circuit(c, _bits(c, args.input or ""))
         up, wmap = to_all_up(inst.circuit)
         lower = ccv_to_3vlfmm if name == "ccv-to-3vlfmm" else ccv_to_3lfmm
         lf, node_map = lower(CcvInstance(up))

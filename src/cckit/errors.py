@@ -1,81 +1,21 @@
-"""Exception types shared across the toolkit.
+"""Exception types shared across the toolkit, one class per meaning.
 
 Every error raised by library code derives from CckitError so callers can
-catch the whole family at once (the CLI maps them to exit status 2, except
-InternalBoundViolationError which maps to 3).
+catch the whole family at once.  The CLI prints each as one ``error:``
+line and exits with the status given here:
+
+- CckitError: the base; raised alone when a file cannot be read or written (exit 2).
+- ParseError: a text format is violated at a line (exit 2).
+- BadShapeError: a value has the wrong shape or arity (exit 2).
+- IndexOutOfRangeError: an index lies outside its range (exit 2).
+- NegationNotSupportedError: a negation reached a comparator-only operation (exit 2).
+- PreconditionViolatedError: a well-formed input the operation excludes (exit 2).
+- TooLargeError: input exceeds a size limit of the operation (exit 2).
+- InternalBoundViolationError: an internal bound was exceeded (exit 3).
 """
 
 
 class CckitError(Exception):
-    pass
-
-
-class InputArityError(CckitError):
-    """An input vector is too short for the annotations that consume it."""
-
-
-class NegationNotSupportedError(CckitError):
-    """A negation gate reached an operation or pass that only handles
-    comparators."""
-
-
-class BadShapeError(CckitError):
-    """Structurally invalid value (bad counts, bad bounds, bad parameters)."""
-
-
-class TooManyGatesError(CckitError):
-    pass
-
-
-class TooManyWiresError(CckitError):
-    pass
-
-
-class IndexOutOfRangeError(CckitError):
-    pass
-
-
-class NotAllUpError(CckitError):
-    """A pass required every non-dummy comparator to point at the lower index."""
-
-
-class EdgeNotInGraphError(CckitError):
-    pass
-
-
-class DegreeTooHighError(CckitError):
-    pass
-
-
-class NotSquareError(CckitError):
-    pass
-
-
-class TooLargeError(CckitError):
-    """Input exceeds a brute-force guard."""
-
-
-class NotFeasibleError(CckitError):
-    pass
-
-
-class HasStarsError(CckitError):
-    pass
-
-
-class NotLipschitzError(CckitError):
-    pass
-
-
-class PreconditionViolatedError(CckitError):
-    pass
-
-
-class InternalBoundViolationError(CckitError):
-    """An internal bound that no legal input can exceed was exceeded anyway."""
-
-
-class UnknownSuiteError(CckitError):
     pass
 
 
@@ -86,3 +26,30 @@ class ParseError(CckitError):
         super().__init__(f"line {line}: {message}")
         self.line = line
         self.message = message
+
+
+class BadShapeError(CckitError):
+    """Structurally invalid value (bad counts, arity, bounds or names)."""
+
+
+class IndexOutOfRangeError(CckitError):
+    """An index (wire, vertex, edge, pair, person) lies outside its range."""
+
+
+class NegationNotSupportedError(CckitError):
+    """A negation gate reached an operation or pass that only handles
+    comparators."""
+
+
+class PreconditionViolatedError(CckitError):
+    """A well-formed input that the operation excludes (not all-up, not
+    square, degree above 3, not an edge, a descending arc, not feasible,
+    not Lipschitz)."""
+
+
+class TooLargeError(CckitError):
+    """Input exceeds a size limit of the operation."""
+
+
+class InternalBoundViolationError(CckitError):
+    """An internal bound that no legal input can exceed was exceeded anyway."""

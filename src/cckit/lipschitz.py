@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .circuit import Circuit, eval
-from .errors import BadShapeError, NotLipschitzError, TooLargeError
+from .errors import BadShapeError, PreconditionViolatedError, TooLargeError
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,7 @@ def strictify(f: TruthTable) -> TruthTable:
     output parity always equals the input parity.
     """
     if not is_one_lipschitz(f, strict=False):
-        raise NotLipschitzError("input table is not weakly 1-Lipschitz")
+        raise PreconditionViolatedError("input table is not weakly 1-Lipschitz")
     rows = []
     for i, row in enumerate(f.rows):
         front = (bin(i).count("1") & 1) ^ parity(row)

@@ -27,12 +27,9 @@ from .circuit import (
 )
 from .errors import (
     BadShapeError,
-    DegreeTooHighError,
-    EdgeNotInGraphError,
     IndexOutOfRangeError,
     NegationNotSupportedError,
-    NotAllUpError,
-    NotSquareError,
+    PreconditionViolatedError,
 )
 from .matching import BipartiteGraph, max_degree
 from .stable_marriage import SMInstance
@@ -101,7 +98,7 @@ def _layer_edges(inst: CcvInstance):
     if c.has_negations:
         raise NegationNotSupportedError("lower negations first")
     if not c.is_all_up:
-        raise NotAllUpError("apply to_all_up first")
+        raise PreconditionViolatedError("apply to_all_up first")
     m = c.num_wires
     vals = resolve_inputs(c, ())
     nid = lambda layer, wire: layer * m + wire
@@ -249,7 +246,7 @@ def lfmm_to_ccvneg(g: BipartiteGraph, edge: tuple) -> CcvInstance:
     if not (0 <= y < g.num_bottom and 0 <= cc < g.num_top):
         raise IndexOutOfRangeError(f"edge ({y}, {cc}) out of range")
     if (y, cc) not in g.edges:
-        raise EdgeNotInGraphError(f"({y}, {cc}) is not an edge")
+        raise PreconditionViolatedError(f"({y}, {cc}) is not an edge")
     B, T = y + 1, cc + 1
     cut = BipartiteGraph(B, T, frozenset((i, j) for (i, j) in g.edges if i < B and j < T))
     half = T + B
@@ -304,9 +301,9 @@ def lfmm3_to_sm(g: BipartiteGraph, n: int) -> SMInstance:
     everyone ascending.
     """
     if g.num_bottom != n or g.num_top != n:
-        raise NotSquareError(f"{g.num_bottom}x{g.num_top} is not {n}x{n}")
+        raise PreconditionViolatedError(f"{g.num_bottom}x{g.num_top} is not {n}x{n}")
     if max_degree(g) > 3:
-        raise DegreeTooHighError("degree must be at most 3")
+        raise PreconditionViolatedError("degree must be at most 3")
 
     def rows(adjacency):
         out = []

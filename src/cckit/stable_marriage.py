@@ -30,9 +30,8 @@ from dataclasses import dataclass
 from .circuit import STAR, tri_and, tri_or
 from .errors import (
     BadShapeError,
-    HasStarsError,
     InternalBoundViolationError,
-    NotFeasibleError,
+    PreconditionViolatedError,
     TooLargeError,
 )
 
@@ -480,9 +479,9 @@ def feasible_to_marriage(inst: SMInstance, mp: MatrixPair) -> Marriage:
     n = inst.n
     for row in mp.MM + mp.WW:
         if STAR in row:
-            raise HasStarsError("matrices must be 0/1 valued")
+            raise PreconditionViolatedError("matrices must be 0/1 valued")
     if not is_feasible_pair(inst, mp):
-        raise NotFeasibleError("fixed-point equations do not hold")
+        raise PreconditionViolatedError("fixed-point equations do not hold")
     match = []
     for m in range(n):
         ones = [r for r in range(n) if mp.MM[m][inst.man_pref[m][r]] == 1]

@@ -16,12 +16,7 @@ the control pair ends as (0, 1) and is never reused.
 from __future__ import annotations
 
 from .circuit import Circuit, Comparator, Input, NegInput
-from .errors import (
-    BadShapeError,
-    NegationNotSupportedError,
-    TooManyGatesError,
-    TooManyWiresError,
-)
+from .errors import BadShapeError, NegationNotSupportedError, TooLargeError
 
 
 def _pairs(m: int):
@@ -75,9 +70,9 @@ def encode_control(c: Circuit, m: int, n: int) -> tuple:
     if c.has_negations:
         raise NegationNotSupportedError("universal circuits simulate comparator gates only")
     if c.num_wires > m:
-        raise TooManyWiresError(f"{c.num_wires} wires > {m}")
+        raise TooLargeError(f"{c.num_wires} wires > {m}")
     if len(c.gates) > n:
-        raise TooManyGatesError(f"{len(c.gates)} gates > {n}")
+        raise TooLargeError(f"{len(c.gates)} gates > {n}")
     pairs = _pairs(m)
     index = {pq: k for k, pq in enumerate(pairs)}
     bits = [0] * (len(pairs) * n)

@@ -36,7 +36,7 @@ from .circuit import (
     refines,
     resolve_inputs,
 )
-from .errors import BadShapeError, UnknownSuiteError
+from .errors import BadShapeError
 from .formats import (
     parse_circuit,
     parse_digraph,
@@ -791,7 +791,7 @@ def run_suite(name: str, cases=None, seed: int = 1) -> Report:
             total += rep.cases
         return Report("all", total, tuple(failures))
     if name not in SUITES:
-        raise UnknownSuiteError(f"no suite named {name!r}")
+        raise BadShapeError(f"no suite named {name!r}")
     suite = SUITES[name]
     n = suite.default if cases is None else cases
     if suite.cap is not None:

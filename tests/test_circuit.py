@@ -26,7 +26,6 @@ from cckit.circuit import (
 from cckit.errors import (
     BadShapeError,
     IndexOutOfRangeError,
-    InputArityError,
     NegationNotSupportedError,
 )
 from cckit.verify import gen_circuit
@@ -59,7 +58,7 @@ def test_empty_circuit_echoes_annotations():
 
 def test_arity_checked():
     c = Circuit(2, (Input(0), Input(1)), (), 0)
-    with pytest.raises(InputArityError):
+    with pytest.raises(BadShapeError, match="annotation consumes input 1 but only 1 given"):
         eval(c, (1,))
 
 
@@ -217,5 +216,5 @@ def test_compose_splices_inner_copies():
 
 def test_compose_checks_arity():
     orgate = Circuit(2, (Input(0), Input(1)), (Comparator(0, 1),), 1)
-    with pytest.raises(InputArityError):
+    with pytest.raises(BadShapeError, match="outer consumes 2 positions, 1 inners given"):
         compose(orgate, [Circuit(1, (Input(0),), (), 0)])

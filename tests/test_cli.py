@@ -92,6 +92,20 @@ def test_eval_arity_error_exits_two(capsys):
     assert "error:" in err
 
 
+def test_over_long_input_exits_two(capsys):
+    for argv, line in (
+        (("eval", fx("const_demo.ccv"), "--input", "0101"),
+         "4 input values for a circuit with 0 inputs"),
+        (("eval", fx("annotated_demo.ccv"), "--tri", "1*01"),
+         "4 input values for a circuit with 3 inputs"),
+        (("reduce", "tri-lower", fx("annotated_demo.ccv"), "-", "--input", "1*01"),
+         "4 input values for a circuit with 3 inputs"),
+        (("reduce", "ccv-to-3vlfmm", fx("const_demo.ccv"), "-", "--input", "1"),
+         "1 input values for a circuit with 0 inputs"),
+    ):
+        assert run(capsys, *argv) == (2, "", f"error: {line}\n")
+
+
 def test_parse_error_exits_two(capsys, tmp_path):
     p = tmp_path / "broken.ccv"
     p.write_text("CCV v1\nwires 1\nannot 0 qq\noutput 0\n")
@@ -173,6 +187,30 @@ def test_reduce_precondition_exits_two(capsys, tmp_path):
     p.write_text("GRAPH v1\nbottom 1\ntop 1\nedge 0 0\n")
     code, _, err = run(capsys, "reduce", "vlfmm-to-ccv", str(p), "-")
     assert code == 2
+
+
+DEGREE_FOUR = "GRAPH v1\nbottom 5\ntop 5\n" + "".join(f"edge 0 {j}\n" for j in range(4))
+NON_EDGE_TARGET = "GRAPH v1\nbottom 2\ntop 2\nedge 0 0\nedge 1 0\ntarget-edge 1 1\n"
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (("reduce", "lfmm3-to-sm", fx("greedy_demo.graph"), "-"), "4x3 is not 4x4"),
+        (("reduce", "lfmm3-to-sm", "{deg4}", "-"), "degree must be at most 3"),
+        (("reduce", "lfmm-to-ccvneg", "{nonedge}", "-"), "(1, 1) is not an edge"),
+        (("verify", "bogus"), "no suite named 'bogus'"),
+        (("eval", fx("annotated_demo.ccv"), "--input", "1"),
+         "annotation consumes input 1 but only 1 given"),
+    ],
+    ids=["not-square", "degree", "not-an-edge", "unknown-suite", "short-input"],
+)
+def test_rejected_input_prints_one_pinned_error_line(capsys, tmp_path, argv, line):
+    (tmp_path / "deg4.graph").write_text(DEGREE_FOUR)
+    (tmp_path / "nonedge.graph").write_text(NON_EDGE_TARGET)
+    paths = {"deg4": tmp_path / "deg4.graph", "nonedge": tmp_path / "nonedge.graph"}
+    code, out, err = run(capsys, *(a.format(**paths) for a in argv))
+    assert (code, out, err) == (2, "", f"error: {line}\n")
 
 
 def test_reduce_universal_sidecar_holds_controls(capsys, tmp_path):

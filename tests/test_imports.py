@@ -1,6 +1,7 @@
 """Every name a cckit module imports is used in that module, no cckit
-module imports a sibling's underscore name, and every module-level
-underscore name is used in the module that defines it."""
+module imports a sibling's underscore name, every module-level
+underscore name is used in the module that defines it, and every error
+class but the base is raised somewhere."""
 
 import ast
 import pathlib
@@ -114,3 +115,43 @@ def test_the_scan_sees_an_unused_private_name():
         "def public(): return _seen\n"
     )
     assert unused_private_names(tree) == [(3, "_count"), (6, "_dead"), (7, "_Gone")]
+
+
+def unraised_error_classes(errors_tree, module_trees):
+    """Classes defined in errors_tree, other than CckitError, that no
+    ``raise`` in module_trees names."""
+    raised = set()
+    for tree in module_trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    return sorted(
+        node.name
+        for node in errors_tree.body
+        if isinstance(node, ast.ClassDef) and node.name not in raised | {"CckitError"}
+    )
+
+
+def test_every_error_class_is_raised():
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in SRC.glob("*.py")}
+    errors = trees.pop("errors.py")
+    assert unraised_error_classes(errors, trees.values()) == []
+
+
+def test_the_scan_sees_an_unraised_error_class():
+    errors = ast.parse(
+        "class CckitError(Exception): pass\n"
+        "class Called(CckitError): pass\n"
+        "class Bare(CckitError): pass\n"
+        "class Caught(CckitError): pass\n"
+        "class Built(CckitError): pass\n"
+        "class SelfRaised(CckitError):\n"
+        "    def fail(self): raise SelfRaised()\n"
+    )
+    modules = [
+        ast.parse("raise Called('x')\n"),
+        ast.parse("try:\n    raise Bare\nexcept Caught:\n    raise\nerr = Built('unused')\n"),
+    ]
+    assert unraised_error_classes(errors, modules) == ["Built", "Caught", "SelfRaised"]

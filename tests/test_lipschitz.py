@@ -3,7 +3,7 @@
 import pytest
 
 from cckit.circuit import Circuit, Comparator, Input
-from cckit.errors import BadShapeError, NotLipschitzError, TooLargeError
+from cckit.errors import BadShapeError, PreconditionViolatedError, TooLargeError
 from cckit.lipschitz import TruthTable, circuit_function, is_one_lipschitz, parity, strictify
 
 
@@ -56,7 +56,7 @@ def test_strictify_adds_a_parity_front_bit():
 
 def test_strictify_rejects_non_lipschitz():
     rows = [((r & 1) ^ ((r >> 1) & 1),) * 2 for r in range(4)]
-    with pytest.raises(NotLipschitzError):
+    with pytest.raises(PreconditionViolatedError, match="input table is not weakly 1-Lipschitz"):
         strictify(table(2, rows))
 
 

@@ -17,11 +17,8 @@ from cckit.circuit import (
 )
 from cckit.errors import (
     BadShapeError,
-    DegreeTooHighError,
-    EdgeNotInGraphError,
     NegationNotSupportedError,
-    NotAllUpError,
-    NotSquareError,
+    PreconditionViolatedError,
 )
 from cckit.formats import serialize_circuit
 from cckit.matching import BipartiteGraph, lfm_matching, lfmm_decision, max_degree, vlfmm_decision
@@ -78,7 +75,7 @@ def test_coverage_lowering_tracks_every_layer():
 
 def test_coverage_lowering_requires_all_up():
     inst = closed(2, (1, 1), [Comparator(0, 1)], 0)
-    with pytest.raises(NotAllUpError):
+    with pytest.raises(PreconditionViolatedError, match="apply to_all_up first"):
         ccv_to_3vlfmm(inst)
     negs = CcvInstance(Circuit(1, (Const(1),), (Negation(0),), 0))
     with pytest.raises(NegationNotSupportedError):
@@ -163,7 +160,7 @@ def test_edge_to_negation_circuit():
     for e in sorted(g.edges):
         inst = lfmm_to_ccvneg(g, e)
         assert inst.answer(allow_negations=True) == lfmm_decision(g, e)
-    with pytest.raises(EdgeNotInGraphError):
+    with pytest.raises(PreconditionViolatedError, match=r"\(0, 2\) is not an edge"):
         lfmm_to_ccvneg(g, (0, 2))
 
 
@@ -235,10 +232,10 @@ def test_square_matching_to_marriage():
 
 
 def test_square_matching_preconditions():
-    with pytest.raises(NotSquareError):
+    with pytest.raises(PreconditionViolatedError, match="2x3 is not 2x2"):
         lfmm3_to_sm(BipartiteGraph(2, 3, frozenset()), 2)
     full = frozenset((i, j) for i in range(4) for j in range(4))
-    with pytest.raises(DegreeTooHighError):
+    with pytest.raises(PreconditionViolatedError, match="degree must be at most 3"):
         lfmm3_to_sm(BipartiteGraph(4, 4, full), 4)
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from cckit import verify
 from cckit.circuit import STAR
-from cckit.errors import BadShapeError, UnknownSuiteError
+from cckit.errors import BadShapeError
 from cckit.formats import serialize_circuit, serialize_sm
 from cckit.matching import max_degree
 from cckit.verify import (
@@ -91,7 +91,7 @@ def test_gen_sm_n1_is_the_unique_instance():
 
 
 def test_unknown_suite():
-    with pytest.raises(UnknownSuiteError):
+    with pytest.raises(BadShapeError, match="no suite named 'definitely-not-a-suite'"):
         run_suite("definitely-not-a-suite")
 
 
