@@ -116,110 +116,126 @@ def cmd_eval(args) -> int:
     return 0 if answer == 1 else 1
 
 
-# The optional flags each pass reads; any other one given to it is an error.
-PASS_FLAGS = {
-    "normalize-down": (),
-    "dual": (),
-    "neg-elim": (),
-    "tri-lower": ("input",),
-    "ccv-to-3vlfmm": ("input",),
-    "ccv-to-3lfmm": ("input",),
-    "vlfmm-to-ccv": (),
-    "lfmm-to-ccvneg": (),
-    "lfmm3-to-sm": (),
-    "mosm-to-ccv": ("pair",),
-    "wosm-to-ccv": ("pair",),
-    "reach-to-ccv": ("target", "src", "layer", "pad"),
-    "universal": (),
+def _wire_lines(wmap):
+    return [f"w{a} w{b}" for a, b in sorted(wmap.items())]
+
+
+def _closed_input(text, args):
+    c = parse_circuit(text)
+    return c, _bits(c, args.input or "")
+
+
+def _normalize_down(text, args):
+    out_c, wmap = normalize_down(parse_circuit(text))
+    return serialize_circuit(out_c), _wire_lines(wmap)
+
+
+def _dual(text, args):
+    return serialize_circuit(dual(parse_circuit(text))), None
+
+
+def _neg_elim(text, args):
+    out_c, wmap = double_rail(parse_circuit(text))
+    return serialize_circuit(out_c), _wire_lines(wmap)
+
+
+def _tri_lower(text, args):
+    inst, rails = tri_to_bool(*_closed_input(text, args))
+    rail_lines = [f"w{w} w{a},w{b}" for w, (a, b) in sorted(rails.items())]
+    return serialize_circuit(inst.circuit), rail_lines
+
+
+def _ccv_to_lfmm(text, args):
+    up, wmap = to_all_up(close_circuit(*_closed_input(text, args)).circuit)
+    lower = ccv_to_3vlfmm if args.pass_name == "ccv-to-3vlfmm" else ccv_to_3lfmm
+    lf, node_map = lower(CcvInstance(up))
+    nodes = [f"n{l},{w} {i}" for (l, w), i in sorted(node_map.items())]
+    return serialize_graph(lf.graph, lf.designated), _wire_lines(wmap) + nodes
+
+
+def _vlfmm_to_ccv(text, args):
+    g, desig = parse_graph(text)
+    if desig is None or desig[0] != "top":
+        raise BadShapeError("needs a graph with a target-top designation")
+    n = g.num_top
+    return serialize_circuit(vlfmm_to_ccv(g, desig[1]).circuit), (
+        [f"t{j} w{j}" for j in range(n)] + [f"v{i} w{n + i}" for i in range(g.num_bottom)])
+
+
+def _lfmm_to_ccvneg(text, args):
+    g, desig = parse_graph(text)
+    if desig is None or desig[0] != "edge":
+        raise BadShapeError("needs a graph with a target-edge designation")
+    return serialize_circuit(lfmm_to_ccvneg(g, desig[1]).circuit), None
+
+
+def _lfmm3_to_sm(text, args):
+    g, _ = parse_graph(text)  # a marriage instance has no place for a designation
+    return serialize_sm(lfmm3_to_sm(g, g.num_bottom)), None
+
+
+def _optimal_pair(text, args):
+    inst = parse_sm(text)
+    if args.pair is None:
+        raise BadShapeError("needs --pair M W")
+    build = mosm_to_ccv if args.pass_name == "mosm-to-ccv" else wosm_to_ccv
+    return serialize_circuit(build(inst, tuple(args.pair)).circuit), None
+
+
+def _reach_to_ccv(text, args):
+    if args.src is not None and not args.layer:
+        raise BadShapeError("--src needs --layer")
+    g = parse_digraph(text)
+    if args.target is None:
+        raise BadShapeError("needs --target")
+    if not args.layer:
+        return serialize_circuit(reach_to_ccv(g, args.target, pad_dummies=args.pad)), None
+    c, node_map = _layered_circuit(g, args.src or 0, args.target, args.pad)
+    return serialize_circuit(c), [f"n{v} {i}" for v, i in sorted(node_map.items())]
+
+
+def _universal(text, args):
+    c = parse_circuit(text)
+    m, n = max(2, c.num_wires), len(c.gates)
+    enc = encode_control(c, m, n)
+    return serialize_circuit(build_universal(m, n)), [f"b{i} {b}" for i, b in enumerate(enc)]
+
+
+# name: (optional flags it reads, fn(text, args) -> (output text, sidecar lines
+# or None)).  fn looks library functions up as it runs, so a tracer sees them.
+PASSES = {
+    "normalize-down": ((), _normalize_down),
+    "dual": ((), _dual),
+    "neg-elim": ((), _neg_elim),
+    "tri-lower": (("input",), _tri_lower),
+    "ccv-to-3vlfmm": (("input",), _ccv_to_lfmm),
+    "ccv-to-3lfmm": (("input",), _ccv_to_lfmm),
+    "vlfmm-to-ccv": ((), _vlfmm_to_ccv),
+    "lfmm-to-ccvneg": ((), _lfmm_to_ccvneg),
+    "lfmm3-to-sm": ((), _lfmm3_to_sm),
+    "mosm-to-ccv": (("pair",), _optimal_pair),
+    "wosm-to-ccv": (("pair",), _optimal_pair),
+    "reach-to-ccv": (("target", "src", "layer", "pad"), _reach_to_ccv),
+    "universal": ((), _universal),
 }
+_PASS_FLAGS = tuple(dict.fromkeys(f for flags, _ in PASSES.values() for f in flags))
 
 
 def cmd_reduce(args) -> int:
     name = args.pass_name
-    if name not in PASS_FLAGS:
+    if name not in PASSES:
         raise BadShapeError(f"unknown pass {name!r}")
-    given = [f for f in ("input", "pair", "target", "src") if getattr(args, f) is not None]
-    given += [f for f in ("layer", "pad") if getattr(args, f)]
-    stray = [f"--{f}" for f in given if f not in PASS_FLAGS[name]]
+    reads, run = PASSES[name]
+    stray = [f"--{f}" for f in _PASS_FLAGS if f not in reads
+             and getattr(args, f) is not None and getattr(args, f) is not False]
     if stray:
         raise BadShapeError(f"{name} does not read {', '.join(stray)}")
-    if args.src is not None and not args.layer:
-        raise BadShapeError("--src needs --layer")
-    text = _read(args.infile)
-    sidecar = None  # correspondence lines, for passes that have them
-
-    if name == "normalize-down":
-        c = parse_circuit(text)
-        out_c, wmap = normalize_down(c)
-        out = serialize_circuit(out_c)
-        sidecar = [f"w{a} w{b}" for a, b in sorted(wmap.items())]
-    elif name == "dual":
-        out = serialize_circuit(dual(parse_circuit(text)))
-    elif name == "neg-elim":
-        out_c, wmap = double_rail(parse_circuit(text))
-        out = serialize_circuit(out_c)
-        sidecar = [f"w{a} w{b}" for a, b in sorted(wmap.items())]
-    elif name == "tri-lower":
-        c = parse_circuit(text)
-        inst, rails = tri_to_bool(c, _bits(c, args.input or ""))
-        out = serialize_circuit(inst.circuit)
-        sidecar = [f"w{w} w{a},w{b}" for w, (a, b) in sorted(rails.items())]
-    elif name in ("ccv-to-3vlfmm", "ccv-to-3lfmm"):
-        c = parse_circuit(text)
-        inst = close_circuit(c, _bits(c, args.input or ""))
-        up, wmap = to_all_up(inst.circuit)
-        lower = ccv_to_3vlfmm if name == "ccv-to-3vlfmm" else ccv_to_3lfmm
-        lf, node_map = lower(CcvInstance(up))
-        out = serialize_graph(lf.graph, lf.designated)
-        sidecar = [f"w{a} w{b}" for a, b in sorted(wmap.items())]
-        sidecar += [f"n{l},{w} {i}" for (l, w), i in sorted(node_map.items())]
-    elif name == "vlfmm-to-ccv":
-        g, desig = parse_graph(text)
-        if desig is None or desig[0] != "top":
-            raise BadShapeError("needs a graph with a target-top designation")
-        inst = vlfmm_to_ccv(g, desig[1])
-        out = serialize_circuit(inst.circuit)
-        sidecar = [f"t{j} w{j}" for j in range(g.num_top)]
-        sidecar += [f"v{i} w{g.num_top + i}" for i in range(g.num_bottom)]
-    elif name == "lfmm-to-ccvneg":
-        g, desig = parse_graph(text)
-        if desig is None or desig[0] != "edge":
-            raise BadShapeError("needs a graph with a target-edge designation")
-        out = serialize_circuit(lfmm_to_ccvneg(g, desig[1]).circuit)
-    elif name == "lfmm3-to-sm":
-        g, _ = parse_graph(text)
-        out = serialize_sm(lfmm3_to_sm(g, g.num_bottom))
-    elif name in ("mosm-to-ccv", "wosm-to-ccv"):
-        inst = parse_sm(text)
-        if args.pair is None:
-            raise BadShapeError("needs --pair M W")
-        build = mosm_to_ccv if name == "mosm-to-ccv" else wosm_to_ccv
-        out = serialize_circuit(build(inst, tuple(args.pair)).circuit)
-    elif name == "reach-to-ccv":
-        g = parse_digraph(text)
-        if args.target is None:
-            raise BadShapeError("needs --target")
-        if args.layer:
-            c, node_map = _layered_circuit(g, args.src or 0, args.target, args.pad)
-            sidecar = [f"n{v} {i}" for v, i in sorted(node_map.items())]
-        else:
-            c = reach_to_ccv(g, args.target, pad_dummies=args.pad)
-        out = serialize_circuit(c)
-    else:  # universal
-        c = parse_circuit(text)
-        m = max(2, c.num_wires)
-        n = len(c.gates)
-        enc = encode_control(c, m, n)
-        out = serialize_circuit(build_universal(m, n))
-        sidecar = [f"b{i} {b}" for i, b in enumerate(enc)]
-
+    out, sidecar = run(_read(args.infile), args)
     if sidecar is None and args.map is not None:
         raise BadShapeError(f"{name} writes no correspondence data; drop --map")
     _write(args.outfile, out)
-    map_path = args.map
-    if map_path is None and args.outfile != "-":
-        map_path = args.outfile + ".map"
-    if sidecar is not None and map_path is not None:
+    if sidecar is not None and (args.map is not None or args.outfile != "-"):
+        map_path = args.outfile + ".map" if args.map is None else args.map
         _write(map_path, "".join(line + "\n" for line in sidecar))
     return 0
 
@@ -230,10 +246,8 @@ def cmd_lfmm(args) -> int:
         print(f"v{i} w{j}")
     if desig is None:
         return 0
-    if desig[0] == "edge":
-        answer = lfmm_decision(g, desig[1])
-    else:
-        answer = vlfmm_decision(g, desig[1])
+    decide = lfmm_decision if desig[0] == "edge" else vlfmm_decision
+    answer = decide(g, desig[1])
     print(f"answer={answer}")
     return 0 if answer == 1 else 1
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 
 from .circuit import Circuit, Comparator, Const, Input, NegInput, Negation
-from .errors import CckitError, ParseError
+from .errors import ParseError
 from .matching import BipartiteGraph
 from .reachability import Digraph
 from .stable_marriage import SMInstance
@@ -140,12 +140,7 @@ def parse_circuit(text: str) -> Circuit:
             raise ParseError(_eof_line(text), f"wire {w} has no annotation")
     if output is None:
         raise ParseError(_eof_line(text), "missing `output`")
-    try:
-        return Circuit(
-            wires, tuple(annots[w] for w in range(wires)), tuple(gates), output
-        )
-    except CckitError as exc:  # pragma: no cover - directives already validated
-        raise ParseError(_eof_line(text), str(exc)) from None
+    return Circuit(wires, tuple(annots[w] for w in range(wires)), tuple(gates), output)
 
 
 def _annot_token(a) -> str:

@@ -781,15 +781,6 @@ def run_suite(name: str, cases=None, seed: int = 1) -> Report:
     """Run one property suite; ``cases`` overrides its default volume."""
     if cases is not None and cases < 0:
         raise BadShapeError(f"--cases must be at least 0, not {cases}")
-    if name == "all":
-        total = 0
-        failures = []
-        for sub in SUITES:
-            rep = run_suite(sub, cases, seed)
-            for idx, text in rep.failures:
-                failures.append((total + idx, f"[{sub}] {text}"))
-            total += rep.cases
-        return Report("all", total, tuple(failures))
     if name not in SUITES:
         raise BadShapeError(f"no suite named {name!r}")
     suite = SUITES[name]

@@ -114,6 +114,15 @@ def test_parse_error_exits_two(capsys, tmp_path):
     assert "line 3" in err
 
 
+def test_zero_wire_circuit_is_a_parse_error(capsys, tmp_path):
+    # the parser allows `wires 0`, which Circuit would refuse; no output wire can exist
+    p = tmp_path / "empty.ccv"
+    for text, line in (("CCV v1\nwires 0\n", "line 2: missing `output`"),
+                       ("CCV v1\nwires 0\noutput 0\n", "line 3: wire 0 out of range")):
+        p.write_text(text)
+        assert run(capsys, "eval", str(p)) == (2, "", f"error: {line}\n")
+
+
 def test_reduce_writes_output_and_sidecar(capsys, tmp_path):
     out = tmp_path / "down.ccv"
     code, _, _ = run(
@@ -156,6 +165,9 @@ def test_reduce_rejects_flags_the_pass_does_not_read(capsys, tmp_path):
     for argv, stray in (
         (("dual", fx("const_demo.ccv"), "--pad", "--layer", "--target", "3"),
          "dual does not read --target, --layer, --pad"),
+        # 0 is a value, not an absent flag
+        (("dual", fx("const_demo.ccv"), "--src", "0", "--target", "0"),
+         "dual does not read --target, --src"),
         (("reach-to-ccv", fx("reach_demo.digraph"), "--target", "4", "--src", "3"),
          "--src needs --layer"),
         (("reach-to-ccv", fx("reach_demo.digraph"), "--target", "0", "--input", "1"),
@@ -306,9 +318,30 @@ def test_reduce_pass_output_is_pinned(capsys, tmp_path, name, source, extra, out
 
 
 def test_every_pass_is_pinned():
-    from cckit.cli import PASS_FLAGS
+    from cckit.cli import PASSES
 
-    assert {pin[0] for pin in REDUCE_PINS} == set(PASS_FLAGS)
+    assert {pin[0] for pin in REDUCE_PINS} == set(PASSES)
+
+
+def test_readme_examples_name_every_pass():
+    from cckit.cli import PASSES
+
+    readme = pathlib.Path(__file__).parent.parent / "README.md"
+    named = [line.split()[2] for line in readme.read_text().splitlines()
+             if line.startswith("cckit reduce ")]
+    assert set(named) == set(PASSES)
+
+
+def test_lfmm3_to_sm_ignores_a_designation(capsys, tmp_path):
+    (tmp_path / "plain.graph").write_text(SQUARE_GRAPH)
+    (tmp_path / "edge.graph").write_text(SQUARE_GRAPH + "target-edge 1 0\n")
+    outs = [run(capsys, "reduce", "lfmm3-to-sm", str(tmp_path / f), "-")
+            for f in ("plain.graph", "edge.graph")]
+    assert outs[0] == outs[1]
+    code, out, err = outs[0]
+    assert (code, err) == (0, "")
+    pinned = next(pin[3] for pin in REDUCE_PINS if pin[0] == "lfmm3-to-sm")
+    assert hashlib.sha256(out.encode()).hexdigest() == pinned
 
 
 def test_lfmm_prints_matching_and_decides(capsys):

@@ -103,11 +103,14 @@ def test_zero_cases_is_vacuous(name):
     assert render_report(rep) == f"{name}: pass (0 cases)\n"
 
 
-def test_negative_volume_is_rejected():
+def test_negative_volume_is_rejected(capsys):
+    from cckit.cli import main
+
     with pytest.raises(BadShapeError, match="at least 0, not -5"):
         run_suite("universal", -5)
-    with pytest.raises(BadShapeError, match="at least 0, not -1"):
-        run_suite("all", -1)
+    assert main(["verify", "all", "--cases", "-1"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "at least 0, not -1" in out.err
 
 
 def test_reports_are_pure_functions_of_inputs():
@@ -165,13 +168,6 @@ def test_each_golden_row_fails_alone_and_names_its_fixture(monkeypatch):
         msg = rep.failures[0][1]
         assert msg.startswith("expected 'perturbed', got ")
         assert msg.endswith(f"; fixture {name}:\n{verify.fixture_text(name)}")
-
-
-def test_all_aggregates():
-    rep = run_suite("all", 2, seed=4)
-    assert rep.suite == "all"
-    assert rep.passed
-    assert rep.cases >= sum(1 for _ in verify.SUITES)
 
 
 def test_three_degree_outputs_hold_the_bound():
