@@ -69,6 +69,43 @@ def test_eval_trace_prints_the_library_trace(capsys, tmp_path):
     assert out.splitlines() == lines(seen) + ["w0=*", "w1=1", "w2=*", "answer=1"]
 
 
+PEBBLE_DIGRAPH = "DIGRAPH v1\nnodes 6\narc 0 1\narc 1 2\narc 2 0\narc 2 3\narc 3 5\narc 4 1\n"
+
+# (circuit: fixture name or None for the unpadded layered pebbling circuit
+# of PEBBLE_DIGRAPH, eval flags, exit code, stdout sha256)
+TRACE_PINS = [
+    ("annotated_demo.ccv", ("--input", "101"), 1,
+     "b879db266553747619340aba05bbee05bdd8ebcdff493e76260c1cc8893dbf91"),
+    ("annotated_demo.ccv", ("--tri", "1*0"), 1,
+     "f2813fa392cf6c994c085979b88589d9e9c558c325ccdeb3c78362507853ae44"),
+    ("annotated_demo.ccv", ("--tri", "**1"), 1,
+     "5e3eee09d75578c70a7391b1908ca619bd46faaad1a67645a84072843f12f290"),
+    ("const_demo.ccv", (), 0,
+     "e5384f3d085896e16661068f7c9cc3409692e4ad8a5a54c17b0c199e6098c16a"),
+    ("const_demo.ccv", ("--tri", ""), 0,
+     "e5384f3d085896e16661068f7c9cc3409692e4ad8a5a54c17b0c199e6098c16a"),
+    ("negation_demo.ccv", (), 0,
+     "3045553322b7a36745a8c325c728ec8f7ea58b296e4295e869c02f927980b4ae"),
+    (None, (), 0,
+     "c6d21660ad33ff3c024d62d3bff0061052af5c94d5c199fe8469eda1086011e9"),
+    (None, ("--tri", ""), 0,
+     "c6d21660ad33ff3c024d62d3bff0061052af5c94d5c199fe8469eda1086011e9"),
+]
+
+
+@pytest.mark.parametrize("source, extra, code, out_sha", TRACE_PINS)
+def test_eval_trace_output_is_pinned(capsys, tmp_path, source, extra, code, out_sha):
+    if source is None:
+        (tmp_path / "g").write_text(PEBBLE_DIGRAPH)
+        circuit = str(tmp_path / "c.ccv")
+        args = ("reduce", "reach-to-ccv", str(tmp_path / "g"), circuit, "--layer", "--target", "5")
+        assert run(capsys, *args) == (0, "", "")
+    else:
+        circuit = fx(source)
+    got, out, _ = run(capsys, "eval", circuit, "--trace", *extra)
+    assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, out_sha)
+
+
 def test_eval_tri(capsys, tmp_path):
     p = tmp_path / "t.ccv"
     p.write_text("CCV v1\nwires 2\nannot 0 x0\nannot 1 x1\ngate 0 1\noutput 1\n")

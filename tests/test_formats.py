@@ -1,10 +1,15 @@
 """Wire-format grammars: parsing, serialization, errors with line numbers."""
 
+import hashlib
+import pathlib
+import random
+
+import cckit
 import pytest
 from hypothesis import given, strategies as st
 
 from cckit.circuit import Circuit, Comparator, Const, Input, NegInput, Negation
-from cckit.errors import ParseError
+from cckit.errors import CckitError, ParseError
 from cckit.formats import (
     parse_circuit,
     parse_digraph,
@@ -15,6 +20,7 @@ from cckit.formats import (
     serialize_graph,
     serialize_sm,
 )
+from cckit.reachability import Digraph, layer, reach_to_ccv
 from cckit.verify import gen_bipartite, gen_circuit, gen_digraph, gen_sm
 
 CIRCUIT = """\
@@ -102,6 +108,67 @@ def test_repeated_gate_lines_share_one_object():
     assert c.gates == (Comparator(0, 1), Comparator(1, 0), Comparator(0, 1), Comparator(0, 1))
     assert c.gates[0] is c.gates[2] is c.gates[3]
     assert c.gates[1] is not c.gates[0]
+
+
+# Lines and tokens a mutation may add: well-formed, malformed, commented, spaced.
+_EXTRA_LINES = [
+    "gate 0 1", "gate 1 0 # c", "  neg 0  ", "neg 1 # c", "gate 00 1", "gate 0 99",
+    "annot 0 1", "annot 1 !x0", "output 0", "wires 3", "CCV v1", "neg", "gate 0",
+    "annot 0 x-1", "bogus 1", "# only a comment", "",
+]
+_EXTRA_TOKENS = ["0", "1", "x", "-1", "#", "# c"]
+
+
+def _pebbling_texts():
+    rng = random.Random(7)
+    texts = []
+    for n in (3, 4, 4):
+        arcs = [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < 0.4]
+        layered, node_map = layer(Digraph(n, frozenset(arcs)), 0)
+        texts.append(serialize_circuit(reach_to_ccv(layered, node_map[n - 1])))
+    return texts
+
+
+def _mutants(text, rng, per_kind):
+    """Copies of text with one line token-extended, duplicated, deleted,
+    replaced or appended, per_kind of each."""
+    lines = text.splitlines()
+    for kind in range(5):
+        for _ in range(per_kind):
+            out = list(lines)
+            i = rng.randrange(len(out))
+            if kind == 0:
+                out[i] += " " + rng.choice(_EXTRA_TOKENS)
+            elif kind == 1:
+                out.insert(rng.randrange(len(out) + 1), out[i])
+            elif kind == 2:
+                del out[i]
+            elif kind == 3:
+                out[i] = rng.choice(_EXTRA_LINES + lines)
+            else:
+                out.append(rng.choice(_EXTRA_LINES + lines))
+            yield "\n".join(out) + "\n"
+
+
+def _outcome(text):
+    try:
+        return repr(parse_circuit(text))
+    except CckitError as e:
+        return f"{type(e).__name__} {getattr(e, 'line', None)} {e}"
+
+
+def test_parse_outcomes_over_a_mutated_corpus_are_pinned():
+    fixtures = sorted(pathlib.Path(cckit.__file__).parent.glob("fixtures/*.ccv"))
+    texts = [f.read_text() for f in fixtures] + _pebbling_texts()
+    rng = random.Random(11)
+    outcomes = []
+    for text in texts:
+        outcomes.append(_outcome(text))
+        outcomes.extend(_outcome(m) for m in _mutants(text, rng, 30))
+    errors = sum(o.startswith("ParseError") for o in outcomes)
+    assert len(outcomes) == 906 and 100 < errors < 800
+    digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+    assert digest == "b9efe3ede2adcc4c1bd01f8546ab042bd7fed2479a642822f60d893507d077fc"
 
 
 def test_missing_output_reported_at_eof():
