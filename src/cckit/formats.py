@@ -63,15 +63,33 @@ def _need(count, toks, no):
 
 
 def parse_circuit(text: str) -> Circuit:
-    rows = _header(text, "CCV v1")
+    lines = text.splitlines()
+    header = False
     wires = None
     annots = {}
     gates = []
+    # Every `gate`/`neg` line accepted so far, as written, with its gate.
+    # `wires` is set once, before any such line, so a repeat of a raw line is
+    # accepted again as the same gate: the lookup comes before tokenizing.
+    accepted = {}
     # One Comparator per wire pair, found by the tokens as written (so a
-    # repeated line skips integer parsing) and by the pair of integers.
+    # differently written line skips integer parsing) and by the pair of
+    # integers.
     shared = {}
     output = None
-    for no, toks in rows:
+    for no, raw in enumerate(lines, start=1):
+        g = accepted.get(raw)
+        if g is not None:
+            gates.append(g)
+            continue
+        toks = raw.split("#", 1)[0].split()
+        if not toks:
+            continue
+        if not header:
+            if toks != ["CCV", "v1"]:
+                raise ParseError(no, "expected `CCV v1` header")
+            header = True
+            continue
         kind = toks[0]
         if kind == "wires":
             _need(2, toks, no)
@@ -113,6 +131,7 @@ def parse_circuit(text: str) -> Circuit:
                     raise ParseError(no, f"gate ({a}, {b}) out of range")
                 g = shared.get((a, b)) or Comparator(a, b)
                 shared[a, b] = shared[toks[1], toks[2]] = g
+            accepted[raw] = g
             gates.append(g)
         elif kind == "neg":
             _need(2, toks, no)
@@ -121,7 +140,8 @@ def parse_circuit(text: str) -> Circuit:
             w = _int(toks[1], no, "wire")
             if not 0 <= w < wires:
                 raise ParseError(no, f"wire {w} out of range")
-            gates.append(Negation(w))
+            accepted[raw] = g = Negation(w)
+            gates.append(g)
         elif kind == "output":
             _need(2, toks, no)
             if wires is None:
@@ -133,13 +153,16 @@ def parse_circuit(text: str) -> Circuit:
                 raise ParseError(no, f"wire {output} out of range")
         else:
             raise ParseError(no, f"unknown directive {kind!r}")
+    eof = max(1, len(lines))
+    if not header:
+        raise ParseError(eof, "missing `CCV v1` header")
     if wires is None:
-        raise ParseError(_eof_line(text), "missing `wires`")
+        raise ParseError(eof, "missing `wires`")
     for w in range(wires):
         if w not in annots:
-            raise ParseError(_eof_line(text), f"wire {w} has no annotation")
+            raise ParseError(eof, f"wire {w} has no annotation")
     if output is None:
-        raise ParseError(_eof_line(text), "missing `output`")
+        raise ParseError(eof, "missing `output`")
     return Circuit(wires, tuple(annots[w] for w in range(wires)), tuple(gates), output)
 
 
@@ -155,11 +178,18 @@ def serialize_circuit(c: Circuit) -> str:
     out = ["CCV v1", f"wires {c.num_wires}"]
     for w, a in enumerate(c.annotations):
         out.append(f"annot {w} {_annot_token(a)}")
+    # One line per distinct gate object, keyed by id: the circuit keeps every
+    # gate alive, and hashing a frozen dataclass by value costs a Python call.
+    formatted = {}
     for g in c.gates:
-        if isinstance(g, Comparator):
-            out.append(f"gate {g.min_wire} {g.max_wire}")
-        else:
-            out.append(f"neg {g.wire}")
+        line = formatted.get(id(g))
+        if line is None:
+            if isinstance(g, Comparator):
+                line = f"gate {g.min_wire} {g.max_wire}"
+            else:
+                line = f"neg {g.wire}"
+            formatted[id(g)] = line
+        out.append(line)
     out.append(f"output {c.output_wire}")
     return "\n".join(out) + "\n"
 

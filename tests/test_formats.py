@@ -110,6 +110,37 @@ def test_repeated_gate_lines_share_one_object():
     assert c.gates[1] is not c.gates[0]
 
 
+def test_repeated_raw_lines_reuse_the_accepted_gate():
+    c = parse_circuit("CCV v1\nwires 3\nannot 0 0\nannot 1 1\nannot 2 0\n"
+                      "neg 1\nneg 1 # c\n  neg   1 \nneg 1\n"
+                      "gate 0 2\ngate 0 2 # c\ngate  0  2 \ngate 0 2\noutput 0\n")
+    negs, comparators = c.gates[:4], c.gates[4:]
+    assert negs == (Negation(1),) * 4 and comparators == (Comparator(0, 2),) * 4
+    assert negs[3] is negs[0] and comparators[3] is comparators[0]
+
+
+def test_repeated_header_lines_still_raise_where_they_stand():
+    head = "CCV v1\nwires 2\nannot 0 0\nannot 1 1\ngate 0 1\n"
+    cases = [
+        (head + "gate 0 1\nannot 1 1\noutput 0\n", 7, "duplicate annotation for wire 1"),
+        (head + "output 0\ngate 0 1\noutput 0\n", 8, "duplicate `output`"),
+        (head + "gate 0 1\nwires 2\n", 7, "duplicate `wires`"),
+    ]
+    for text, line, message in cases:
+        with pytest.raises(ParseError) as e:
+            parse_circuit(text)
+        assert (e.value.line, e.value.message) == (line, message)
+
+
+def test_layered_pebbling_text_round_trips_byte_for_byte():
+    arcs = {(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 6), (6, 2), (1, 5)}
+    layered, node_map = layer(Digraph(7, frozenset(arcs)), 0)
+    text = serialize_circuit(reach_to_ccv(layered, node_map[6]))
+    c = parse_circuit(text)
+    assert serialize_circuit(c) == text
+    assert len({id(g) for g in c.gates}) == len(set(c.gates)) < len(c.gates)
+
+
 # Lines and tokens a mutation may add: well-formed, malformed, commented, spaced.
 _EXTRA_LINES = [
     "gate 0 1", "gate 1 0 # c", "  neg 0  ", "neg 1 # c", "gate 00 1", "gate 0 99",
