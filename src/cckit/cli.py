@@ -96,6 +96,10 @@ def _bits(c, s: str):
     return out
 
 
+# The text of one wire value, in either value domain: {0, 1} or {0, STAR, 1}.
+_VALUE_TEXT = {0: "0", 1: "1", STAR: "*"}.__getitem__
+
+
 def cmd_eval(args) -> int:
     c = parse_circuit(_read(args.file))
     x = _bits(c, args.tri if args.tri is not None else (args.input or ""))
@@ -104,7 +108,7 @@ def cmd_eval(args) -> int:
         steps = itertools.count()
 
         def show(snap):
-            print(f"step {next(steps)} " + "".join(map(str, snap)))
+            print(f"step {next(steps)} " + "".join(map(_VALUE_TEXT, snap)))
 
     if args.tri is not None:
         outputs, answer = eval_tri(c, x, on_step=show)
