@@ -8,6 +8,7 @@ failure.  ``-`` stands for stdin or stdout in file positions.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import os
 import sys
@@ -307,7 +308,9 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """Built once; ``main`` runs ``cmd_<command>`` as it finds it at call time."""
     p = argparse.ArgumentParser(prog="cckit", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -317,7 +320,6 @@ def _parser() -> argparse.ArgumentParser:
     values.add_argument("--input", help="bit string, one character per input variable")
     values.add_argument("--tri", help="string over 0, *, 1 for three-valued evaluation")
     ev.add_argument("--trace", action="store_true", help="print every snapshot")
-    ev.set_defaults(fn=cmd_eval)
 
     rd = sub.add_parser("reduce", help="run a lowering pass")
     rd.add_argument("pass_name", metavar="pass")
@@ -331,28 +333,23 @@ def _parser() -> argparse.ArgumentParser:
     rd.add_argument("--layer", action="store_true", help="time-expand the digraph first")
     rd.add_argument("--pad", action="store_true",
                     help="reach-to-ccv: a dummy gate for every non-arc pair")
-    rd.set_defaults(fn=cmd_reduce)
 
     lf = sub.add_parser("lfmm", help="greedy matching and designated decisions")
     lf.add_argument("file")
-    lf.set_defaults(fn=cmd_lfmm)
 
     gs = sub.add_parser("gs", help="stable marriage algorithms")
     gs.add_argument("file")
     gs.add_argument("--alg", type=int, choices=range(1, 7), default=1)
-    gs.set_defaults(fn=cmd_gs)
 
     rc = sub.add_parser("reach", help="digraph reachability through a circuit")
     rc.add_argument("file")
     rc.add_argument("--target", type=int, required=True)
     rc.add_argument("--src", type=int, default=0)
-    rc.set_defaults(fn=cmd_reach)
 
     vf = sub.add_parser("verify", help="run a property suite")
     vf.add_argument("suite")
     vf.add_argument("--cases", type=int)
     vf.add_argument("--seed", type=int, default=1)
-    vf.set_defaults(fn=cmd_verify)
 
     return p
 
@@ -363,7 +360,7 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 0 if not e.code else int(e.code)
     try:
-        return args.fn(args)
+        return globals()[f"cmd_{args.command}"](args)
     except InternalBoundViolationError as e:
         print(f"internal invariant violated: {e}", file=sys.stderr)
         return 3

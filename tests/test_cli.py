@@ -502,3 +502,11 @@ def test_unexpected_exception_exits_three(capsys, monkeypatch):
     assert code == 3 and out == ""
     assert err.startswith("internal error: KeyError: 'boom' (test_cli.py:")
     assert err.count("\n") == 1
+
+
+def test_parser_is_built_once_and_carries_nothing_between_calls(capsys):
+    from cckit import cli
+
+    assert cli._parser() is cli._parser()
+    assert run(capsys, "eval", fx("const_demo.ccv"), "--trace")[1].startswith("step 0 ")
+    assert run(capsys, "eval", fx("const_demo.ccv")) == (0, "w0=1\nw1=1\nw2=0\nanswer=1\n", "")
