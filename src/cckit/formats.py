@@ -72,9 +72,7 @@ def parse_circuit(text: str) -> Circuit:
     # `wires` is set once, before any such line, so a repeat of a raw line is
     # accepted again as the same gate: the lookup comes before tokenizing.
     accepted = {}
-    # One Comparator per wire pair, found by the tokens as written (so a
-    # differently written line skips integer parsing) and by the pair of
-    # integers.
+    # One Comparator per wire pair, however its lines are written.
     shared = {}
     output = None
     for no, raw in enumerate(lines, start=1):
@@ -123,15 +121,11 @@ def parse_circuit(text: str) -> Circuit:
             _need(3, toks, no)
             if wires is None:
                 raise ParseError(no, "`gate` before `wires`")
-            g = shared.get((toks[1], toks[2]))
-            if g is None:
-                a = _int(toks[1], no, "wire")
-                b = _int(toks[2], no, "wire")
-                if not (0 <= a < wires and 0 <= b < wires):
-                    raise ParseError(no, f"gate ({a}, {b}) out of range")
-                g = shared.get((a, b)) or Comparator(a, b)
-                shared[a, b] = shared[toks[1], toks[2]] = g
-            accepted[raw] = g
+            a = _int(toks[1], no, "wire")
+            b = _int(toks[2], no, "wire")
+            if not (0 <= a < wires and 0 <= b < wires):
+                raise ParseError(no, f"gate ({a}, {b}) out of range")
+            accepted[raw] = g = shared.setdefault((a, b), Comparator(a, b))
             gates.append(g)
         elif kind == "neg":
             _need(2, toks, no)
