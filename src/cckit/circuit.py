@@ -322,11 +322,7 @@ def compose(outer: Circuit, inners: Sequence[Circuit]) -> Circuit:
         base = width
         anns.extend(inner.annotations)
         width += inner.num_wires
-        for g in inner.gates:
-            if isinstance(g, Comparator):
-                gates.append(Comparator(base + g.min_wire, base + g.max_wire))
-            else:  # unreachable: negation-free checked above
-                gates.append(Negation(base + g.wire))
+        gates.extend(Comparator(base + g.min_wire, base + g.max_wire) for g in inner.gates)
         wire_of[w] = base + inner.output_wire
     for g in outer.gates:
         gates.append(Comparator(wire_of[g.min_wire], wire_of[g.max_wire]))

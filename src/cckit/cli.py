@@ -80,25 +80,19 @@ def _write(path: str, text: str):
         raise CckitError(f"cannot write {path}: {e.strerror or e}") from None
 
 
+# One wire value and its text, in either value domain: {0, 1} or {0, STAR, 1}.
+_TEXT_VALUE = {"0": 0, "1": 1, "*": STAR}
+_VALUE_TEXT = {0: "0", 1: "1", STAR: "*"}.__getitem__
+
+
 def _bits(c, s: str):
     """The values of an --input or --tri string for circuit c."""
     if len(s) > c.num_inputs:
         raise BadShapeError(f"{len(s)} input values for a circuit with {c.num_inputs} inputs")
-    out = []
     for ch in s:
-        if ch == "0":
-            out.append(0)
-        elif ch == "1":
-            out.append(1)
-        elif ch == "*":
-            out.append(STAR)
-        else:
+        if ch not in _TEXT_VALUE:
             raise BadShapeError(f"input strings use 0, 1, and *, not {ch!r}")
-    return out
-
-
-# The text of one wire value, in either value domain: {0, 1} or {0, STAR, 1}.
-_VALUE_TEXT = {0: "0", 1: "1", STAR: "*"}.__getitem__
+    return [_TEXT_VALUE[ch] for ch in s]
 
 
 def cmd_eval(args) -> int:

@@ -349,15 +349,7 @@ def sm_to_tri_circuit(inst: SMInstance):
                     binding[(side, p, r)] = fresh(Input(next_in))
                     next_in += 1
 
-    mrank = [[0] * n for _ in range(n)]
-    wrank = [[0] * n for _ in range(n)]
-    for m in range(n):
-        for r, w in enumerate(inst.man_pref[m]):
-            mrank[m][w] = r
-    for w in range(n):
-        for r, m in enumerate(inst.woman_pref[w]):
-            wrank[w][m] = r
-
+    mrank, wrank = inst.man_rank, inst.woman_rank
     gates = []
     for _ in range(2 * n * n):
         nxt = dict(binding)
@@ -403,7 +395,7 @@ def _optimal_pair_circuit(inst, pair, side):
     base, cell_map, rail_map = _sm_rail_prefix(inst)
     gates = []
     if side == "m":
-        rank = inst.man_pref[m].index(w)
+        rank = inst.man_rank[m][w]
         alpha, beta = rail_map[cell_map[("m", m, rank)]]
         if rank == n - 1:
             gates.append(Comparator(alpha, beta))
@@ -414,7 +406,7 @@ def _optimal_pair_circuit(inst, pair, side):
             gates.append(Comparator(alpha, gamma))
         answer_wire = alpha
     else:
-        rank = inst.woman_pref[w].index(m)
+        rank = inst.woman_rank[w][m]
         beta = rail_map[cell_map[("w", w, rank)]][1]
         gates.append(Negation(beta))
         if rank != n - 1:

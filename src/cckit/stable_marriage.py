@@ -25,7 +25,7 @@ preference row, r = 0 being the favourite.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .circuit import STAR, tri_and, tri_or
 from .errors import (
@@ -38,9 +38,14 @@ from .errors import (
 
 @dataclass(frozen=True)
 class SMInstance:
+    """Preference rows plus their inverse: ``man_rank[m][w]`` is the rank of
+    woman w in man m's row, and ``woman_rank`` the same for women."""
+
     n: int
     man_pref: tuple
     woman_pref: tuple
+    man_rank: tuple = field(init=False, repr=False, compare=False)
+    woman_rank: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "man_pref", tuple(tuple(r) for r in self.man_pref))
@@ -55,6 +60,8 @@ class SMInstance:
             for row in side:
                 if sorted(row) != list(range(self.n)):
                     raise BadShapeError(f"row {row} is not a permutation")
+        object.__setattr__(self, "man_rank", _ranks(self.man_pref))
+        object.__setattr__(self, "woman_rank", _ranks(self.woman_pref))
 
 
 @dataclass(frozen=True)
@@ -81,13 +88,6 @@ class IntervalState:
     man: tuple
     woman: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "man", tuple(tuple(p) for p in self.man))
-        object.__setattr__(self, "woman", tuple(tuple(p) for p in self.woman))
-        for (lo, hi) in self.man + self.woman:
-            if not (0 <= lo <= hi):
-                raise BadShapeError(f"empty or negative interval ({lo}, {hi})")
-
 
 @dataclass(frozen=True)
 class MatrixPair:
@@ -96,18 +96,10 @@ class MatrixPair:
     MM: tuple
     WW: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "MM", tuple(tuple(r) for r in self.MM))
-        object.__setattr__(self, "WW", tuple(tuple(r) for r in self.WW))
 
-
-def _ranks(pref) -> list:
-    n = len(pref)
-    out = [[0] * n for _ in range(n)]
-    for p, row in enumerate(pref):
-        for r, q in enumerate(row):
-            out[p][q] = r
-    return out
+def _ranks(pref) -> tuple:
+    """The inverse of each preference row (a permutation), as its argsort."""
+    return tuple(tuple(sorted(range(len(row)), key=row.__getitem__)) for row in pref)
 
 
 def swap_sexes(inst: SMInstance) -> SMInstance:
@@ -117,7 +109,7 @@ def swap_sexes(inst: SMInstance) -> SMInstance:
 def gale_shapley(inst: SMInstance):
     """Man-proposing rounds; returns (man-optimal marriage, rounds)."""
     n = inst.n
-    wrank = _ranks(inst.woman_pref)
+    wrank = inst.woman_rank
     alive = [[True] * n for _ in range(n)]  # alive[m][w]: pair not yet removed
     bound = n * n
     rounds = 0
@@ -146,8 +138,7 @@ def gale_shapley(inst: SMInstance):
 def symmetric_gs(inst: SMInstance):
     """Both sexes propose; returns (man_opt, woman_opt, rounds)."""
     n = inst.n
-    mrank = _ranks(inst.man_pref)
-    wrank = _ranks(inst.woman_pref)
+    mrank, wrank = inst.man_rank, inst.woman_rank
     alive = [[True] * n for _ in range(n)]
     bound = n * n
     rounds = 0
@@ -197,14 +188,10 @@ def _interval_rounds(inst: SMInstance, delayed: bool):
     state the pass started from.
     """
     n = inst.n
-    mrank = _ranks(inst.man_pref)
-    wrank = _ranks(inst.woman_pref)
-    # keyed 0..n-1 men then n..2n-1 women
-    pref = list(inst.man_pref) + list(inst.woman_pref)
-    rank = mrank + wrank
-
-    def other(p, q):  # rank of person q in p's list, q given as identity
-        return rank[p][q]
+    # keyed 0..n-1 men then n..2n-1 women; rank[p][q] is the rank of
+    # person q in p's list, q given as identity
+    pref = inst.man_pref + inst.woman_pref
+    rank = inst.man_rank + inst.woman_rank
 
     lo = [0] * (2 * n)
     hi = [n - 1] * (2 * n)
@@ -229,17 +216,17 @@ def _interval_rounds(inst: SMInstance, delayed: bool):
         best = [None] * (2 * n)
         for p in range(2 * n):
             q = (n + top[p]) if p < n else top[p]
-            if best[q] is None or other(q, p % n) < other(q, best[q]):
+            if best[q] is None or rank[q][p % n] < rank[q][best[q]]:
                 best[q] = p % n
         new_lo = list(lo)
         new_hi = list(hi)
         for q in range(2 * n):
             if best[q] is not None:
-                new_hi[q] = min(hi[q], other(q, best[q]))
+                new_hi[q] = min(hi[q], rank[q][best[q]])
         for p in range(2 * n):
             q = (n + top[p]) if p < n else top[p]
             if delayed:
-                reject = not (lo[q] <= other(q, p % n) <= hi[q])
+                reject = not (lo[q] <= rank[q][p % n] <= hi[q])
             else:
                 reject = best[q] != p % n
             if reject:
@@ -383,8 +370,7 @@ def subramanian_run(inst: SMInstance):
 
 def is_stable(inst: SMInstance, mar: Marriage) -> int:
     n = inst.n
-    mrank = _ranks(inst.man_pref)
-    wrank = _ranks(inst.woman_pref)
+    mrank, wrank = inst.man_rank, inst.woman_rank
     inverse = [0] * n
     for m, w in enumerate(mar.match):
         inverse[w] = m
@@ -416,8 +402,7 @@ def matrix_of_intervals(inst: SMInstance, s: IntervalState) -> MatrixPair:
     the rest of the interval, 0 past it; a woman's row swaps 0 and 1.
     """
     n = inst.n
-    mrank = _ranks(inst.man_pref)
-    wrank = _ranks(inst.woman_pref)
+    mrank, wrank = inst.man_rank, inst.woman_rank
     MM = [[0] * n for _ in range(n)]
     WW = [[0] * n for _ in range(n)]
     for m in range(n):
@@ -435,8 +420,7 @@ def matrix_of_intervals(inst: SMInstance, s: IntervalState) -> MatrixPair:
 
 def marriage_to_feasible(inst: SMInstance, mar: Marriage) -> MatrixPair:
     n = inst.n
-    mrank = _ranks(inst.man_pref)
-    wrank = _ranks(inst.woman_pref)
+    mrank, wrank = inst.man_rank, inst.woman_rank
     MM = [[0] * n for _ in range(n)]
     WW = [[0] * n for _ in range(n)]
     for m in range(n):

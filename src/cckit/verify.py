@@ -621,10 +621,15 @@ def _case_reachability(rng, i):
         if (nu[j] == 1) != (j in layered_oracle):
             bad = f"layered node {j} marker wrong"
     if bad:
-        yield bad + "\n" + serialize_digraph(g) + f"src {src}"
+        yield f"{bad} (src {src})\n" + serialize_digraph(g)
 
 
 # -- structural invariants ----------------------------------------------------
+
+def _vector_text(values) -> str:
+    """An input vector as the 0/1/* string that `cckit eval` reads."""
+    return "".join(map(str, values))  # STAR is the text "*"
+
 
 def _case_structural(rng, i):
     c = gen_circuit(rng.next64(), 8, 16, with_neg=False)
@@ -634,7 +639,7 @@ def _case_structural(rng, i):
     start = resolve_inputs(c, x)
     outputs, _ = eval(c, x)
     if sum(start) != sum(outputs):
-        yield show("popcount not conserved")
+        yield show(f"popcount not conserved (x {_vector_text(x)})")
 
     distinct = _distinct_inputs(c)
     table = lipschitz.circuit_function(distinct)
@@ -661,7 +666,10 @@ def _case_structural(rng, i):
     coarse, _ = eval_tri(c, tri_x)
     fine, _ = eval_tri(c, finer)
     if not all(refines(f, g) for f, g in zip(fine, coarse)):
-        yield show("three-valued refinement broken")
+        yield show(
+            "three-valued refinement broken"
+            f" (tri_x {_vector_text(tri_x)}, finer {_vector_text(finer)})"
+        )
 
 
 def _strict_identity():

@@ -251,8 +251,16 @@ NON_EDGE_TARGET = "GRAPH v1\nbottom 2\ntop 2\nedge 0 0\nedge 1 0\ntarget-edge 1 
         (("verify", "bogus"), "no suite named 'bogus'"),
         (("eval", fx("annotated_demo.ccv"), "--input", "1"),
          "annotation consumes input 1 but only 1 given"),
+        (("eval", fx("annotated_demo.ccv"), "--input", "1x1"),
+         "input strings use 0, 1, and *, not 'x'"),
+        (("eval", fx("annotated_demo.ccv"), "--tri", "*x1"),
+         "input strings use 0, 1, and *, not 'x'"),
+        # the length check runs before the character check
+        (("eval", fx("annotated_demo.ccv"), "--input", "1x11"),
+         "4 input values for a circuit with 3 inputs"),
     ],
-    ids=["not-square", "degree", "not-an-edge", "unknown-suite", "short-input"],
+    ids=["not-square", "degree", "not-an-edge", "unknown-suite", "short-input",
+         "bad-char", "bad-char-tri", "long-before-bad-char"],
 )
 def test_rejected_input_prints_one_pinned_error_line(capsys, tmp_path, argv, line):
     (tmp_path / "deg4.graph").write_text(DEGREE_FOUR)

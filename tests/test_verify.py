@@ -1,13 +1,21 @@
 """Generators, seed splitting, and the suite runner."""
 
 import hashlib
+import re
 
 import pytest
 
 from cckit import verify
 from cckit.circuit import STAR
+from cckit.cli import main
 from cckit.errors import BadShapeError
-from cckit.formats import serialize_circuit, serialize_sm
+from cckit.formats import (
+    parse_circuit,
+    parse_digraph,
+    serialize_circuit,
+    serialize_digraph,
+    serialize_sm,
+)
 from cckit.matching import max_degree
 from cckit.verify import (
     Report,
@@ -182,3 +190,46 @@ def test_three_degree_outputs_hold_the_bound():
         up, _ = to_all_up(inst.circuit)
         lf, _ = ccv_to_3vlfmm(CcvInstance(up))
         assert max_degree(lf.graph) <= 3
+
+
+def test_reachability_counterexample_replays(monkeypatch):
+    monkeypatch.setattr(verify, "reachable_set", lambda g, src: set())
+    rep = run_suite("reachability", 3, seed=5)
+    assert len(rep.failures) == 3
+    for _, text in rep.failures:
+        head, _, body = text.partition("\n")
+        found = re.fullmatch(r"(layered )?node \d+ (verdict|marker) wrong \(src (\d+)\)", head)
+        assert found, head
+        g = parse_digraph(body)
+        assert serialize_digraph(g) == body
+        assert 0 <= int(found.group(3)) < g.n
+
+
+def test_structural_counterexamples_name_their_vectors(monkeypatch, capsys, tmp_path):
+    real = verify.resolve_inputs
+    monkeypatch.setattr(verify, "resolve_inputs", lambda c, x: real(c, x) + (1,))
+    monkeypatch.setattr(verify, "refines", lambda fine, coarse: False)
+    rep = run_suite("structural-invariants", 4, seed=2)
+    messages = [text for _, text in rep.failures]
+    assert len(messages) == 8
+    path = tmp_path / "c.ccv"
+    for text in messages:
+        head, _, body = text.partition("\n")
+        c = parse_circuit(body)
+        path.write_text(body)
+        pop = re.fullmatch(r"popcount not conserved \(x ([01]*)\)", head)
+        tri = re.fullmatch(
+            r"three-valued refinement broken \(tri_x ([01*]*), finer ([01*]*)\)", head
+        )
+        assert pop or tri, head
+        if pop:
+            vectors = [("--input", pop.group(1))]
+        else:
+            vectors = [("--tri", tri.group(1)), ("--tri", tri.group(2))]
+            assert all(
+                a == b or a == "*" for a, b in zip(tri.group(1), tri.group(2))
+            )
+        for flag, value in vectors:
+            assert len(value) == c.num_inputs
+            assert main(["eval", str(path), flag, value]) in (0, 1)
+    capsys.readouterr()
