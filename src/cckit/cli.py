@@ -32,7 +32,6 @@ from .formats import (
 from .matching import lfm_matching, lfmm_decision, vlfmm_decision
 from .reachability import layer, reach_to_ccv
 from .reductions import (
-    CcvInstance,
     ccv_to_3lfmm,
     ccv_to_3vlfmm,
     close_circuit,
@@ -139,17 +138,17 @@ def _neg_elim(text, args):
 
 
 def _tri_lower(text, args):
-    inst, rails = tri_to_bool(*_closed_input(text, args))
+    out_c, rails = tri_to_bool(*_closed_input(text, args))
     rail_lines = [f"w{w} w{a},w{b}" for w, (a, b) in sorted(rails.items())]
-    return serialize_circuit(inst.circuit), rail_lines
+    return serialize_circuit(out_c), rail_lines
 
 
 def _ccv_to_lfmm(text, args):
-    up, wmap = to_all_up(close_circuit(*_closed_input(text, args)).circuit)
+    up, wmap = to_all_up(close_circuit(*_closed_input(text, args)))
     lower = ccv_to_3vlfmm if args.pass_name == "ccv-to-3vlfmm" else ccv_to_3lfmm
-    lf, node_map = lower(CcvInstance(up))
+    g, desig, node_map = lower(up)
     nodes = [f"n{l},{w} {i}" for (l, w), i in sorted(node_map.items())]
-    return serialize_graph(lf.graph, lf.designated), _wire_lines(wmap) + nodes
+    return serialize_graph(g, desig), _wire_lines(wmap) + nodes
 
 
 def _vlfmm_to_ccv(text, args):
@@ -157,7 +156,7 @@ def _vlfmm_to_ccv(text, args):
     if desig is None or desig[0] != "top":
         raise BadShapeError("needs a graph with a target-top designation")
     n = g.num_top
-    return serialize_circuit(vlfmm_to_ccv(g, desig[1]).circuit), (
+    return serialize_circuit(vlfmm_to_ccv(g, desig[1])), (
         [f"t{j} w{j}" for j in range(n)] + [f"v{i} w{n + i}" for i in range(g.num_bottom)])
 
 
@@ -165,7 +164,7 @@ def _lfmm_to_ccvneg(text, args):
     g, desig = parse_graph(text)
     if desig is None or desig[0] != "edge":
         raise BadShapeError("needs a graph with a target-edge designation")
-    return serialize_circuit(lfmm_to_ccvneg(g, desig[1]).circuit), None
+    return serialize_circuit(lfmm_to_ccvneg(g, desig[1])), None
 
 
 def _lfmm3_to_sm(text, args):
@@ -178,7 +177,7 @@ def _optimal_pair(text, args):
     if args.pair is None:
         raise BadShapeError("needs --pair M W")
     build = mosm_to_ccv if args.pass_name == "mosm-to-ccv" else wosm_to_ccv
-    return serialize_circuit(build(inst, tuple(args.pair)).circuit), None
+    return serialize_circuit(build(inst, tuple(args.pair))), None
 
 
 def _reach_to_ccv(text, args):
@@ -241,7 +240,7 @@ def cmd_reduce(args) -> int:
 
 def cmd_lfmm(args) -> int:
     g, desig = parse_graph(_read(args.file))
-    for i, j in sorted(lfm_matching(g).pairs):
+    for i, j in sorted(lfm_matching(g)):
         print(f"v{i} w{j}")
     if desig is None:
         return 0

@@ -38,22 +38,8 @@ class BipartiteGraph:
         object.__setattr__(self, "by_top", tuple(map(tuple, by_top)))
 
 
-@dataclass(frozen=True)
-class MatchingB:
-    pairs: frozenset
-
-    def __post_init__(self):
-        object.__setattr__(self, "pairs", frozenset(self.pairs))
-        bottoms = [i for (i, _) in self.pairs]
-        tops = [j for (_, j) in self.pairs]
-        if len(set(bottoms)) != len(bottoms) or len(set(tops)) != len(tops):
-            raise BadShapeError("a vertex is matched twice")
-
-    def covers_top(self, j: int) -> bool:
-        return any(t == j for (_, t) in self.pairs)
-
-
-def lfm_matching(g: BipartiteGraph) -> MatchingB:
+def lfm_matching(g: BipartiteGraph) -> frozenset:
+    """The greedy matching as a frozenset of (bottom, top) pairs."""
     taken = [False] * g.num_top
     pairs = []
     for i, tops in enumerate(g.by_bottom):
@@ -62,7 +48,7 @@ def lfm_matching(g: BipartiteGraph) -> MatchingB:
                 taken[j] = True
                 pairs.append((i, j))
                 break
-    return MatchingB(frozenset(pairs))
+    return frozenset(pairs)
 
 
 def lfmm_decision(g: BipartiteGraph, e: tuple) -> int:
@@ -70,14 +56,14 @@ def lfmm_decision(g: BipartiteGraph, e: tuple) -> int:
     i, j = e
     if not (0 <= i < g.num_bottom and 0 <= j < g.num_top):
         raise IndexOutOfRangeError(f"edge ({i}, {j}) out of range")
-    return 1 if (i, j) in lfm_matching(g).pairs else 0
+    return 1 if (i, j) in lfm_matching(g) else 0
 
 
 def vlfmm_decision(g: BipartiteGraph, w: int) -> int:
     """1 iff top vertex ``w`` is covered by the greedy matching."""
     if not (0 <= w < g.num_top):
         raise IndexOutOfRangeError(f"top {w} out of range")
-    return 1 if lfm_matching(g).covers_top(w) else 0
+    return 1 if any(t == w for _, t in lfm_matching(g)) else 0
 
 
 def max_degree(g: BipartiteGraph) -> int:

@@ -1,14 +1,17 @@
 """Lowering passes between circuit-value, greedy-matching, and
 stable-marriage instances.
 
-Every pass returns a target instance whose natural decision equals the
-source decision, plus whatever correspondence data is needed to read
-other answers back out (wire maps, node maps, rail maps).
+An instance is a plain value: a circuit-value instance is a ``Circuit``
+whose annotations are all constants, a matching instance a
+``BipartiteGraph`` with a designation (``("top", t)`` or
+``("edge", (b, t))``).  Every pass returns a target instance whose
+natural decision equals the source decision, plus whatever
+correspondence data is needed to read other answers back out (wire
+maps, node maps, rail maps).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .circuit import (
@@ -19,14 +22,12 @@ from .circuit import (
     Input,
     NegInput,
     Negation,
-    eval,
     eval_tri,
     mirror,
     normalize_down,
     resolve_inputs,
 )
 from .errors import (
-    BadShapeError,
     IndexOutOfRangeError,
     NegationNotSupportedError,
     PreconditionViolatedError,
@@ -35,52 +36,10 @@ from .matching import BipartiteGraph, max_degree
 from .stable_marriage import SMInstance
 
 
-@dataclass(frozen=True)
-class CcvInstance:
-    """A circuit whose every annotation is a constant: nothing left to feed."""
-
-    circuit: Circuit
-
-    def __post_init__(self):
-        for a in self.circuit.annotations:
-            if not isinstance(a, Const):
-                raise BadShapeError("instance circuits take no free inputs")
-
-    def answer(self, allow_negations: bool = False) -> int:
-        _, ans = eval(self.circuit, (), allow_negations=allow_negations)
-        return ans
-
-
-def close_circuit(c: Circuit, x) -> CcvInstance:
+def close_circuit(c: Circuit, x) -> Circuit:
     """Bake an input vector into constant annotations."""
     vals = resolve_inputs(c, x)
-    return CcvInstance(
-        Circuit(c.num_wires, tuple(Const(v) for v in vals), c.gates, c.output_wire)
-    )
-
-
-@dataclass(frozen=True)
-class LfmmInstance:
-    """Bipartite graph with a designated edge or top vertex.
-
-    ``designated`` is ("edge", (bottom, top)) or ("top", top).
-    """
-
-    graph: BipartiteGraph
-    designated: tuple
-
-    def __post_init__(self):
-        kind = self.designated[0]
-        if kind == "edge":
-            i, j = self.designated[1]
-            ok = 0 <= i < self.graph.num_bottom and 0 <= j < self.graph.num_top
-        elif kind == "top":
-            j = self.designated[1]
-            ok = 0 <= j < self.graph.num_top
-        else:
-            raise BadShapeError(f"designation kind {kind!r}")
-        if not ok:
-            raise IndexOutOfRangeError(f"designation {self.designated} out of range")
+    return Circuit(c.num_wires, tuple(Const(v) for v in vals), c.gates, c.output_wire)
 
 
 def to_all_up(c: Circuit):
@@ -92,9 +51,8 @@ def to_all_up(c: Circuit):
     return up, {w: m - 1 - down_map[w] for w in down_map}
 
 
-def _layer_edges(inst: CcvInstance):
+def _layer_edges(c: Circuit):
     """Edges of ccv_to_3vlfmm's graph, its node_map and its target top."""
-    c = inst.circuit
     if c.has_negations:
         raise NegationNotSupportedError("lower negations first")
     if not c.is_all_up:
@@ -128,19 +86,18 @@ def _layer_edges(inst: CcvInstance):
     return edges, node_map, nid(len(c.gates), c.output_wire)
 
 
-def ccv_to_3vlfmm(inst: CcvInstance):
+def ccv_to_3vlfmm(c: Circuit):
     """Gate-by-gate lowering of an all-up circuit to degree-3 greedy matching.
 
     Both vertex sides carry one node per (layer, wire), id layer*m + wire,
     layer 0 holding the inputs and layer l the state after l gates.  A top
     node ends up covered by the greedy matching exactly when its wire
-    carries 1 at its layer.  Returns (instance, node_map) with node_map
-    keyed by (layer, wire).
+    carries 1 at its layer.  Returns (graph, ("top", target), node_map)
+    with node_map keyed by (layer, wire).
     """
-    edges, node_map, target = _layer_edges(inst)
+    edges, node_map, target = _layer_edges(c)
     count = len(node_map)
-    graph = BipartiteGraph(count, count, frozenset(edges))
-    return LfmmInstance(graph, ("top", target)), node_map
+    return BipartiteGraph(count, count, frozenset(edges)), ("top", target), node_map
 
 
 def _greedy_gates(g: BipartiteGraph, offset: int = 0, skip=None) -> list:
@@ -156,7 +113,7 @@ def _greedy_gates(g: BipartiteGraph, offset: int = 0, skip=None) -> list:
     ]
 
 
-def vlfmm_to_ccv(g: BipartiteGraph, target_top: int, pad_dummies: bool = False) -> CcvInstance:
+def vlfmm_to_ccv(g: BipartiteGraph, target_top: int, pad_dummies: bool = False) -> Circuit:
     """Simulate greedy matching by wires: tops start 0, bottoms start 1.
 
     Processing a bottom against its tops in order moves the bottom's 1 to
@@ -176,21 +133,20 @@ def vlfmm_to_ccv(g: BipartiteGraph, target_top: int, pad_dummies: bool = False) 
         ]
     else:
         gates = _greedy_gates(g)
-    return CcvInstance(Circuit(T + B, tuple(anns), tuple(gates), target_top))
+    return Circuit(T + B, tuple(anns), tuple(gates), target_top)
 
 
-def ccv_to_3lfmm(inst: CcvInstance):
+def ccv_to_3lfmm(c: Circuit):
     """Edge-designated variant: one extra top/bottom pair turns top
     coverage into edge membership.  Same preconditions and node_map as
-    ccv_to_3vlfmm.  Returns (instance, node_map)."""
-    edges, node_map, old_target = _layer_edges(inst)
+    ccv_to_3vlfmm.  Returns (graph, ("edge", (w, w)), node_map)."""
+    edges, node_map, old_target = _layer_edges(c)
     w = len(node_map)  # id of both the new bottom and the new top
     # bottom w prefers the old target; it settles for top w exactly when
     # the old target was already matched, so the designated edge tracks
     # coverage.
     edges += [(w, old_target), (w, w)]
-    bigger = BipartiteGraph(w + 1, w + 1, frozenset(edges))
-    return LfmmInstance(bigger, ("edge", (w, w))), node_map
+    return BipartiteGraph(w + 1, w + 1, frozenset(edges)), ("edge", (w, w)), node_map
 
 
 def _rail_gates(g, t):
@@ -225,13 +181,7 @@ def double_rail(c: Circuit):
     return out, {w: 2 * w for w in range(m)}
 
 
-def ccvneg_to_ccv(inst: CcvInstance):
-    """Remove negation gates via double-rail simulation."""
-    circuit, wire_map = double_rail(inst.circuit)
-    return CcvInstance(circuit), wire_map
-
-
-def lfmm_to_ccvneg(g: BipartiteGraph, edge: tuple) -> CcvInstance:
+def lfmm_to_ccvneg(g: BipartiteGraph, edge: tuple) -> Circuit:
     """Edge membership via two coverage runs and one negation.
 
     The graph is truncated to bottoms up to y and tops up to c, which
@@ -256,7 +206,7 @@ def lfmm_to_ccvneg(g: BipartiteGraph, edge: tuple) -> CcvInstance:
     c_primed = half + cc
     gates.append(Negation(c_primed))
     gates.append(Comparator(c_full, c_primed))
-    return CcvInstance(Circuit(2 * half, tuple(anns), tuple(gates), c_full))
+    return Circuit(2 * half, tuple(anns), tuple(gates), c_full)
 
 
 def tri_to_bool(c: Circuit, x):
@@ -266,7 +216,7 @@ def tri_to_bool(c: Circuit, x):
     (0,1) and 1 as (1,1); a comparator acts railwise and the rail order
     never breaks.  Inputs are resolved against ``x`` so the result is a
     closed instance; a final comparator lands rail1 AND rail2 of the
-    designated pair on the designated wire.  Returns (instance, rail_map).
+    designated pair on the designated wire.  Returns (circuit, rail_map).
     """
     if c.has_negations:
         raise NegationNotSupportedError("three-valued circuits are negation-free")
@@ -288,7 +238,7 @@ def tri_to_bool(c: Circuit, x):
     gates.append(Comparator(2 * d, 2 * d + 1))
     circuit = Circuit(2 * c.num_wires, tuple(anns), tuple(gates), 2 * d)
     rail_map = {w: (2 * w, 2 * w + 1) for w in range(c.num_wires)}
-    return CcvInstance(circuit), rail_map
+    return circuit, rail_map
 
 
 def lfmm3_to_sm(g: BipartiteGraph, n: int) -> SMInstance:
@@ -381,7 +331,7 @@ def _sm_rail_prefix(inst: SMInstance):
     name wires of the circuit before double-railing."""
     tri_c, cell_map = sm_to_tri_circuit(inst)
     closed, rail_map = tri_to_bool(tri_c, (STAR,) * tri_c.num_inputs)
-    railed, _ = double_rail(closed.circuit)
+    railed, _ = double_rail(closed)
     return railed, cell_map, rail_map
 
 
@@ -415,12 +365,10 @@ def _optimal_pair_circuit(inst, pair, side):
         answer_wire = beta
     t = base.num_wires - 1
     tail = tuple(r for g in gates for r in _rail_gates(g, t))
-    return CcvInstance(
-        Circuit(base.num_wires, base.annotations, base.gates + tail, 2 * answer_wire)
-    )
+    return Circuit(base.num_wires, base.annotations, base.gates + tail, 2 * answer_wire)
 
 
-def mosm_to_ccv(inst: SMInstance, pair: tuple) -> CcvInstance:
+def mosm_to_ccv(inst: SMInstance, pair: tuple) -> Circuit:
     """Circuit answering whether ``pair`` is in the man-optimal marriage.
 
     A man's partner is the last woman whose MM cell settles at 1, so the
@@ -430,7 +378,7 @@ def mosm_to_ccv(inst: SMInstance, pair: tuple) -> CcvInstance:
     return _optimal_pair_circuit(inst, pair, "m")
 
 
-def wosm_to_ccv(inst: SMInstance, pair: tuple) -> CcvInstance:
+def wosm_to_ccv(inst: SMInstance, pair: tuple) -> Circuit:
     """Same for the woman-optimal marriage via the WW rails.
 
     A woman's partner is the last man whose WW cell settles at 0; rail2

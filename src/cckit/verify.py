@@ -50,11 +50,10 @@ from .formats import (
 from .matching import BipartiteGraph, lfm_matching, lfmm_decision, max_degree, vlfmm_decision
 from .reachability import Digraph, layer, reach_to_ccv, reachable_set
 from .reductions import (
-    CcvInstance,
     ccv_to_3lfmm,
     ccv_to_3vlfmm,
-    ccvneg_to_ccv,
     close_circuit,
+    double_rail,
     lfmm_to_ccvneg,
     mosm_to_ccv,
     to_all_up,
@@ -258,14 +257,14 @@ def _load(name: str):
 
 
 def _negation_lowered(c):
-    lowered, _ = ccvneg_to_ccv(CcvInstance(c))
-    return eval(c, (), allow_negations=True)[0], eval(lowered.circuit, ())[:2]
+    lowered, _ = double_rail(c)
+    return eval(c, (), allow_negations=True)[0], eval(lowered, ())[:2]
 
 
 def _layer_statuses(c):
-    lf, node_map = ccv_to_3vlfmm(CcvInstance(c))
+    g, _, node_map = ccv_to_3vlfmm(c)
     return tuple(
-        vlfmm_decision(lf.graph, node_map[(len(c.gates), w)]) for w in range(c.num_wires)
+        vlfmm_decision(g, node_map[(len(c.gates), w)]) for w in range(c.num_wires)
     )
 
 
@@ -273,17 +272,17 @@ def _layer_statuses(c):
 _GOLDEN = (
     ("annotated_demo.ccv", lambda c: eval(c, (1, 1, 1))[:2], ((0, 1, 1, 0, 1, 0), 0)),
     ("greedy_demo.graph",
-     lambda gd: (lfm_matching(gd[0]).pairs, lfmm_decision(gd[0], (3, 1)),
+     lambda gd: (lfm_matching(gd[0]), lfmm_decision(gd[0], (3, 1)),
                  lfmm_decision(gd[0], (1, 0)), vlfmm_decision(gd[0], 2)),
      (frozenset({(0, 0), (2, 2), (3, 1)}), 1, 0, 1)),
     ("const_demo.ccv", lambda c: (eval(c, ())[0], eval(dual(c), ())[0]),
      ((1, 1, 0), (0, 0, 1))),
     # tops (1, 1, 1, 0), then bottoms (0, 0, 0)
-    ("cover_demo.graph", lambda gd: eval(vlfmm_to_ccv(gd[0], 0).circuit, ())[0],
+    ("cover_demo.graph", lambda gd: eval(vlfmm_to_ccv(gd[0], 0), ())[0],
      (1, 1, 1, 0, 0, 0, 0)),
     ("negation_demo.ccv", _negation_lowered, ((1, 1, 1), ((1, 0, 1, 0, 1, 0, 0), 1))),
     ("edge_decision_demo.graph",
-     lambda gd: eval(lfmm_to_ccvneg(gd[0], gd[1][1]).circuit, (), allow_negations=True)[:2],
+     lambda gd: eval(lfmm_to_ccvneg(gd[0], gd[1][1]), (), allow_negations=True)[:2],
      ((1, 0, 1, 0, 0, 1, 0, 1, 0, 1), 1)),
     # reachable set, then iotas 0 and nus 1, unpadded and padded
     ("reach_demo.digraph",
@@ -344,8 +343,8 @@ _RAIL_DECODE = {(0, 0): 0, (0, 1): STAR, (1, 1): 1}
 def _tri_row(p, q):
     table = Circuit(2, (Input(0), Input(1)), (Comparator(0, 1),), 0)
     want, _ = eval_tri(table, (p, q))
-    inst, rail_map = tri_to_bool(table, (p, q))
-    outputs, _ = eval(inst.circuit, ())
+    lowered, rail_map = tri_to_bool(table, (p, q))
+    outputs, _ = eval(lowered, ())
     got = tuple(
         _RAIL_DECODE.get((outputs[a], outputs[b]))
         for (a, b) in (rail_map[w] for w in range(2))
@@ -361,9 +360,9 @@ def _case_tri(rng, i):
     c = gen_circuit(rng.next64(), 5, 12, with_neg=False)
     x = [rng.choice((0, STAR, 1)) for _ in range(c.num_inputs)]
     want_outputs, want_answer = eval_tri(c, x)
-    inst, rail_map = tri_to_bool(c, x)
+    lowered, rail_map = tri_to_bool(c, x)
     snaps = []
-    outputs, answer = eval(inst.circuit, (), on_step=snaps.append)
+    outputs, answer = eval(lowered, (), on_step=snaps.append)
     bad = None
     # rail order is restored after each complete two-gate pair (and
     # after the collector), not in between the pair's halves
@@ -425,30 +424,29 @@ def _case_reductions(rng, i):
 
     # circuit value to coverage and to edge membership
     closed = close_circuit(c, rng.bits(k))
-    expected = closed.answer()
+    _, expected = eval(closed, ())
     if _flip_expected and i == 0:
         expected ^= 1
-    up, _ = to_all_up(closed.circuit)
-    up_inst = CcvInstance(up)
-    lf, node_map = ccv_to_3vlfmm(up_inst)
-    if max_degree(lf.graph) > 3:
+    up, _ = to_all_up(closed)
+    cover, (_, top), _ = ccv_to_3vlfmm(up)
+    if max_degree(cover) > 3:
         yield "ccv_to_3vlfmm degree exceeds 3"
-    if vlfmm_decision(lf.graph, lf.designated[1]) != expected:
-        yield "coverage lowering wrong:\n" + serialize_circuit(closed.circuit)
-    lf2, _ = ccv_to_3lfmm(up_inst)
-    if max_degree(lf2.graph) > 3:
+    if vlfmm_decision(cover, top) != expected:
+        yield "coverage lowering wrong:\n" + serialize_circuit(closed)
+    member, (_, edge), _ = ccv_to_3lfmm(up)
+    if max_degree(member) > 3:
         yield "ccv_to_3lfmm degree exceeds 3"
-    if lfmm_decision(lf2.graph, lf2.designated[1]) != expected:
-        yield "edge lowering wrong:\n" + serialize_circuit(closed.circuit)
+    if lfmm_decision(member, edge) != expected:
+        yield "edge lowering wrong:\n" + serialize_circuit(closed)
 
     # coverage back to a circuit, for every top, padded and not
     g = gen_bipartite(rng.next64(), 6, 6, 0.15 + 0.1 * rng.below(4))
-    covered = {j for _, j in lfm_matching(g).pairs}
+    covered = {j for _, j in lfm_matching(g)}
     for t in range(g.num_top):
         want = 1 if t in covered else 0
-        if vlfmm_to_ccv(g, t).answer() != want:
+        if eval(vlfmm_to_ccv(g, t), ())[1] != want:
             yield "vlfmm_to_ccv wrong:\n" + serialize_graph(g, ("top", t))
-        if vlfmm_to_ccv(g, t, pad_dummies=True).answer() != want:
+        if eval(vlfmm_to_ccv(g, t, pad_dummies=True), ())[1] != want:
             yield "padded vlfmm_to_ccv wrong:\n" + serialize_graph(g, ("top", t))
 
     # edge membership to a negation circuit
@@ -456,27 +454,26 @@ def _case_reductions(rng, i):
     if not g.edges:
         g = BipartiteGraph(g.num_bottom, g.num_top, frozenset(edges))
     e = edges[rng.below(len(edges))]
-    neg_inst = lfmm_to_ccvneg(g, e)
-    if neg_inst.answer(allow_negations=True) != lfmm_decision(g, e):
+    if eval(lfmm_to_ccvneg(g, e), (), allow_negations=True)[1] != lfmm_decision(g, e):
         yield "lfmm_to_ccvneg wrong:\n" + serialize_graph(g, ("edge", e))
 
     # negation removal, with the complement invariant along the way
     cn = gen_circuit(rng.next64(), 5, 10, with_neg=True)
     closed_n = close_circuit(cn, rng.bits(cn.num_inputs))
-    plain, wmap = ccvneg_to_ccv(closed_n)
-    want = closed_n.answer(allow_negations=True)
+    plain, _ = double_rail(closed_n)
+    _, want = eval(closed_n, (), allow_negations=True)
     snaps = []
-    outputs, got = eval(plain.circuit, (), on_step=snaps.append)
+    _, got = eval(plain, (), on_step=snaps.append)
     if got != want:
-        yield "ccvneg_to_ccv wrong:\n" + serialize_circuit(closed_n.circuit)
-    t_wire = 2 * closed_n.circuit.num_wires
-    for b in _rail_boundaries(closed_n.circuit):
+        yield "double_rail wrong:\n" + serialize_circuit(closed_n)
+    t_wire = 2 * closed_n.num_wires
+    for b in _rail_boundaries(closed_n):
         snap = snaps[b]
         if snap[t_wire] != 0 or any(
             snap[2 * w] == snap[2 * w + 1]
-            for w in range(closed_n.circuit.num_wires)
+            for w in range(closed_n.num_wires)
         ):
-            yield "double-rail invariant broken:\n" + serialize_circuit(closed_n.circuit)
+            yield "double-rail invariant broken:\n" + serialize_circuit(closed_n)
             break
 
 
@@ -592,8 +589,8 @@ def _case_sm_to_ccv(rng, i):
         for w in range(n):
             want_m = 1 if man_opt.match[m] == w else 0
             want_w = 1 if woman_match[m] == w else 0
-            got_m = mosm_to_ccv(inst, (m, w)).answer()
-            got_w = wosm_to_ccv(inst, (m, w)).answer()
+            _, got_m = eval(mosm_to_ccv(inst, (m, w)), ())
+            _, got_w = eval(wosm_to_ccv(inst, (m, w)), ())
             if got_m != want_m:
                 bad = f"man-optimal pair ({m},{w}): {got_m} != {want_m}"
             if got_w != want_w:

@@ -5,12 +5,12 @@ import pytest
 from cckit.errors import BadShapeError, IndexOutOfRangeError
 from cckit.matching import (
     BipartiteGraph,
-    MatchingB,
     lfm_matching,
     lfmm_decision,
     max_degree,
     vlfmm_decision,
 )
+from cckit.verify import gen_bipartite, split
 
 
 def g_of(b, t, *edges):
@@ -20,18 +20,17 @@ def g_of(b, t, *edges):
 def test_greedy_takes_least_available_top():
     # bottom 0 takes top 1, bottom 1 is then blocked, bottom 2 takes top 0
     g = g_of(3, 3, (0, 1), (0, 2), (1, 1), (2, 0), (2, 2))
-    assert lfm_matching(g).pairs == frozenset({(0, 1), (2, 0)})
+    assert lfm_matching(g) == frozenset({(0, 1), (2, 0)})
 
 
 def test_greedy_is_maximal():
     g = g_of(4, 4, *[(i, j) for i in range(4) for j in range(4)])
-    m = lfm_matching(g)
-    assert m.pairs == frozenset({(0, 0), (1, 1), (2, 2), (3, 3)})
+    assert lfm_matching(g) == frozenset({(0, 0), (1, 1), (2, 2), (3, 3)})
 
 
 def test_empty_graph():
     g = g_of(2, 2)
-    assert lfm_matching(g).pairs == frozenset()
+    assert lfm_matching(g) == frozenset()
     assert vlfmm_decision(g, 0) == 0
 
 
@@ -50,6 +49,9 @@ def test_vertex_decision():
     assert vlfmm_decision(g, 0) == 0
     with pytest.raises(IndexOutOfRangeError):
         vlfmm_decision(g, 3)
+    # the matching {(0, 1), (2, 0)} covers top 0 and leaves top 2 free
+    g = g_of(3, 3, (0, 1), (0, 2), (1, 1), (2, 0), (2, 2))
+    assert [vlfmm_decision(g, t) for t in range(3)] == [1, 1, 0]
 
 
 def test_degree():
@@ -64,7 +66,7 @@ def test_graph_validation():
     with pytest.raises(BadShapeError):
         BipartiteGraph(-1, 1, frozenset())
     # empty sides are legal, the matching is just empty
-    assert lfm_matching(BipartiteGraph(0, 3, frozenset())).pairs == frozenset()
+    assert lfm_matching(BipartiteGraph(0, 3, frozenset())) == frozenset()
 
 
 def test_adjacency_is_ascending_per_vertex():
@@ -86,6 +88,19 @@ def test_graphs_with_the_same_edges_are_equal():
     assert "by_bottom" not in repr(a) and "by_top" not in repr(a)
 
 
-def test_matching_accessors():
-    m = MatchingB(frozenset({(0, 1), (2, 0)}))
-    assert m.covers_top(0) and not m.covers_top(2)
+def test_greedy_matching_against_an_oracle():
+    # read off the edge set, not the adjacency that lfm_matching scans
+    for i in range(200):
+        g = gen_bipartite(split(13, i), 6, 6, 0.1 + 0.1 * (i % 6))
+        pairs = lfm_matching(g)
+        assert pairs <= g.edges
+        bottoms = [b for b, _ in pairs]
+        tops = [t for _, t in pairs]
+        # no vertex is matched twice
+        assert len(set(bottoms)) == len(bottoms) and len(set(tops)) == len(tops)
+        # maximal: no edge has both ends free
+        assert not any(b not in bottoms and t not in tops for b, t in g.edges)
+        # each matched bottom holds its least top that no earlier bottom took
+        owner = {t: b for b, t in pairs}
+        for b, t in pairs:
+            assert t == min(u for v, u in g.edges if v == b and owner.get(u, b) >= b)

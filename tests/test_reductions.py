@@ -23,10 +23,9 @@ from cckit.errors import (
 from cckit.formats import serialize_circuit
 from cckit.matching import BipartiteGraph, lfm_matching, lfmm_decision, max_degree, vlfmm_decision
 from cckit.reductions import (
-    CcvInstance,
     ccv_to_3lfmm,
     ccv_to_3vlfmm,
-    ccvneg_to_ccv,
+    close_circuit,
     double_rail,
     lfmm3_to_sm,
     lfmm_to_ccvneg,
@@ -38,46 +37,47 @@ from cckit.reductions import (
     wosm_to_ccv,
 )
 from cckit.stable_marriage import SMInstance, all_stable_marriages, gale_shapley
-from cckit.verify import close_circuit, gen_circuit, gen_sm, SplitMix
+from cckit.verify import gen_circuit, gen_sm, SplitMix
 
 
 def closed(m, consts, gates, out):
-    return CcvInstance(
-        Circuit(m, tuple(Const(v) for v in consts), tuple(gates), out)
-    )
+    return Circuit(m, tuple(Const(v) for v in consts), tuple(gates), out)
 
 
-def test_instance_rejects_free_inputs():
-    with pytest.raises(BadShapeError):
-        CcvInstance(Circuit(1, (Input(0),), (), 0))
+def test_open_circuits_are_rejected_where_they_are_read():
+    # an all-up, negation-free circuit with one free input
+    c = Circuit(2, (Input(0), Const(1)), (Comparator(1, 0),), 0)
+    for read in (ccv_to_3vlfmm, ccv_to_3lfmm, lambda c: eval(c, ())):
+        with pytest.raises(BadShapeError, match="consumes input 0 but only 0 given"):
+            read(c)
 
 
 def test_to_all_up_keeps_values():
-    inst = closed(3, (1, 0, 1), [Comparator(0, 1), Comparator(2, 0)], 1)
-    up, wmap = to_all_up(inst.circuit)
+    c = closed(3, (1, 0, 1), [Comparator(0, 1), Comparator(2, 0)], 1)
+    up, wmap = to_all_up(c)
     assert up.is_all_up
-    base = eval(inst.circuit, ())[0]
+    base = eval(c, ())[0]
     moved = eval(up, ())[0]
     assert all(base[w] == moved[wmap[w]] for w in range(3))
     assert up.output_wire == wmap[1]
 
 
 def test_coverage_lowering_tracks_every_layer():
-    inst = closed(2, (1, 1), [Comparator(1, 0)], 0)
-    lf, node_map = ccv_to_3vlfmm(inst)
-    assert lf.designated == ("top", node_map[(1, 0)])
-    assert max_degree(lf.graph) <= 3
+    c = closed(2, (1, 1), [Comparator(1, 0)], 0)
+    g, desig, node_map = ccv_to_3vlfmm(c)
+    assert desig == ("top", node_map[(1, 0)])
+    assert max_degree(g) <= 3
     # wire values after the gate are (1, 1); layer-0 tops are both taken
     for layer in (0, 1):
         for w in (0, 1):
-            assert vlfmm_decision(lf.graph, node_map[(layer, w)]) == 1
+            assert vlfmm_decision(g, node_map[(layer, w)]) == 1
 
 
 def test_coverage_lowering_requires_all_up():
-    inst = closed(2, (1, 1), [Comparator(0, 1)], 0)
+    c = closed(2, (1, 1), [Comparator(0, 1)], 0)
     with pytest.raises(PreconditionViolatedError, match="apply to_all_up first"):
-        ccv_to_3vlfmm(inst)
-    negs = CcvInstance(Circuit(1, (Const(1),), (Negation(0),), 0))
+        ccv_to_3vlfmm(c)
+    negs = Circuit(1, (Const(1),), (Negation(0),), 0)
     with pytest.raises(NegationNotSupportedError):
         ccv_to_3vlfmm(negs)
 
@@ -90,38 +90,38 @@ def test_within_layer_bottom_order_matters():
     its wire carries 1.  The construction relies on all-up gate shape to
     put the max-side node first; this pins the requirement down.
     """
-    inst = closed(2, (1, 1), [Comparator(1, 0)], 0)
-    lf, node_map = ccv_to_3vlfmm(inst)
-    good = {node_map[(1, w)]: vlfmm_decision(lf.graph, node_map[(1, w)]) for w in (0, 1)}
+    c = closed(2, (1, 1), [Comparator(1, 0)], 0)
+    g, _, node_map = ccv_to_3vlfmm(c)
+    good = {node_map[(1, w)]: vlfmm_decision(g, node_map[(1, w)]) for w in (0, 1)}
     assert good == {2: 1, 3: 1}
 
     # same edge structure with bottoms 2 and 3 exchanged
     swapped = []
-    for (b, t) in lf.graph.edges:
+    for (b, t) in g.edges:
         b2 = {2: 3, 3: 2}.get(b, b)
         swapped.append((b2, t))
-    bad_graph = BipartiteGraph(lf.graph.num_bottom, lf.graph.num_top, frozenset(swapped))
+    bad_graph = BipartiteGraph(g.num_bottom, g.num_top, frozenset(swapped))
     assert vlfmm_decision(bad_graph, 3) == 0
 
 
 def test_edge_lowering_appends_one_pair():
-    inst = closed(2, (1, 1), [Comparator(1, 0)], 0)
-    cov, cov_map = ccv_to_3vlfmm(inst)
-    edge, edge_map = ccv_to_3lfmm(inst)
-    assert edge.graph.num_top == cov.graph.num_top + 1
-    assert edge.graph.num_bottom == cov.graph.num_bottom + 1
-    assert max_degree(edge.graph) <= 3
-    assert lfmm_decision(edge.graph, edge.designated[1]) == inst.answer()
+    c = closed(2, (1, 1), [Comparator(1, 0)], 0)
+    cov, _, cov_map = ccv_to_3vlfmm(c)
+    edge, desig, edge_map = ccv_to_3lfmm(c)
+    assert edge.num_top == cov.num_top + 1
+    assert edge.num_bottom == cov.num_bottom + 1
+    assert max_degree(edge) <= 3
+    assert desig == ("edge", (cov.num_top, cov.num_top))
+    assert lfmm_decision(edge, desig[1]) == eval(c, ())[1]
 
 
 def test_cover_to_circuit_exact():
     g = BipartiteGraph(2, 2, frozenset({(0, 0), (0, 1), (1, 0)}))
     for t in range(2):
-        inst = vlfmm_to_ccv(g, t)
-        assert inst.answer() == vlfmm_decision(g, t)
+        assert eval(vlfmm_to_ccv(g, t), ())[1] == vlfmm_decision(g, t)
     padded = vlfmm_to_ccv(g, 0, pad_dummies=True)
-    assert len(padded.circuit.gates) == 4
-    assert padded.answer() == vlfmm_decision(g, 0)
+    assert len(padded.gates) == 4
+    assert eval(padded, ())[1] == vlfmm_decision(g, 0)
 
 
 def test_cover_to_circuit_gate_order():
@@ -129,11 +129,11 @@ def test_cover_to_circuit_gate_order():
     # dummy on the bottom's own wire for every non-edge
     g = BipartiteGraph(2, 2, frozenset({(1, 0), (0, 1), (0, 0)}))
     C = Comparator
-    c = vlfmm_to_ccv(g, 1).circuit
+    c = vlfmm_to_ccv(g, 1)
     assert c.num_wires == 4 and c.output_wire == 1
     assert c.annotations == (Const(0), Const(0), Const(1), Const(1))
     assert c.gates == (C(2, 0), C(2, 1), C(3, 0))
-    padded = vlfmm_to_ccv(g, 0, pad_dummies=True).circuit
+    padded = vlfmm_to_ccv(g, 0, pad_dummies=True)
     assert padded.gates == (C(2, 0), C(2, 1), C(3, 0), C(3, 3))
 
 
@@ -150,7 +150,7 @@ def test_edge_to_negation_gate_order():
                       C(8, 5), C(8, 6), C(9, 5), N(7), C(2, 7))),
     }
     for (i, j), (wires, gates) in want.items():
-        c = lfmm_to_ccvneg(g, (i, j)).circuit
+        c = lfmm_to_ccvneg(g, (i, j))
         assert (c.num_wires, c.output_wire, c.gates) == (wires, j, gates)
         assert c.annotations == ((Const(0),) * (j + 1) + (Const(1),) * (i + 1)) * 2
 
@@ -158,8 +158,8 @@ def test_edge_to_negation_gate_order():
 def test_edge_to_negation_circuit():
     g = BipartiteGraph(2, 3, frozenset({(0, 0), (0, 1), (1, 0), (1, 2)}))
     for e in sorted(g.edges):
-        inst = lfmm_to_ccvneg(g, e)
-        assert inst.answer(allow_negations=True) == lfmm_decision(g, e)
+        c = lfmm_to_ccvneg(g, e)
+        assert eval(c, (), allow_negations=True)[1] == lfmm_decision(g, e)
     with pytest.raises(PreconditionViolatedError, match=r"\(0, 2\) is not an edge"):
         lfmm_to_ccvneg(g, (0, 2))
 
@@ -168,15 +168,15 @@ def test_double_rail_keeps_answer_and_complements():
     rng = SplitMix(2024)
     for _ in range(40):
         c = gen_circuit(rng.next64(), 5, 10, with_neg=True)
-        inst = close_circuit(c, rng.bits(c.num_inputs))
-        want = inst.answer(allow_negations=True)
-        plain, wmap = ccvneg_to_ccv(inst)
-        assert not plain.circuit.has_negations
-        assert plain.answer() == want
-        outputs = eval(plain.circuit, ())[0]
-        for w in range(inst.circuit.num_wires):
+        shut = close_circuit(c, rng.bits(c.num_inputs))
+        want = eval(shut, (), allow_negations=True)[1]
+        plain, wmap = double_rail(shut)
+        assert not plain.has_negations
+        outputs, answer = eval(plain, ())
+        assert answer == want
+        for w in range(shut.num_wires):
             assert outputs[wmap[w]] + outputs[wmap[w] + 1] == 1
-        assert outputs[2 * inst.circuit.num_wires] == 0
+        assert outputs[2 * shut.num_wires] == 0
 
 
 def test_double_rail_gate_list():
@@ -201,8 +201,8 @@ def test_tri_lowering_gate_table():
     for p in (0, STAR, 1):
         for q in (0, STAR, 1):
             want = eval_tri(c, (p, q))[0]
-            inst, rails = tri_to_bool(c, (p, q))
-            outs = eval(inst.circuit, ())[0]
+            lowered, rails = tri_to_bool(c, (p, q))
+            outs = eval(lowered, ())[0]
             got = tuple(decode[(outs[a], outs[b])] for (a, b) in (rails[0], rails[1]))
             assert got == want
 
@@ -210,8 +210,8 @@ def test_tri_lowering_gate_table():
 def test_tri_lowering_answer_is_definite_one():
     c = Circuit(1, (Input(0),), (), 0)
     for v, expect in ((0, 0), (STAR, 0), (1, 1)):
-        inst, _ = tri_to_bool(c, (v,))
-        assert inst.answer() == expect
+        lowered, _ = tri_to_bool(c, (v,))
+        assert eval(lowered, ())[1] == expect
 
 
 def test_tri_lowering_rejects_negations():
@@ -228,7 +228,7 @@ def test_square_matching_to_marriage():
     assert len(stables) == 1
     (mar,) = stables
     restricted = {(m, w) for m, w in mar.pairs if m < 3 and w < 3}
-    assert restricted == lfm_matching(g).pairs
+    assert restricted == lfm_matching(g)
 
 
 def test_square_matching_preconditions():
@@ -275,8 +275,8 @@ def test_optimal_pair_circuits():
     swapped, _ = gale_shapley(swap_sexes(inst))
     for m in range(3):
         for w in range(3):
-            assert mosm_to_ccv(inst, (m, w)).answer() == (1 if man.match[m] == w else 0)
-            assert wosm_to_ccv(inst, (m, w)).answer() == (
+            assert eval(mosm_to_ccv(inst, (m, w)), ())[1] == (1 if man.match[m] == w else 0)
+            assert eval(wosm_to_ccv(inst, (m, w)), ())[1] == (
                 1 if swapped.match[w] == m else 0
             )
 
@@ -290,7 +290,7 @@ def test_optimal_pair_circuits_are_pinned():
             for m in range(n):
                 for w in range(n):
                     for build in (mosm_to_ccv, wosm_to_ccv):
-                        h.update(serialize_circuit(build(inst, (m, w)).circuit).encode())
+                        h.update(serialize_circuit(build(inst, (m, w))).encode())
     assert h.hexdigest() == (
         "3c9be3928b06c3d19ddda4c9c6c079a536c0492319da5eeb8f1d7cccc34655e5"
     )
@@ -309,7 +309,7 @@ def test_pair_circuits_rail_the_prefix_once(monkeypatch):
     reductions._sm_rail_prefix.cache_clear()
     inst = gen_sm(4242, 3)
     circuits = [
-        build(inst, (m, w)).circuit
+        build(inst, (m, w))
         for build in (mosm_to_ccv, wosm_to_ccv)
         for m in range(3)
         for w in range(3)

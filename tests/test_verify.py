@@ -180,16 +180,14 @@ def test_each_golden_row_fails_alone_and_names_its_fixture(monkeypatch):
 
 def test_three_degree_outputs_hold_the_bound():
     # cheap spot check apart from the big suite
-    from cckit.reductions import CcvInstance, ccv_to_3vlfmm, to_all_up
-    from cckit.verify import close_circuit
+    from cckit.reductions import ccv_to_3vlfmm, close_circuit, to_all_up
 
     rng = SplitMix(77)
     for _ in range(20):
         c = gen_circuit(rng.next64(), 5, 8, with_neg=False)
-        inst = close_circuit(c, rng.bits(c.num_inputs))
-        up, _ = to_all_up(inst.circuit)
-        lf, _ = ccv_to_3vlfmm(CcvInstance(up))
-        assert max_degree(lf.graph) <= 3
+        up, _ = to_all_up(close_circuit(c, rng.bits(c.num_inputs)))
+        g, _, _ = ccv_to_3vlfmm(up)
+        assert max_degree(g) <= 3
 
 
 def test_reachability_counterexample_replays(monkeypatch):
