@@ -49,8 +49,15 @@ def test_vertex_decision():
     assert vlfmm_decision(g, 0) == 0
     with pytest.raises(IndexOutOfRangeError):
         vlfmm_decision(g, 3)
-    # the matching {(0, 1), (2, 0)} covers top 0 and leaves top 2 free
+
+
+def test_matching_accessors():
+    # a matching is a plain pair set: {(0, 1), (2, 0)} covers top 0 and
+    # leaves top 2 free, read off the pairs and through vlfmm_decision
     g = g_of(3, 3, (0, 1), (0, 2), (1, 1), (2, 0), (2, 2))
+    m = lfm_matching(g)
+    tops = {t for _, t in m}
+    assert 0 in tops and 2 not in tops
     assert [vlfmm_decision(g, t) for t in range(3)] == [1, 1, 0]
 
 
