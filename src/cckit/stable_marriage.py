@@ -269,65 +269,93 @@ def delayed_interval_states(inst: SMInstance) -> list:
     return list(_interval_rounds(inst, delayed=True))
 
 
-def _matrix_fixed_point(inst: SMInstance, adjacent_only: bool):
+def _matrix_fixed_point(inst: SMInstance, adjacent_only: bool, on_step=None):
     """Shared engine for the two matrix algorithms.
 
-    Returns the per-step MatrixPairs from t = 0, one more than the passes
-    executed.  With ``adjacent_only`` the update keeps just the
-    neighbouring term, which is the circuit-implementable rule; otherwise
-    full prefix AND/OR.
+    Returns (final MatrixPair, passes executed), the last pass being the
+    one that changes nothing.  ``on_step`` is called with the MatrixPair at
+    t = 0 and after every pass.  With ``adjacent_only`` the update keeps
+    just the neighbouring term, which is the circuit-implementable rule;
+    otherwise full prefix AND/OR.
+
+    Cells are coded 0 < 1 (STAR) < 2, so AND is min and OR is max.  Every
+    pass reads the matrices the previous pass left and applies its changes
+    after both sweeps.  Man row m is a function of row m of MM and column
+    m of WW only, so a pass recomputes it only if one of those changed in
+    the previous pass; woman rows likewise.
     """
     n = inst.n
-    MM = [[STAR] * n for _ in range(n)]
-    WW = [[STAR] * n for _ in range(n)]
+    mpref, wpref = inst.man_pref, inst.woman_pref
+    MM = [[1] * n for _ in range(n)]
+    WW = [[1] * n for _ in range(n)]
     for m in range(n):
-        MM[m][inst.man_pref[m][0]] = 1
+        MM[m][mpref[m][0]] = 2
     for w in range(n):
-        WW[w][inst.woman_pref[w][0]] = 0
-
-    def pair():
-        return MatrixPair(tuple(map(tuple, MM)), tuple(map(tuple, WW)))
-
-    steps = [pair()]
+        WW[w][wpref[w][0]] = 0
+    if on_step is not None:
+        on_step(_decoded(MM, WW))
+    men = women = range(n)
     bound = 2 * n * n
     rounds = 0
     while True:
         rounds += 1
         if rounds > bound:
             raise InternalBoundViolationError("matrix passes exceeded 2n^2")
-        newMM = [row[:] for row in MM]
-        newWW = [row[:] for row in WW]
-        for m in range(n):
-            acc = 1
+        mm_changes = []
+        for m in men:
+            row, pref = MM[m], mpref[m]
+            prev, acc = pref[0], 2
             for i in range(1, n):
-                prev_w = inst.man_pref[m][i - 1]
-                if adjacent_only:
-                    term = WW[prev_w][m]
-                else:
-                    acc = tri_and(acc, WW[prev_w][m])
-                    term = acc
-                newMM[m][inst.man_pref[m][i]] = tri_and(MM[m][prev_w], term)
-        for w in range(n):
-            acc = 0
+                w = pref[i]
+                t = WW[prev][m]
+                if not adjacent_only:
+                    acc = t = acc if acc < t else t
+                a = row[prev]
+                v = a if a < t else t
+                if v != row[w]:
+                    mm_changes.append((m, w, v))
+                prev = w
+        ww_changes = []
+        for w in women:
+            row, pref = WW[w], wpref[w]
+            prev, acc = pref[0], 0
             for i in range(1, n):
-                prev_m = inst.woman_pref[w][i - 1]
-                if adjacent_only:
-                    term = MM[prev_m][w]
-                else:
-                    acc = tri_or(acc, MM[prev_m][w])
-                    term = acc
-                newWW[w][inst.woman_pref[w][i]] = tri_or(WW[w][prev_m], term)
-        changed = (newMM != MM) or (newWW != WW)
-        MM, WW = newMM, newWW
-        steps.append(pair())
-        if not changed:
-            return steps
+                m = pref[i]
+                t = MM[prev][w]
+                if not adjacent_only:
+                    acc = t = acc if acc > t else t
+                a = row[prev]
+                v = a if a > t else t
+                if v != row[m]:
+                    ww_changes.append((w, m, v))
+                prev = m
+        men, women = set(), set()
+        for m, w, v in mm_changes:
+            MM[m][w] = v
+            men.add(m)
+            women.add(w)
+        for w, m, v in ww_changes:
+            WW[w][m] = v
+            men.add(m)
+            women.add(w)
+        if on_step is not None:
+            on_step(_decoded(MM, WW))
+        if not men:
+            return _decoded(MM, WW), rounds
 
 
-def _matrix_result(inst: SMInstance, steps):
-    """(S_M, S_W, final MatrixPair, passes) read off the last step."""
+def _decoded(MM, WW) -> MatrixPair:
+    """The int-coded matrices as a MatrixPair over {0, STAR, 1}."""
+    value = (0, STAR, 1).__getitem__
+    return MatrixPair(
+        tuple(tuple(map(value, row)) for row in MM),
+        tuple(tuple(map(value, row)) for row in WW),
+    )
+
+
+def _matrix_result(inst: SMInstance, mp: MatrixPair, passes: int):
+    """(S_M, S_W, mp, passes) read off the final MatrixPair ``mp``."""
     n = inst.n
-    mp = steps[-1]
     man_match = [None] * n
     for m in range(n):
         picks = [
@@ -344,7 +372,7 @@ def _matrix_result(inst: SMInstance, steps):
         if len(picks) != 1:
             raise InternalBoundViolationError("woman-optimal extraction not unique")
         woman_match[picks[0]] = w
-    return Marriage(tuple(man_match)), Marriage(tuple(woman_match)), mp, len(steps) - 1
+    return Marriage(tuple(man_match)), Marriage(tuple(woman_match)), mp, passes
 
 
 def interval_logic_run(inst: SMInstance):
@@ -352,12 +380,14 @@ def interval_logic_run(inst: SMInstance):
 
     Returns (S_M, S_W, final MatrixPair, iterations).
     """
-    return _matrix_result(inst, interval_logic_steps(inst))
+    return _matrix_result(inst, *_matrix_fixed_point(inst, adjacent_only=False))
 
 
 def interval_logic_steps(inst: SMInstance) -> list:
     """All MatrixPairs of interval_logic_run, one per time step from 0."""
-    return _matrix_fixed_point(inst, adjacent_only=False)
+    steps = []
+    _matrix_fixed_point(inst, adjacent_only=False, on_step=steps.append)
+    return steps
 
 
 def subramanian_run(inst: SMInstance):
@@ -365,7 +395,7 @@ def subramanian_run(inst: SMInstance):
 
     Returns (S_M, S_W, final MatrixPair, iterations).
     """
-    return _matrix_result(inst, _matrix_fixed_point(inst, adjacent_only=True))
+    return _matrix_result(inst, *_matrix_fixed_point(inst, adjacent_only=True))
 
 
 def is_stable(inst: SMInstance, mar: Marriage) -> int:

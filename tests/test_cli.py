@@ -415,6 +415,21 @@ def test_gs_plain_and_sections(capsys, tmp_path):
         assert lines[1:3] == ["m0 w1", "m1 w0"]
 
 
+def test_gs_matrix_rungs_print_what_the_interval_rung_prints(capsys, tmp_path):
+    # a 10x10 graph of degree <= 3 becomes an n = 20 marriage instance
+    edges = ("0 1|0 3|0 7|1 2|2 1|2 3|2 9|3 2|3 8|4 5|"
+             "5 6|6 1|6 7|6 9|7 4|7 6|8 3|8 7|8 9|9 0").split("|")
+    graph = ["GRAPH v1", "bottom 10", "top 10"] + [f"edge {e}" for e in edges]
+    (tmp_path / "sq.graph").write_text("\n".join(graph) + "\n")
+    sm = str(tmp_path / "sq.sm")
+    assert run(capsys, "reduce", "lfmm3-to-sm", str(tmp_path / "sq.graph"), sm) == (0, "", "")
+    assert pathlib.Path(sm).read_text().startswith("SM v1\nn 20\n")
+    code, want, err = run(capsys, "gs", sm, "--alg", "3")
+    assert (code, err) == (0, "") and len(want.splitlines()) == 42
+    for alg in ("5", "6"):
+        assert run(capsys, "gs", sm, "--alg", alg) == (0, want, "")
+
+
 def test_reach_decides(capsys):
     code, out, _ = run(capsys, "reach", fx("reach_demo.digraph"), "--target", "4")
     assert code == 0 and out == "reachable=1\n"

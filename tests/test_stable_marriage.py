@@ -4,9 +4,11 @@ import hashlib
 
 import pytest
 
-from cckit.circuit import STAR
+from cckit.circuit import STAR, tri_and, tri_or
 from cckit.errors import BadShapeError, PreconditionViolatedError, TooLargeError
+from cckit.matching import BipartiteGraph
 from cckit.stable_marriage import (
+    _matrix_fixed_point,
     Marriage,
     MatrixPair,
     SMInstance,
@@ -27,8 +29,8 @@ from cckit.stable_marriage import (
     symmetric_gs,
 )
 from cckit.formats import serialize_circuit
-from cckit.reductions import sm_to_tri_circuit
-from cckit.verify import gen_sm, split
+from cckit.reductions import lfmm3_to_sm, sm_to_tri_circuit
+from cckit.verify import SplitMix, gen_sm, split
 
 # a 4x4 instance with several stable marriages, good for optimality checks
 RICH = SMInstance(
@@ -235,3 +237,87 @@ def test_rank_tables_stay_out_of_equality_hash_and_repr():
         "SMInstance(n=4, man_pref=((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)), "
         "woman_pref=((3, 2, 1, 0), (2, 3, 0, 1), (1, 0, 3, 2), (0, 1, 2, 3)))"
     )
+
+
+def naive_matrix_steps(inst, adjacent_only):
+    """The matrix engine as first written: every cell of both matrices
+    recomputed with tri_and/tri_or on every pass, and a MatrixPair kept
+    per step from t = 0."""
+    n = inst.n
+    MM = [[STAR] * n for _ in range(n)]
+    WW = [[STAR] * n for _ in range(n)]
+    for m in range(n):
+        MM[m][inst.man_pref[m][0]] = 1
+    for w in range(n):
+        WW[w][inst.woman_pref[w][0]] = 0
+    steps = [MatrixPair(tuple(map(tuple, MM)), tuple(map(tuple, WW)))]
+    while True:
+        newMM = [row[:] for row in MM]
+        newWW = [row[:] for row in WW]
+        for m in range(n):
+            acc = 1
+            for i in range(1, n):
+                prev_w = inst.man_pref[m][i - 1]
+                if adjacent_only:
+                    term = WW[prev_w][m]
+                else:
+                    acc = tri_and(acc, WW[prev_w][m])
+                    term = acc
+                newMM[m][inst.man_pref[m][i]] = tri_and(MM[m][prev_w], term)
+        for w in range(n):
+            acc = 0
+            for i in range(1, n):
+                prev_m = inst.woman_pref[w][i - 1]
+                if adjacent_only:
+                    term = MM[prev_m][w]
+                else:
+                    acc = tri_or(acc, MM[prev_m][w])
+                    term = acc
+                newWW[w][inst.woman_pref[w][i]] = tri_or(WW[w][prev_m], term)
+        changed = (newMM != MM) or (newWW != WW)
+        MM, WW = newMM, newWW
+        steps.append(MatrixPair(tuple(map(tuple, MM)), tuple(map(tuple, WW))))
+        if not changed:
+            return steps
+
+
+def square_graph(rng, n):
+    """An n x n graph in which every vertex has degree at most 3: each
+    bottom takes 1 to 3 random tops that still have room."""
+    room = [3] * n
+    edges = []
+    for i in range(n):
+        free = [j for j in range(n) if room[j]]
+        rng.shuffle(free)
+        for j in free[: 1 + rng.below(3)]:
+            edges.append((i, j))
+            room[j] -= 1
+    return BipartiteGraph(n, n, frozenset(edges))
+
+
+def test_matrix_engine_matches_the_naive_engine():
+    insts = [gen_sm(split(21, i), 1 + i % 9) for i in range(216)]
+    insts += [lfmm3_to_sm(square_graph(SplitMix(split(22, i)), 10), 10) for i in range(6)]
+    assert sum(inst.n == 20 for inst in insts) == 6
+    for inst in insts:
+        for adjacent_only in (False, True):
+            want = naive_matrix_steps(inst, adjacent_only)
+            seen = []
+            final, passes = _matrix_fixed_point(inst, adjacent_only, on_step=seen.append)
+            assert seen == want
+            assert final == want[-1] and passes == len(want) - 1
+            run = subramanian_run(inst) if adjacent_only else interval_logic_run(inst)
+            assert run[2:] == (final, passes)
+        assert interval_logic_steps(inst) == naive_matrix_steps(inst, False)
+
+
+def test_refinement_ladder_agrees_above_the_suite_cap():
+    # the sm-ladder suite draws n <= 6 only
+    for i in range(48):
+        n = 7 + i % 24
+        inst = gen_sm(split(23, i), n)
+        man, woman, _ = symmetric_gs(inst)
+        for run in (interval_run, delayed_interval_run, interval_logic_run, subramanian_run):
+            sm, sw, _, rounds = run(inst)
+            assert (sm, sw) == (man, woman)
+            assert rounds <= 2 * n * n
