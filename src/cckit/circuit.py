@@ -147,11 +147,12 @@ class Circuit:
         ) and not self.has_negations
 
 
-def _resolve(c: Circuit, x: Sequence, negate) -> list:
+def _resolve(c: Circuit, x: Sequence, negate, one=1) -> list:
+    """Initial wire values; ``one`` stands for Const(1)."""
     vals = []
     for a in c.annotations:
         if isinstance(a, Const):
-            vals.append(a.value)
+            vals.append(one if a.value else 0)
         else:
             if a.index >= len(x):
                 raise BadShapeError(
@@ -195,6 +196,50 @@ def eval(c: Circuit, x: Sequence[Bit], allow_negations: bool = False, on_step=No
             on_step(tuple(vals))
     outputs = tuple(vals)
     return outputs, outputs[c.output_wire]
+
+
+def input_columns(k: int) -> list:
+    """All 2^k Boolean input vectors as ``k`` columns for :func:`eval_batch`:
+    bit r of column j is ``(r >> j) & 1``."""
+    size = 1 << k
+    cols = []
+    for j in range(k):
+        half = 1 << j
+        # rows half..2*half-1 of the first period, then the period doubled
+        col = ((1 << half) - 1) << half
+        width = 2 * half
+        while width < size:
+            col |= col << width
+            width *= 2
+        cols.append(col)
+    return cols
+
+
+def eval_batch(c: Circuit, columns: Sequence[int], count: int) -> list:
+    """Run the circuit on ``count`` Boolean input vectors at once.
+
+    Bit r of ``columns[j]`` is input j of vector r, and bit r of the
+    returned int for wire w is that wire's output on vector r.  A
+    comparator maps columns (p, q) to (p & q, p | q).  Negation gates are
+    rejected.
+    """
+    if c.has_negations:
+        raise NegationNotSupportedError("circuit contains negation gates")
+    if count < 0:
+        raise BadShapeError(f"batch of {count} vectors")
+    mask = (1 << count) - 1
+    for col in columns:
+        if not 0 <= col <= mask:
+            raise BadShapeError(f"column {col!r} is not {count} bits")
+    vals = _resolve(c, columns, lambda col: col ^ mask, mask)
+    for g in c.gates:
+        a = g.min_wire
+        b = g.max_wire
+        p = vals[a]
+        q = vals[b]
+        vals[a] = p & q
+        vals[b] = p | q
+    return vals
 
 
 def eval_tri(c: Circuit, x: Sequence[Tri], on_step=None):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .circuit import Circuit, eval
+from .circuit import Circuit, eval_batch, input_columns
 from .errors import BadShapeError, PreconditionViolatedError, TooLargeError
 
 
@@ -82,9 +82,10 @@ def circuit_function(c: Circuit) -> TruthTable:
     k = c.num_inputs
     if k > 16:
         raise TooLargeError(f"{k} inputs is past the exhaustive guard")
-    rows = []
-    for i in range(1 << k):
-        x = [(i >> b) & 1 for b in range(k)]
-        outputs, _ = eval(c, x)
-        rows.append(outputs)
-    return TruthTable(k, c.num_wires, tuple(rows))
+    count = 1 << k
+    # one batch evaluation, then each wire's column read out row by row
+    columns = [
+        map(int, reversed(f"{w:0{count}b}"))
+        for w in eval_batch(c, input_columns(k), count)
+    ]
+    return TruthTable(k, c.num_wires, tuple(zip(*columns)))

@@ -180,12 +180,13 @@ def symmetric_gs(inst: SMInstance):
     return man_opt, Marriage(tuple(woman_match)), rounds
 
 
-def _interval_rounds(inst: SMInstance, delayed: bool):
+def _interval_rounds(inst: SMInstance, delayed: bool, on_step=None):
     """Shared engine for the two interval algorithms.
 
-    Yields the IntervalState at t = 0, then after every pass, ending with
-    the pass that changes nothing.  All removals in one pass read the
-    state the pass started from.
+    Returns (final IntervalState, passes executed), the last pass being
+    the one that changes nothing.  ``on_step`` is called with the
+    IntervalState at t = 0 and after every pass.  All removals in one
+    pass read the state the pass started from.
     """
     n = inst.n
     # keyed 0..n-1 men then n..2n-1 women; rank[p][q] is the rank of
@@ -202,7 +203,8 @@ def _interval_rounds(inst: SMInstance, delayed: bool):
             tuple((lo[n + w], hi[n + w]) for w in range(n)),
         )
 
-    yield snapshot()
+    if on_step is not None:
+        on_step(snapshot())
     bound = 2 * n * n
     rounds = 0
     while True:
@@ -236,37 +238,36 @@ def _interval_rounds(inst: SMInstance, delayed: bool):
             if new_lo[p] > new_hi[p]:
                 raise InternalBoundViolationError("interval emptied")
         lo, hi = new_lo, new_hi
-        yield snapshot()
+        if on_step is not None:
+            on_step(snapshot())
         if not changed:
-            return
+            return snapshot(), rounds
 
 
-def _interval_result(inst: SMInstance, states):
+def _interval_result(inst: SMInstance, final: IntervalState, rounds: int):
     n = inst.n
-    final = states[-1]
     man_match = [inst.man_pref[m][final.man[m][0]] for m in range(n)]
     woman_match = [0] * n
     for w in range(n):
         woman_match[inst.woman_pref[w][final.woman[w][0]]] = w
-    rounds = len(states) - 1
     return Marriage(tuple(man_match)), Marriage(tuple(woman_match)), final, rounds
 
 
 def interval_run(inst: SMInstance):
     """Interval shrinking with the eager rejection rule."""
-    states = list(_interval_rounds(inst, delayed=False))
-    return _interval_result(inst, states)
+    return _interval_result(inst, *_interval_rounds(inst, delayed=False))
 
 
 def delayed_interval_run(inst: SMInstance):
     """Interval shrinking with the delayed (membership) rejection rule."""
-    states = list(_interval_rounds(inst, delayed=True))
-    return _interval_result(inst, states)
+    return _interval_result(inst, *_interval_rounds(inst, delayed=True))
 
 
 def delayed_interval_states(inst: SMInstance) -> list:
     """All IntervalStates of the delayed run, one per time step from 0."""
-    return list(_interval_rounds(inst, delayed=True))
+    states = []
+    _interval_rounds(inst, delayed=True, on_step=states.append)
+    return states
 
 
 def _matrix_fixed_point(inst: SMInstance, adjacent_only: bool, on_step=None):

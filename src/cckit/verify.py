@@ -31,7 +31,9 @@ from .circuit import (
     Negation,
     dual,
     eval,
+    eval_batch,
     eval_tri,
+    input_columns,
     normalize_down,
     refines,
     resolve_inputs,
@@ -409,16 +411,24 @@ def _case_reductions(rng, i):
     if down.num_wires != c.num_wires + 2 * nd or len(down.gates) != 3 * nd:
         yield "normalize_down size off"
     dd = dual(c)
-    for bits in itertools.product((0, 1), repeat=k):
-        base, _ = eval(c, bits)
-        through, _ = eval(down, bits)
-        if any(base[w] != through[down_map[w]] for w in range(c.num_wires)):
-            yield "normalize_down wire map broken:\n" + serialize_circuit(c)
-            break
-        douts, _ = eval(dd, bits)
-        if any(douts[w] != 1 - base[w] for w in range(c.num_wires)):
-            yield "dual must negate every wire:\n" + serialize_circuit(c)
-            break
+    # every input vector at once, row r in itertools.product order: input
+    # j is bit k-1-j of r
+    count = 1 << k
+    mask = (1 << count) - 1
+    cols = input_columns(k)[::-1]
+    base = eval_batch(c, cols, count)
+    through = eval_batch(down, cols, count)
+    douts = eval_batch(dd, cols, count)
+    map_bad = dual_bad = 0
+    for w in range(c.num_wires):
+        map_bad |= base[w] ^ through[down_map[w]]
+        dual_bad |= douts[w] ^ base[w] ^ mask
+    # report the lowest failing row, the wire map first on a tie
+    first = (map_bad | dual_bad) & -(map_bad | dual_bad)
+    if first & map_bad:
+        yield "normalize_down wire map broken:\n" + serialize_circuit(c)
+    elif first:
+        yield "dual must negate every wire:\n" + serialize_circuit(c)
     if dual(dd) != c:
         yield "dual is not an involution"
 
@@ -638,25 +648,37 @@ def _case_structural(rng, i):
     if sum(start) != sum(outputs):
         yield show(f"popcount not conserved (x {_vector_text(x)})")
 
-    distinct = _distinct_inputs(c)
-    table = lipschitz.circuit_function(distinct)
-    if lipschitz.is_one_lipschitz(table, strict=True) != 1:
-        yield show("wire function is not strictly 1-Lipschitz")
+    # the wire function on distinct inputs, one column per wire: bit r of
+    # a column is the wire's output on input vector r
     m = c.num_wires
-    for r in range(len(table.rows)):
-        if bin(r).count("1") % 2 != sum(table.rows[r]) % 2:
-            yield show("popcount conservation broken in the full table")
-            break
-        mono = True
-        for b in range(m):
-            up = r | (1 << b)
-            if up != r and any(
-                p > q for p, q in zip(table.rows[r], table.rows[up])
-            ):
-                mono = False
-        if not mono:
-            yield show("monotonicity broken")
-            break
+    count = 1 << m
+    mask = (1 << count) - 1
+    inputs = input_columns(m)
+    wires = eval_batch(_distinct_inputs(c), inputs, count)
+    # bit r of each *_bad is set where vector r fails that check; the
+    # outputs' popcount parity must equal the inputs'
+    parity_bad = strict_bad = mono_bad = 0
+    for col in inputs + wires:
+        parity_bad ^= col
+    for b in range(m):
+        step = 1 << b
+        low = inputs[b] ^ mask  # rows r with bit b clear, paired with r + step
+        ones = twos = 0  # rows where at least one / two wires differ
+        for w in wires:
+            up = w >> step
+            diff = (w ^ up) & low
+            twos |= ones & diff
+            ones |= diff
+            mono_bad |= w & ~up & low
+        strict_bad |= (ones ^ low) | twos
+    if strict_bad:
+        yield show("wire function is not strictly 1-Lipschitz")
+    # report the lowest failing row, popcount first on a tie
+    first = (parity_bad | mono_bad) & -(parity_bad | mono_bad)
+    if first & parity_bad:
+        yield show("popcount conservation broken in the full table")
+    elif first:
+        yield show("monotonicity broken")
 
     tri_x = [rng.choice((0, STAR, 1)) for _ in range(c.num_inputs)]
     finer = [v if v != STAR else rng.choice((0, STAR, 1)) for v in tri_x]

@@ -14,7 +14,9 @@ from cckit.circuit import (
     compose,
     dual,
     eval,
+    eval_batch,
     eval_tri,
+    input_columns,
     mirror,
     normalize_down,
     refines,
@@ -28,7 +30,7 @@ from cckit.errors import (
     IndexOutOfRangeError,
     NegationNotSupportedError,
 )
-from cckit.verify import gen_circuit
+from cckit.verify import gen_circuit, split
 
 
 def wires(n, *anns):
@@ -163,6 +165,56 @@ def test_dual_flips_every_wire(seed, xbits):
     flipped = eval(dual(c), x)[0]
     assert all(a != b for a, b in zip(base, flipped))
     assert dual(dual(c)) == c
+
+
+def test_input_columns_hold_row_bits():
+    for k in range(7):
+        cols = input_columns(k)
+        assert len(cols) == k
+        for j, col in enumerate(cols):
+            assert col == sum(((r >> j) & 1) << r for r in range(1 << k))
+
+
+def test_batch_matches_scalar_eval_on_every_vector():
+    seen = {"const": 0, "input": 0, "neg_input": 0, "dummy": 0, "no_inputs": 0}
+    for i in range(400):
+        c = gen_circuit(split(21, i), 8, 16, with_neg=False)
+        k = c.num_inputs
+        count = 1 << k
+        got = eval_batch(c, input_columns(k), count)
+        assert len(got) == c.num_wires
+        for r in range(count):
+            outputs, _ = eval(c, [(r >> j) & 1 for j in range(k)])
+            assert tuple((w >> r) & 1 for w in got) == outputs, (i, r)
+        kinds = {type(a) for a in c.annotations}
+        seen["const"] += Const in kinds
+        seen["input"] += Input in kinds
+        seen["neg_input"] += NegInput in kinds
+        seen["dummy"] += any(g.is_dummy for g in c.gates)
+        seen["no_inputs"] += k == 0
+    assert min(seen.values()) > 0, seen
+
+
+def test_batch_constants_fill_the_mask():
+    c = Circuit(3, (Const(1), Const(0), NegInput(0)), (Comparator(2, 0),), 0)
+    assert eval_batch(c, [0b0110], 4) == [0b1111, 0, 0b1001]
+    assert eval_batch(Circuit(1, (Const(1),), (), 0), [], 1) == [1]
+
+
+def test_batch_rejects_what_eval_rejects():
+    neg = Circuit(2, wires(2), (Negation(0),), 0)
+    short = Circuit(2, (Input(0), NegInput(2)), (), 0)
+    for c, kind in ((neg, NegationNotSupportedError), (short, BadShapeError)):
+        with pytest.raises(kind) as want:
+            eval(c, [0, 1])
+        with pytest.raises(kind) as got:
+            eval_batch(c, [0b01, 0b10], 2)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+    c = Circuit(1, (Input(0),), (), 0)
+    for columns, count in (([0b100], 2), ([-1], 2), ([0], -1)):
+        with pytest.raises(BadShapeError):
+            eval_batch(c, columns, count)
 
 
 def test_dual_swaps_annotation_kinds():

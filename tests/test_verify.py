@@ -1,12 +1,13 @@
 """Generators, seed splitting, and the suite runner."""
 
 import hashlib
+import itertools
 import re
 
 import pytest
 
-from cckit import verify
-from cckit.circuit import STAR
+from cckit import lipschitz, verify
+from cckit.circuit import STAR, Circuit, Const, Input
 from cckit.cli import main
 from cckit.errors import BadShapeError
 from cckit.formats import (
@@ -231,3 +232,175 @@ def test_structural_counterexamples_name_their_vectors(monkeypatch, capsys, tmp_
             assert len(value) == c.num_inputs
             assert main(["eval", str(path), flag, value]) in (0, 1)
     capsys.readouterr()
+
+
+# -- the column checks against the row loops they replaced -------------------
+
+def old_case_structural(rng, i):
+    """_case_structural as it was when it walked the full table row by row."""
+    c = gen_circuit(rng.next64(), 8, 16, with_neg=False)
+    show = lambda msg: msg + "\n" + serialize_circuit(c)
+
+    x = rng.bits(c.num_inputs)
+    start = verify.resolve_inputs(c, x)
+    outputs, _ = verify.eval(c, x)
+    if sum(start) != sum(outputs):
+        yield show(f"popcount not conserved (x {verify._vector_text(x)})")
+
+    distinct = verify._distinct_inputs(c)
+    table = lipschitz.circuit_function(distinct)
+    if lipschitz.is_one_lipschitz(table, strict=True) != 1:
+        yield show("wire function is not strictly 1-Lipschitz")
+    m = c.num_wires
+    for r in range(len(table.rows)):
+        if bin(r).count("1") % 2 != sum(table.rows[r]) % 2:
+            yield show("popcount conservation broken in the full table")
+            break
+        mono = True
+        for b in range(m):
+            up = r | (1 << b)
+            if up != r and any(
+                p > q for p, q in zip(table.rows[r], table.rows[up])
+            ):
+                mono = False
+        if not mono:
+            yield show("monotonicity broken")
+            break
+
+    tri_x = [rng.choice((0, STAR, 1)) for _ in range(c.num_inputs)]
+    finer = [v if v != STAR else rng.choice((0, STAR, 1)) for v in tri_x]
+    coarse, _ = verify.eval_tri(c, tri_x)
+    fine, _ = verify.eval_tri(c, finer)
+    if not all(verify.refines(f, g) for f, g in zip(fine, coarse)):
+        yield show(
+            "three-valued refinement broken"
+            f" (tri_x {verify._vector_text(tri_x)}, finer {verify._vector_text(finer)})"
+        )
+
+
+def old_ring_circuit_checks(rng, i):
+    """The circuit-side checks that open _case_reductions, as they were when
+    they ran scalar eval over itertools.product."""
+    c = gen_circuit(rng.next64(), 5, 8, with_neg=False)
+    k = c.num_inputs
+    down, down_map = verify.normalize_down(c)
+    nd = sum(1 for g in c.gates if not g.is_dummy)
+    if not down.is_all_down:
+        yield "normalize_down output not all-down"
+    if down.num_wires != c.num_wires + 2 * nd or len(down.gates) != 3 * nd:
+        yield "normalize_down size off"
+    dd = verify.dual(c)
+    for bits in itertools.product((0, 1), repeat=k):
+        base, _ = verify.eval(c, bits)
+        through, _ = verify.eval(down, bits)
+        if any(base[w] != through[down_map[w]] for w in range(c.num_wires)):
+            yield "normalize_down wire map broken:\n" + serialize_circuit(c)
+            break
+        douts, _ = verify.eval(dd, bits)
+        if any(douts[w] != 1 - base[w] for w in range(c.num_wires)):
+            yield "dual must negate every wire:\n" + serialize_circuit(c)
+            break
+    if verify.dual(dd) != c:
+        yield "dual is not an involution"
+
+
+def which_first(a_rows, b_rows):
+    """Which of two ascending failing-row lists fails first: "a", "b",
+    "tie", or "alone" when at most one of them fails at all."""
+    if not a_rows or not b_rows:
+        return "alone"
+    a, b = a_rows[0], b_rows[0]
+    return "tie" if a == b else ("a" if a < b else "b")
+
+
+def test_structural_columns_report_what_the_row_loop_reported(monkeypatch):
+    real = verify.eval_batch
+    flips = {}
+
+    def flipped(c, columns, count):
+        # flip one or two (wire, row) bits, drawn per case
+        cols = real(c, columns, count)
+        rng = flips["rng"]
+        for _ in range(1 + rng.below(2)):
+            cols[rng.below(len(cols))] ^= 1 << rng.below(count)
+        flips["cols"] = list(cols)
+        return cols
+
+    monkeypatch.setattr(verify, "eval_batch", flipped)
+    monkeypatch.setattr(lipschitz, "eval_batch", flipped)
+    orders = set()
+    for i in range(300):
+        got = []
+        for case in (verify._case_structural, old_case_structural):
+            flips["rng"] = SplitMix(split(17, i))
+            got.append(list(case(SplitMix(split(5, i)), i)))
+        assert got[0] == got[1], i
+        cols = flips["cols"]
+        count = 1 << len(cols)
+        rows = [[(w >> r) & 1 for w in cols] for r in range(count)]
+        pop = [r for r in range(count) if (bin(r).count("1") + sum(rows[r])) % 2]
+        mono = [
+            r for r in range(count)
+            if any(
+                rows[r][w] > rows[r | 1 << b][w]
+                for b in range(len(cols)) for w in range(len(cols))
+            )
+        ]
+        orders.add(which_first(pop, mono))
+    # popcount and monotonicity failed on the same row, and each failed first
+    assert {"tie", "a", "b"} <= orders
+
+
+@pytest.mark.parametrize("broken", ["dual", "normalize_down", "both"])
+def test_ring_columns_report_what_the_product_loop_reported(monkeypatch, broken):
+    real_dual, real_down = verify.dual, verify.normalize_down
+
+    def dual_missing_a_wire(c):
+        # wire w starts from a constant: right on the vectors whose input
+        # x_j is 0 if it reads x_j, wrong on every vector if it is constant
+        d = real_dual(c)
+        anns = list(d.annotations)
+        w = len(c.gates) % c.num_wires
+        anns[w] = Const(1 if isinstance(c.annotations[w], Input) else 0)
+        return Circuit(d.num_wires, tuple(anns), d.gates, d.output_wire)
+
+    def down_map_off_by_one(c):
+        # one wire reads its right neighbour's holder
+        down, wire_map = real_down(c)
+        m = c.num_wires
+        w = len(c.gates) // 2 % m
+        return down, {**wire_map, w: wire_map[(w + 1) % m]}
+
+    if broken in ("dual", "both"):
+        monkeypatch.setattr(verify, "dual", dual_missing_a_wire)
+    if broken in ("normalize_down", "both"):
+        monkeypatch.setattr(verify, "normalize_down", down_map_off_by_one)
+    orders = set()
+    heads = set()
+    for i in range(200):
+        got = [
+            list(case(SplitMix(split(23, i)), i))
+            for case in (verify._case_reductions, old_ring_circuit_checks)
+        ]
+        assert got[0] == got[1], i
+        heads.update(msg.partition(":")[0] for msg in got[1])
+        c = gen_circuit(SplitMix(split(23, i)).next64(), 5, 8, with_neg=False)
+        down, down_map = verify.normalize_down(c)
+        dd = verify.dual(c)
+        map_rows, dual_rows = [], []
+        for r, bits in enumerate(itertools.product((0, 1), repeat=c.num_inputs)):
+            base, through, douts = (verify.eval(x, bits)[0] for x in (c, down, dd))
+            if any(base[w] != through[down_map[w]] for w in range(c.num_wires)):
+                map_rows.append(r)
+            if any(douts[w] == base[w] for w in range(c.num_wires)):
+                dual_rows.append(r)
+        orders.add(which_first(map_rows, dual_rows))
+    want = {
+        "dual": {"dual must negate every wire"},
+        "normalize_down": {"normalize_down wire map broken"},
+        "both": {"dual must negate every wire", "normalize_down wire map broken"},
+    }[broken]
+    assert want <= heads
+    if broken == "both":
+        # the wire map and the dual failed on the same row, and each first
+        assert {"tie", "a", "b"} <= orders
