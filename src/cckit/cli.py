@@ -353,12 +353,22 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 0 if not e.code else int(e.code)
     try:
-        return globals()[f"cmd_{args.command}"](args)
+        code = globals()[f"cmd_{args.command}"](args)
+        sys.stdout.flush()  # a closed stdout pipe then fails here, not at exit
+        return code
     except InternalBoundViolationError as e:
         print(f"internal invariant violated: {e}", file=sys.stderr)
         return 3
     except CckitError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except BrokenPipeError as e:  # stdout's reader has gone, as under `| head`
+        # point stdout at /dev/null, so the interpreter's last flush of what
+        # is still buffered neither fails nor reports an ignored exception
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: cannot write stdout: {e.strerror}", file=sys.stderr)
         return 2
     except Exception as e:  # a bug: keep exit 1 meaning "no"
         tb = e.__traceback__

@@ -15,8 +15,6 @@ serialize are mutual inverses.
 
 from __future__ import annotations
 
-import re
-
 from .circuit import Circuit, Comparator, Const, Input, NegInput, Negation
 from .errors import ParseError
 from .matching import BipartiteGraph
@@ -36,11 +34,10 @@ def _eof_line(text) -> int:
     return max(1, len(text.splitlines()))
 
 
-_INT = re.compile(r"-?[0-9]+")
-
-
 def _int(token, no, what):
-    if _INT.fullmatch(token) is None:
+    # ASCII digits with an optional leading minus; str.isdigit alone also
+    # takes non-ASCII digits such as superscripts and Arabic-Indic digits
+    if not (token.isascii() and (token.isdigit() or (token[:1] == "-" and token[1:].isdigit()))):
         raise ParseError(no, f"bad {what} {token!r}")
     return int(token)
 

@@ -13,7 +13,12 @@ from collections import deque
 from dataclasses import dataclass
 
 from .circuit import Circuit, Comparator, Const
-from .errors import BadShapeError, IndexOutOfRangeError, PreconditionViolatedError
+from .errors import BadShapeError, IndexOutOfRangeError, PreconditionViolatedError, TooLargeError
+
+# The most nodes, arcs or gates layer and reach_to_ccv build, checked on their
+# closed-form sizes before anything is allocated; far above the largest circuit
+# built here, the padded n = 8 layered one with 129,088 gates.
+_SIZE_LIMIT = 10**7
 
 
 @dataclass(frozen=True)
@@ -64,6 +69,10 @@ def layer(g: Digraph, src: int):
     if not 0 <= src < g.n:
         raise IndexOutOfRangeError(f"source {src} out of range")
     n = g.n
+    arcs = (n - 1) * (len(g.edges) + n)
+    if max(n * n, arcs) > _SIZE_LIMIT:
+        raise TooLargeError(f"layering {n} nodes would make {n * n} nodes and up to {arcs} arcs, "
+                            f"over the limit of {_SIZE_LIMIT}")
 
     def relabel(v):
         if v == src:
@@ -98,6 +107,10 @@ def reach_to_ccv(g: Digraph, target: int, pad_dummies: bool = False) -> Circuit:
     n = g.n
     if not 0 <= target < n:
         raise IndexOutOfRangeError(f"target {target} out of range")
+    gates = n * (1 + (n * (n - 1) // 2 if pad_dummies else len(g.edges)))
+    if gates > _SIZE_LIMIT:
+        raise TooLargeError(f"the pebbling circuit would have {gates} gates, "
+                            f"over the limit of {_SIZE_LIMIT}")
     bad = min(((i, j) for (i, j) in g.edges if i >= j), default=None)
     if bad is not None:
         raise PreconditionViolatedError(f"edge {bad} is not ascending")

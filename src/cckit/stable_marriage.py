@@ -14,6 +14,8 @@ woman-optimal) stable marriage:
 6. the same matrices updated with only the adjacent term, which is the
    form a comparator circuit can implement.
 
+Each pair of rungs shares one engine with a private switch: proposal
+rounds (1-2), interval rounds (3-4) and the matrix fixed point (5-6).
 Rounds are counted as executed loop passes including the final pass that
 detects no change, which keeps the n = 1 case at one round and stays
 within the n^2 / 2n^2 bounds.
@@ -60,8 +62,8 @@ class SMInstance:
             for row in side:
                 if sorted(row) != list(range(self.n)):
                     raise BadShapeError(f"row {row} is not a permutation")
-        object.__setattr__(self, "man_rank", _ranks(self.man_pref))
-        object.__setattr__(self, "woman_rank", _ranks(self.woman_pref))
+        object.__setattr__(self, "man_rank", tuple(map(_inverse, self.man_pref)))
+        object.__setattr__(self, "woman_rank", tuple(map(_inverse, self.woman_pref)))
 
 
 @dataclass(frozen=True)
@@ -76,9 +78,6 @@ class Marriage:
     @property
     def pairs(self) -> frozenset:
         return frozenset(enumerate(self.match))
-
-    def woman_partner(self, w: int) -> int:
-        return self.match.index(w)
 
 
 @dataclass(frozen=True)
@@ -97,87 +96,78 @@ class MatrixPair:
     WW: tuple
 
 
-def _ranks(pref) -> tuple:
-    """The inverse of each preference row (a permutation), as its argsort."""
-    return tuple(tuple(sorted(range(len(row)), key=row.__getitem__)) for row in pref)
+def _inverse(perm) -> tuple:
+    """The inverse of a permutation of range(len(perm)): inv[perm[i]] == i.
+
+    Raises BadShapeError on anything else, so a repeated or missing entry
+    cannot come back as a valid-looking inverse: with every entry in
+    range, a repeat leaves some slot unfilled.
+    """
+    inv = [None] * len(perm)
+    if perm and 0 <= min(perm) and max(perm) < len(perm):
+        for i, p in enumerate(perm):
+            inv[p] = i
+    if None in inv:
+        raise BadShapeError(f"{tuple(perm)} is not a permutation")
+    return tuple(inv)
+
+
+def _best_suitors(favourites, rank, n) -> list:
+    """best[q]: the p with favourites[p] == q whom q ranks first, or None
+    where nobody names q; rank[q][p] is the rank of p in q's list."""
+    best = [None] * n
+    for p, q in enumerate(favourites):
+        b = best[q]
+        if b is None or rank[q][p] < rank[q][b]:
+            best[q] = p
+    return best
 
 
 def swap_sexes(inst: SMInstance) -> SMInstance:
     return SMInstance(inst.n, inst.woman_pref, inst.man_pref)
 
 
-def gale_shapley(inst: SMInstance):
-    """Man-proposing rounds; returns (man-optimal marriage, rounds)."""
+def _proposal_rounds(inst: SMInstance, both: bool):
+    """Shared engine for the two proposal algorithms.
+
+    Every round each man names his favourite woman not yet removed from
+    his list, each woman keeps the best man who named her, and every
+    other named pair is removed.  With ``both`` the women name their
+    favourites in the same round too, and all of a round's removals read
+    the lists the round started from.  Returns (men's favourites, women's
+    favourites or None, rounds).
+    """
     n = inst.n
-    wrank = inst.woman_rank
     alive = [[True] * n for _ in range(n)]  # alive[m][w]: pair not yet removed
-    bound = n * n
+    topw = None
     rounds = 0
-    top = [0] * n
     while True:
         rounds += 1
-        if rounds > bound:
+        if rounds > n * n:
             raise InternalBoundViolationError("proposal rounds exceeded n^2")
-        for m in range(n):
-            top[m] = next(w for w in inst.man_pref[m] if alive[m][w])
-        best = [None] * n
-        for m in range(n):
-            w = top[m]
-            if best[w] is None or wrank[w][m] < wrank[w][best[w]]:
-                best[w] = m
-        changed = False
-        for m in range(n):
-            if best[top[m]] != m:
-                alive[m][top[m]] = False
-                changed = True
-        if not changed:
-            break
-    return Marriage(tuple(top)), rounds
+        topm = [next(w for w in inst.man_pref[m] if alive[m][w]) for m in range(n)]
+        best = _best_suitors(topm, inst.woman_rank, n)
+        removals = [(m, w) for m, w in enumerate(topm) if best[w] != m]
+        if both:
+            topw = [next(m for m in inst.woman_pref[w] if alive[m][w]) for w in range(n)]
+            best = _best_suitors(topw, inst.man_rank, n)
+            removals += [(m, w) for w, m in enumerate(topw) if best[m] != w]
+        if not removals:
+            return topm, topw, rounds
+        for m, w in removals:
+            alive[m][w] = False
+
+
+def gale_shapley(inst: SMInstance):
+    """Man-proposing rounds; returns (man-optimal marriage, rounds)."""
+    topm, _, rounds = _proposal_rounds(inst, both=False)
+    return Marriage(topm), rounds
 
 
 def symmetric_gs(inst: SMInstance):
     """Both sexes propose; returns (man_opt, woman_opt, rounds)."""
-    n = inst.n
-    mrank, wrank = inst.man_rank, inst.woman_rank
-    alive = [[True] * n for _ in range(n)]
-    bound = n * n
-    rounds = 0
-    topm = [0] * n
-    topw = [0] * n
-    while True:
-        rounds += 1
-        if rounds > bound:
-            raise InternalBoundViolationError("symmetric rounds exceeded n^2")
-        for m in range(n):
-            topm[m] = next(w for w in inst.man_pref[m] if alive[m][w])
-        for w in range(n):
-            topw[w] = next(m for m in inst.woman_pref[w] if alive[m][w])
-        bestw = [None] * n
-        for m in range(n):
-            w = topm[m]
-            if bestw[w] is None or wrank[w][m] < wrank[w][bestw[w]]:
-                bestw[w] = m
-        bestm = [None] * n
-        for w in range(n):
-            m = topw[w]
-            if bestm[m] is None or mrank[m][w] < mrank[m][bestm[m]]:
-                bestm[m] = w
-        removals = set()
-        for m in range(n):
-            if bestw[topm[m]] != m:
-                removals.add((m, topm[m]))
-        for w in range(n):
-            if bestm[topw[w]] != w:
-                removals.add((topw[w], w))
-        if not removals:
-            break
-        for (m, w) in removals:
-            alive[m][w] = False
-    man_opt = Marriage(tuple(topm))
-    woman_match = [0] * n
-    for w in range(n):
-        woman_match[topw[w]] = w
-    return man_opt, Marriage(tuple(woman_match)), rounds
+    topm, topw, rounds = _proposal_rounds(inst, both=True)
+    return Marriage(topm), Marriage(_inverse(topw)), rounds
 
 
 def _interval_rounds(inst: SMInstance, delayed: bool, on_step=None):
@@ -211,15 +201,10 @@ def _interval_rounds(inst: SMInstance, delayed: bool, on_step=None):
         rounds += 1
         if rounds > bound:
             raise InternalBoundViolationError("interval rounds exceeded 2n^2")
-        top = [0] * (2 * n)
-        for p in range(2 * n):
-            top[p] = pref[p][lo[p]]  # identity of p's favourite remaining
+        top = [pref[p][lo[p]] for p in range(2 * n)]  # identity of p's favourite remaining
         # best suitor per person: identity of opposite-sex p with top(p) = q
-        best = [None] * (2 * n)
-        for p in range(2 * n):
-            q = (n + top[p]) if p < n else top[p]
-            if best[q] is None or rank[q][p % n] < rank[q][best[q]]:
-                best[q] = p % n
+        best = (_best_suitors(top[n:], inst.man_rank, n)
+                + _best_suitors(top[:n], inst.woman_rank, n))
         new_lo = list(lo)
         new_hi = list(hi)
         for q in range(2 * n):
@@ -245,12 +230,9 @@ def _interval_rounds(inst: SMInstance, delayed: bool, on_step=None):
 
 
 def _interval_result(inst: SMInstance, final: IntervalState, rounds: int):
-    n = inst.n
-    man_match = [inst.man_pref[m][final.man[m][0]] for m in range(n)]
-    woman_match = [0] * n
-    for w in range(n):
-        woman_match[inst.woman_pref[w][final.woman[w][0]]] = w
-    return Marriage(tuple(man_match)), Marriage(tuple(woman_match)), final, rounds
+    wives = [inst.man_pref[m][lo] for m, (lo, _) in enumerate(final.man)]
+    husbands = [inst.woman_pref[w][lo] for w, (lo, _) in enumerate(final.woman)]
+    return Marriage(wives), Marriage(_inverse(husbands)), final, rounds
 
 
 def interval_run(inst: SMInstance):
@@ -400,16 +382,11 @@ def subramanian_run(inst: SMInstance):
 
 
 def is_stable(inst: SMInstance, mar: Marriage) -> int:
-    n = inst.n
     mrank, wrank = inst.man_rank, inst.woman_rank
-    inverse = [0] * n
-    for m, w in enumerate(mar.match):
-        inverse[w] = m
-    for m in range(n):
-        for w in range(n):
-            if w == mar.match[m]:
-                continue
-            if mrank[m][w] < mrank[m][mar.match[m]] and wrank[w][m] < wrank[w][inverse[w]]:
+    husband = _inverse(mar.match)
+    for m, wife in enumerate(mar.match):
+        for w in range(inst.n):
+            if mrank[m][w] < mrank[m][wife] and wrank[w][m] < wrank[w][husband[w]]:
                 return 0
     return 1
 
@@ -432,36 +409,20 @@ def matrix_of_intervals(inst: SMInstance, s: IntervalState) -> MatrixPair:
     A man's row reads 1 up to his interval's favourite end, STAR across
     the rest of the interval, 0 past it; a woman's row swaps 0 and 1.
     """
-    n = inst.n
-    mrank, wrank = inst.man_rank, inst.woman_rank
-    MM = [[0] * n for _ in range(n)]
-    WW = [[0] * n for _ in range(n)]
-    for m in range(n):
-        lo, hi = s.man[m]
-        for w in range(n):
-            r = mrank[m][w]
-            MM[m][w] = 1 if r <= lo else (STAR if r <= hi else 0)
-    for w in range(n):
-        lo, hi = s.woman[w]
-        for m in range(n):
-            r = wrank[w][m]
-            WW[w][m] = 0 if r <= lo else (STAR if r <= hi else 1)
-    return MatrixPair(tuple(map(tuple, MM)), tuple(map(tuple, WW)))
+    MM = tuple(tuple([1 if r <= lo else (STAR if r <= hi else 0) for r in row])
+               for row, (lo, hi) in zip(inst.man_rank, s.man))
+    WW = tuple(tuple([0 if r <= lo else (STAR if r <= hi else 1) for r in row])
+               for row, (lo, hi) in zip(inst.woman_rank, s.woman))
+    return MatrixPair(MM, WW)
 
 
 def marriage_to_feasible(inst: SMInstance, mar: Marriage) -> MatrixPair:
-    n = inst.n
-    mrank, wrank = inst.man_rank, inst.woman_rank
-    MM = [[0] * n for _ in range(n)]
-    WW = [[0] * n for _ in range(n)]
-    for m in range(n):
-        for w in range(n):
-            MM[m][w] = 1 if mrank[m][w] <= mrank[m][mar.match[m]] else 0
-    for w in range(n):
-        partner = mar.woman_partner(w)
-        for m in range(n):
-            WW[w][m] = 0 if wrank[w][m] <= wrank[w][partner] else 1
-    return MatrixPair(tuple(map(tuple, MM)), tuple(map(tuple, WW)))
+    """matrix_of_intervals on the state whose every interval is the single
+    rank of that person's partner."""
+    return matrix_of_intervals(inst, IntervalState(
+        tuple((inst.man_rank[m][w],) * 2 for m, w in enumerate(mar.match)),
+        tuple((inst.woman_rank[w][m],) * 2 for w, m in enumerate(_inverse(mar.match))),
+    ))
 
 
 def is_feasible_pair(inst: SMInstance, mp: MatrixPair) -> int:

@@ -2,13 +2,19 @@
 
 import hashlib
 import io
+import os
 import pathlib
+import resource
+import subprocess
+import sys
+import time
 
 import cckit
 import pytest
 from cckit.cli import main
 
 FIXTURES = str(pathlib.Path(cckit.__file__).parent / "fixtures")
+SRC = str(pathlib.Path(cckit.__file__).parent.parent)
 
 
 def run(capsys, *argv):
@@ -525,6 +531,51 @@ def test_unexpected_exception_exits_three(capsys, monkeypatch):
     assert code == 3 and out == ""
     assert err.startswith("internal error: KeyError: 'boom' (test_cli.py:")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", fx("annotated_demo.ccv"), "--input", "111"],
+    ["eval", fx("annotated_demo.ccv"), "--input", "111", "--trace"],
+    ["verify", "tri-lowering"],
+], ids=["eval", "eval-trace", "verify"])
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+def test_closed_stdout_pipe_exits_two_with_one_error_line(argv, unbuffered):
+    # the read end is closed before the child starts, so its first write or
+    # its final flush fails: deterministic, unlike a racing `| head`
+    env = {**os.environ, "PYTHONPATH": SRC, "PYTHONUNBUFFERED": unbuffered}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "cckit.cli", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (2, b"error: cannot write stdout: Broken pipe\n")
+
+
+def limited_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+
+@pytest.mark.parametrize("nodes, arcs, argv", [
+    (999999, [(0, 1), (1, 2), (2, 999998)], ["reach", "FILE", "--target", "5"]),
+    (400, [(i, (i + d) % 400) for i in range(400) for d in (1, 7)],
+     ["reduce", "reach-to-ccv", "FILE", "-", "--layer", "--target", "7"]),
+], ids=["reach-999999-nodes", "layered-400-nodes-800-arcs"])
+def test_oversized_reachability_exits_two_before_building(tmp_path, nodes, arcs, argv):
+    # in a child under a 512 MB address-space limit and a timeout, so that a
+    # missing guard fails this test instead of exhausting the machine
+    path = tmp_path / "big.digraph"
+    path.write_text(f"DIGRAPH v1\nnodes {nodes}\n" + "".join(f"arc {u} {v}\n" for u, v in arcs))
+    argv = [str(path) if a == "FILE" else a for a in argv]
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "cckit.cli", *argv], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": SRC}, timeout=30,
+                          preexec_fn=limited_address_space)
+    assert time.perf_counter() - start < 2.0
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("error: ") and "over the limit of 10000000" in done.stderr
+    assert done.stderr.count("\n") == 1
 
 
 def test_parser_is_built_once_and_carries_nothing_between_calls(capsys):

@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 from cckit.circuit import Circuit, Comparator, Const, Input, NegInput, Negation
 from cckit.errors import CckitError, ParseError
 from cckit.formats import (
+    _int,
     parse_circuit,
     parse_digraph,
     parse_graph,
@@ -76,7 +77,11 @@ def test_parse_errors_carry_line_numbers():
 
 
 def test_integers_are_ascii_digits_only():
-    for tok in ("1_0", "+1", "\u0663", "0x1", "1.0"):
+    for tok, value in (("0", 0), ("-0", 0), ("-007", -7), ("12", 12)):
+        assert _int(tok, 1, "count") == value
+    rejected = ("+1", "1_0", "\u0663", "\u00b2", "\uff11", "-", "--1", "1-",
+                "0x1", "1.0", "1e3")
+    for tok in rejected:
         with pytest.raises(ParseError) as e:
             parse_circuit(f"CCV v1\n# size\nwires {tok}\n")
         assert e.value.line == 3

@@ -8,6 +8,7 @@ from cckit.circuit import STAR, tri_and, tri_or
 from cckit.errors import BadShapeError, PreconditionViolatedError, TooLargeError
 from cckit.matching import BipartiteGraph
 from cckit.stable_marriage import (
+    _inverse,
     _matrix_fixed_point,
     Marriage,
     MatrixPair,
@@ -52,8 +53,15 @@ def test_instance_validation():
 def test_marriage_validation():
     with pytest.raises(BadShapeError):
         Marriage((0, 0))
-    assert Marriage((1, 0)).woman_partner(1) == 0
     assert Marriage((1, 0)).pairs == frozenset({(0, 1), (1, 0)})
+
+
+def test_inverse_rejects_a_non_permutation():
+    assert _inverse((2, 0, 1)) == (1, 2, 0)
+    assert _inverse(()) == ()
+    for bad in ((0, 0, 1), (1, 2), (-1, 0)):
+        with pytest.raises(BadShapeError, match="is not a permutation"):
+            _inverse(bad)
 
 
 def test_n1():
@@ -112,8 +120,8 @@ def test_interval_endpoints_are_the_optima():
         assert RICH.man_pref[m][hi] == woman.match[m]
     for w in range(4):
         lo, hi = state.woman[w]
-        assert RICH.woman_pref[w][lo] == woman.woman_partner(w)
-        assert RICH.woman_pref[w][hi] == man.woman_partner(w)
+        assert RICH.woman_pref[w][lo] == woman.match.index(w)
+        assert RICH.woman_pref[w][hi] == man.match.index(w)
 
 
 def test_delayed_states_start_full():
@@ -185,7 +193,7 @@ def test_fixed_point_matrices_flag_both_optima():
     for m in range(4):
         assert final.MM[m][man.match[m]] == 1
     for w in range(4):
-        assert final.WW[w][woman.woman_partner(w)] == 0
+        assert final.WW[w][woman.match.index(w)] == 0
 
 
 # sha256 over the reprs of every ladder output on LADDER_CASES seeded
@@ -321,3 +329,22 @@ def test_refinement_ladder_agrees_above_the_suite_cap():
             sm, sw, _, rounds = run(inst)
             assert (sm, sw) == (man, woman)
             assert rounds <= 2 * n * n
+
+
+# sha256 over the reprs of rungs 1-4's full outputs, rounds and final
+# intervals included, above LADDER_SHA's n <= 5: two gen_sm instances
+# for each n in 6..30 and the six n = 20 square-graph marriages; taken
+# before the rungs came to share one proposal engine and best-suitor step
+PROPOSAL_RUNGS_SHA = "561f9e8bd5e272b2e46e48579ce99b07cd5c3fbcb93e350b96f5306c992801ab"
+
+
+def test_proposal_and_interval_rungs_are_pinned_above_the_ladder_pin():
+    insts = [gen_sm(split(24, i), 6 + i // 2) for i in range(50)]
+    insts += [lfmm3_to_sm(square_graph(SplitMix(split(22, i)), 10), 10) for i in range(6)]
+    assert sorted({inst.n for inst in insts}) == list(range(6, 31))
+    h = hashlib.sha256()
+    for inst in insts:
+        outputs = (gale_shapley(inst), symmetric_gs(inst),
+                   interval_run(inst), delayed_interval_run(inst))
+        h.update(repr(outputs).encode())
+    assert h.hexdigest() == PROPOSAL_RUNGS_SHA
