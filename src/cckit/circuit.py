@@ -77,6 +77,27 @@ class Negation:
     wire: int
 
 
+def _check_gates(gates, n: int) -> bool:
+    """Check every gate against n wires; True if any is a negation."""
+    negations = False
+    for g in gates:
+        if isinstance(g, Comparator):
+            if not (0 <= g.min_wire < n and 0 <= g.max_wire < n):
+                raise IndexOutOfRangeError(f"gate {g} out of range")
+        elif isinstance(g, Negation):
+            if not 0 <= g.wire < n:
+                raise IndexOutOfRangeError(f"gate {g} out of range")
+            negations = True
+        else:
+            raise BadShapeError(f"unknown gate {g!r}")
+    return negations
+
+
+def _check_output(wire: int, n: int) -> None:
+    if not (0 <= wire < n):
+        raise IndexOutOfRangeError(f"output wire {wire} out of range")
+
+
 @dataclass(frozen=True)
 class Circuit:
     num_wires: int
@@ -103,21 +124,26 @@ class Circuit:
                     raise BadShapeError("negative input index")
             else:
                 raise BadShapeError(f"unknown annotation {a!r}")
-        n = self.num_wires
-        negations = False
-        for g in self.gates:
-            if isinstance(g, Comparator):
-                if not (0 <= g.min_wire < n and 0 <= g.max_wire < n):
-                    raise IndexOutOfRangeError(f"gate {g} out of range")
-            elif isinstance(g, Negation):
-                if not 0 <= g.wire < n:
-                    raise IndexOutOfRangeError(f"gate {g} out of range")
-                negations = True
-            else:
-                raise BadShapeError(f"unknown gate {g!r}")
-        if not (0 <= self.output_wire < self.num_wires):
-            raise IndexOutOfRangeError(f"output wire {self.output_wire} out of range")
+        negations = _check_gates(self.gates, self.num_wires)
+        _check_output(self.output_wire, self.num_wires)
         object.__setattr__(self, "has_negations", negations)
+
+    def extend(self, tail, output_wire: int) -> Circuit:
+        """This circuit with ``tail`` appended and ``output_wire`` as the
+        answer.  Only the tail and the output wire are checked, with the
+        constructor's errors; the rest was checked when this was built."""
+        tail = tuple(tail)
+        negations = _check_gates(tail, self.num_wires)
+        _check_output(output_wire, self.num_wires)
+        out = object.__new__(Circuit)
+        vars(out).update(
+            num_wires=self.num_wires,
+            annotations=self.annotations,
+            gates=self.gates + tail,
+            output_wire=output_wire,
+            has_negations=self.has_negations or negations,
+        )
+        return out
 
     @property
     def num_inputs(self) -> int:
@@ -184,7 +210,14 @@ def eval(c: Circuit, x: Sequence[Bit], allow_negations: bool = False, on_step=No
     vals = list(resolve_inputs(c, x))
     if on_step is not None:
         on_step(tuple(vals))
-    for g in c.gates:
+    _run(c.gates, vals, on_step)
+    outputs = tuple(vals)
+    return outputs, outputs[c.output_wire]
+
+
+def _run(gates, vals: list, on_step=None) -> None:
+    """Apply Boolean gates to the wire values in place."""
+    for g in gates:
         if isinstance(g, Comparator):
             p = vals[g.min_wire]
             q = vals[g.max_wire]
@@ -194,8 +227,32 @@ def eval(c: Circuit, x: Sequence[Bit], allow_negations: bool = False, on_step=No
             vals[g.wire] = 1 - vals[g.wire]
         if on_step is not None:
             on_step(tuple(vals))
-    outputs = tuple(vals)
-    return outputs, outputs[c.output_wire]
+
+
+def eval_extensions(base: Circuit, circuits: Sequence[Circuit], x: Sequence[Bit]) -> list:
+    """``[eval(c, x)[1] for c in circuits]``, running ``base`` at most once.
+
+    A circuit whose annotations are ``base``'s and whose gates start with
+    ``base.gates`` (one made by ``base.extend``) runs only its remaining
+    gates, on a copy of ``base``'s final wire values.  Any other circuit
+    runs in full.  Errors are those of :func:`eval`, in list order.
+    """
+    shared = None
+    k = len(base.gates)
+    answers = []
+    for c in circuits:
+        if c.annotations is not base.annotations or c.gates[:k] != base.gates:
+            answers.append(eval(c, x)[1])
+            continue
+        if c.has_negations:
+            raise NegationNotSupportedError("circuit contains negation gates")
+        if shared is None:
+            shared = list(resolve_inputs(base, x))
+            _run(base.gates, shared)
+        vals = list(shared)
+        _run(c.gates[k:], vals)
+        answers.append(vals[c.output_wire])
+    return answers
 
 
 def input_columns(k: int) -> list:

@@ -17,7 +17,6 @@ from .circuit import STAR, dual, eval, eval_tri, normalize_down
 from .errors import (
     BadShapeError,
     CckitError,
-    IndexOutOfRangeError,
     InternalBoundViolationError,
 )
 from .formats import (
@@ -30,7 +29,7 @@ from .formats import (
     serialize_sm,
 )
 from .matching import lfm_matching, lfmm_decision, vlfmm_decision
-from .reachability import layer, reach_to_ccv
+from .reachability import layered_circuit, reach_to_ccv
 from .reductions import (
     ccv_to_3lfmm,
     ccv_to_3vlfmm,
@@ -188,7 +187,7 @@ def _reach_to_ccv(text, args):
         raise BadShapeError("needs --target")
     if not args.layer:
         return serialize_circuit(reach_to_ccv(g, args.target, pad_dummies=args.pad)), None
-    c, node_map = _layered_circuit(g, args.src or 0, args.target, args.pad)
+    c, node_map = layered_circuit(g, args.src or 0, args.target, args.pad)
     return serialize_circuit(c), [f"n{v} {i}" for v, i in sorted(node_map.items())]
 
 
@@ -275,17 +274,9 @@ def cmd_gs(args) -> int:
     return 0
 
 
-def _layered_circuit(g, src: int, target: int, pad_dummies: bool = False):
-    """Pebbling circuit for src -> target in g, through layer()."""
-    if not 0 <= target < g.n:
-        raise IndexOutOfRangeError(f"target {target} out of range")
-    layered, node_map = layer(g, src)
-    return reach_to_ccv(layered, node_map[target], pad_dummies), node_map
-
-
 def cmd_reach(args) -> int:
     g = parse_digraph(_read(args.file))
-    c, _ = _layered_circuit(g, args.src, args.target)
+    c, _ = layered_circuit(g, args.src, args.target)
     _, answer = eval(c, ())
     print(f"reachable={answer}")
     return 0 if answer == 1 else 1

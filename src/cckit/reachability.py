@@ -53,6 +53,25 @@ def reachable_set(g: Digraph, src: int) -> set:
     return seen
 
 
+def _check_layer(g: Digraph, src: int) -> None:
+    """layer's own refusals: the source, and its node and arc bounds."""
+    if not 0 <= src < g.n:
+        raise IndexOutOfRangeError(f"source {src} out of range")
+    n = g.n
+    arcs = (n - 1) * (len(g.edges) + n)
+    if max(n * n, arcs) > _SIZE_LIMIT:
+        raise TooLargeError(f"layering {n} nodes would make {n * n} nodes and up to {arcs} arcs, "
+                            f"over the limit of {_SIZE_LIMIT}")
+
+
+def _check_pebbling(n: int, arcs: int, pad_dummies: bool) -> None:
+    """Refuse a pebbling circuit on n nodes and ``arcs`` arcs past the limit."""
+    gates = n * (1 + (n * (n - 1) // 2 if pad_dummies else arcs))
+    if gates > _SIZE_LIMIT:
+        raise TooLargeError(f"the pebbling circuit would have {gates} gates, "
+                            f"over the limit of {_SIZE_LIMIT}")
+
+
 def layer(g: Digraph, src: int):
     """Time-expand g into an ordered DAG.
 
@@ -66,13 +85,8 @@ def layer(g: Digraph, src: int):
     node v to the index of (v, n-1); reachability 0 -> node_map[v] in the
     layered graph matches src -> v in g.
     """
-    if not 0 <= src < g.n:
-        raise IndexOutOfRangeError(f"source {src} out of range")
+    _check_layer(g, src)
     n = g.n
-    arcs = (n - 1) * (len(g.edges) + n)
-    if max(n * n, arcs) > _SIZE_LIMIT:
-        raise TooLargeError(f"layering {n} nodes would make {n * n} nodes and up to {arcs} arcs, "
-                            f"over the limit of {_SIZE_LIMIT}")
 
     def relabel(v):
         if v == src:
@@ -107,10 +121,7 @@ def reach_to_ccv(g: Digraph, target: int, pad_dummies: bool = False) -> Circuit:
     n = g.n
     if not 0 <= target < n:
         raise IndexOutOfRangeError(f"target {target} out of range")
-    gates = n * (1 + (n * (n - 1) // 2 if pad_dummies else len(g.edges)))
-    if gates > _SIZE_LIMIT:
-        raise TooLargeError(f"the pebbling circuit would have {gates} gates, "
-                            f"over the limit of {_SIZE_LIMIT}")
+    _check_pebbling(n, len(g.edges), pad_dummies)
     bad = min(((i, j) for (i, j) in g.edges if i >= j), default=None)
     if bad is not None:
         raise PreconditionViolatedError(f"edge {bad} is not ascending")
@@ -128,3 +139,26 @@ def reach_to_ccv(g: Digraph, target: int, pad_dummies: bool = False) -> Circuit:
         gates.append(Comparator(k, n))
         gates.extend(sweep)
     return Circuit(2 * n, tuple(anns), tuple(gates), n + target)
+
+
+def layered_arcs(g: Digraph) -> int:
+    """The number of arcs of ``layer(g, src)`` for any src, without
+    building it: n - 1 copies of g's arcs and the n stay-arcs (v, v),
+    where a loop (v, v) of g and the stay-arc of v are one arc."""
+    loops = sum(1 for (u, v) in g.edges if u == v)
+    return (g.n - 1) * (len(g.edges) + g.n - loops)
+
+
+def layered_circuit(g: Digraph, src: int, target: int, pad_dummies: bool = False):
+    """Pebbling circuit for src -> target in g, through layer().
+
+    Returns (circuit, node_map) as reach_to_ccv and layer do.  The
+    circuit's size follows from n and |E| alone, so an oversized one is
+    refused before layer() builds anything.
+    """
+    if not 0 <= target < g.n:
+        raise IndexOutOfRangeError(f"target {target} out of range")
+    _check_layer(g, src)
+    _check_pebbling(g.n * g.n, layered_arcs(g), pad_dummies)
+    layered, node_map = layer(g, src)
+    return reach_to_ccv(layered, node_map[target], pad_dummies), node_map

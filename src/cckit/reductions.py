@@ -325,10 +325,12 @@ def sm_to_tri_circuit(inst: SMInstance):
 
 
 @lru_cache(maxsize=1)
-def _sm_rail_prefix(inst: SMInstance):
+def sm_rail_prefix(inst: SMInstance):
     """Shared front half of the optimal-pair circuits, double-railed once
-    per instance.  Returns (circuit, cell_map, rail_map); the two maps
-    name wires of the circuit before double-railing."""
+    per instance (the last instance is cached).  Returns (circuit,
+    cell_map, rail_map); the two maps name wires of the circuit before
+    double-railing.  Every pair circuit of the instance extends this
+    circuit, so ``eval_extensions`` can run it once for all of them."""
     tri_c, cell_map = sm_to_tri_circuit(inst)
     closed, rail_map = tri_to_bool(tri_c, (STAR,) * tri_c.num_inputs)
     railed, _ = double_rail(closed)
@@ -342,7 +344,7 @@ def _optimal_pair_circuit(inst, pair, side):
     m, w = pair
     if not (0 <= m < n and 0 <= w < n):
         raise IndexOutOfRangeError(f"pair {pair} out of range")
-    base, cell_map, rail_map = _sm_rail_prefix(inst)
+    base, cell_map, rail_map = sm_rail_prefix(inst)
     gates = []
     if side == "m":
         rank = inst.man_rank[m][w]
@@ -364,8 +366,7 @@ def _optimal_pair_circuit(inst, pair, side):
             gates.append(Comparator(beta, delta))
         answer_wire = beta
     t = base.num_wires - 1
-    tail = tuple(r for g in gates for r in _rail_gates(g, t))
-    return Circuit(base.num_wires, base.annotations, base.gates + tail, 2 * answer_wire)
+    return base.extend((r for g in gates for r in _rail_gates(g, t)), 2 * answer_wire)
 
 
 def mosm_to_ccv(inst: SMInstance, pair: tuple) -> Circuit:

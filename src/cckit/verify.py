@@ -15,7 +15,6 @@ least one case is asked for), and collects and sorts the failures.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, NamedTuple
@@ -32,6 +31,7 @@ from .circuit import (
     dual,
     eval,
     eval_batch,
+    eval_extensions,
     eval_tri,
     input_columns,
     normalize_down,
@@ -58,6 +58,7 @@ from .reductions import (
     double_rail,
     lfmm_to_ccvneg,
     mosm_to_ccv,
+    sm_rail_prefix,
     to_all_up,
     tri_to_bool,
     vlfmm_to_ccv,
@@ -542,18 +543,72 @@ def _case_sm_ladder(rng, i):
                 yield show("man-optimal partner is not the best stable partner")
 
 
-def _monotone_rows(pref, one_first):
-    """All candidate matrix rows: a prefix of k ones (or zeros) along the
-    preference order, k >= 1, in identity indexing."""
-    n = len(pref)
-    out = []
-    for k in range(1, n + 1):
-        row = [0] * n
-        for r, q in enumerate(pref):
-            good = 1 if r < k else 0
-            row[q] = good if one_first else 1 - good
-        out.append(tuple(row))
-    return out
+def _digit_at_least(n: int, place: int, t: int, count: int) -> int:
+    """Bit r says digit ``place`` of r in base n (0 is the units digit) is
+    at least t, for r < count.  One period of stride * n bits holds a
+    block of ones at offset stride * t; the period is then doubled."""
+    stride = n ** place
+    col = ((1 << (stride * (n - t))) - 1) << (stride * t)
+    width = stride * n
+    while width < count:
+        col |= col << width
+        width *= 2
+    return col & ((1 << count) - 1)
+
+
+def feasible_candidates(inst: SMInstance) -> list:
+    """Indices, ascending, of the feasible candidates for ``inst``.
+
+    Candidate r has 2n base-n digits, most significant first: digit m
+    (man m) or n + w (woman w) is d when that person's matrix row is 1
+    (for a woman, 0) on exactly the first d + 1 entries of their
+    preference row.  So r indexes ``itertools.product`` over the men's
+    monotone rows and then the women's, last digit fastest, and
+    :func:`candidate_pair` builds it.  Every candidate is checked against
+    the fixed-point equations of ``is_feasible_pair`` at once: each cell
+    is one column int whose bit r is that cell in candidate r.  Candidates
+    are taken in n chunks by the first man's digit, to bound the columns'
+    size.
+    """
+    n = inst.n
+    count = n ** (2 * n - 1)  # candidates per chunk
+    mask = (1 << count) - 1
+    mrank, wrank = inst.man_rank, inst.woman_rank
+    # man 0's digit is fixed within a chunk, so his row is set per chunk
+    MM = [None] + [[_digit_at_least(n, 2 * n - 1 - m, mrank[m][w], count) for w in range(n)]
+                   for m in range(1, n)]
+    WW = [[mask ^ _digit_at_least(n, n - 1 - w, wrank[w][m], count) for m in range(n)]
+          for w in range(n)]
+    found = []
+    for lead in range(n):
+        MM[0] = [mask if lead >= mrank[0][w] else 0 for w in range(n)]
+        ok = mask
+        for m, pref in enumerate(inst.man_pref):
+            ok &= MM[m][pref[0]]
+            for a, b in zip(pref, pref[1:]):
+                ok &= ~(MM[m][b] ^ (MM[m][a] & WW[a][m]))
+        for w, pref in enumerate(inst.woman_pref):
+            ok &= ~WW[w][pref[0]]
+            for a, b in zip(pref, pref[1:]):
+                ok &= ~(WW[w][b] ^ (WW[w][a] | MM[a][w]))
+        while ok:
+            low = ok & -ok
+            found.append(lead * count + low.bit_length() - 1)
+            ok ^= low
+    return found
+
+
+def candidate_pair(inst: SMInstance, r: int) -> MatrixPair:
+    """Candidate r of :func:`feasible_candidates` as a matrix pair."""
+    n = inst.n
+    digits = []
+    for _ in range(2 * n):
+        r, d = divmod(r, n)
+        digits.append(d)
+    digits.reverse()
+    MM = tuple(tuple(int(rank <= d) for rank in ranks) for ranks, d in zip(inst.man_rank, digits))
+    WW = tuple(tuple(int(rank > d) for rank in ranks) for ranks, d in zip(inst.woman_rank, digits[n:]))
+    return MatrixPair(MM, WW)
 
 
 def _case_feasible(rng, i):
@@ -562,14 +617,7 @@ def _case_feasible(rng, i):
     show = lambda msg: msg + "\n" + serialize_sm(inst)
 
     stables = all_stable_marriages(inst)
-    mm_rows = [_monotone_rows(inst.man_pref[m], True) for m in range(n)]
-    ww_rows = [_monotone_rows(inst.woman_pref[w], False) for w in range(n)]
-    found = []
-    for mm in itertools.product(*mm_rows):
-        for ww in itertools.product(*ww_rows):
-            mp = MatrixPair(mm, ww)
-            if is_feasible_pair(inst, mp):
-                found.append(mp)
+    found = [candidate_pair(inst, r) for r in feasible_candidates(inst)]
     if len(found) != len(stables):
         yield show(f"{len(found)} feasible pairs vs {len(stables)} stable marriages")
     for mar in stables:
@@ -594,17 +642,17 @@ def _case_sm_to_ccv(rng, i):
     woman_match = [0] * n
     for w in range(n):
         woman_match[swapped.match[w]] = w
+    pairs = [(m, w) for m in range(n) for w in range(n)]
+    circuits = [build(inst, p) for p in pairs for build in (mosm_to_ccv, wosm_to_ccv)]
+    got = eval_extensions(sm_rail_prefix(inst)[0], circuits, ())
     bad = None
-    for m in range(n):
-        for w in range(n):
-            want_m = 1 if man_opt.match[m] == w else 0
-            want_w = 1 if woman_match[m] == w else 0
-            _, got_m = eval(mosm_to_ccv(inst, (m, w)), ())
-            _, got_w = eval(wosm_to_ccv(inst, (m, w)), ())
-            if got_m != want_m:
-                bad = f"man-optimal pair ({m},{w}): {got_m} != {want_m}"
-            if got_w != want_w:
-                bad = f"woman-optimal pair ({m},{w}): {got_w} != {want_w}"
+    for (m, w), got_m, got_w in zip(pairs, got[::2], got[1::2]):
+        want_m = 1 if man_opt.match[m] == w else 0
+        want_w = 1 if woman_match[m] == w else 0
+        if got_m != want_m:
+            bad = f"man-optimal pair ({m},{w}): {got_m} != {want_m}"
+        if got_w != want_w:
+            bad = f"woman-optimal pair ({m},{w}): {got_w} != {want_w}"
     if bad:
         yield bad + "\n" + serialize_sm(inst)
 

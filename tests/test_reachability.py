@@ -7,9 +7,17 @@ from cckit.errors import (
     BadShapeError,
     IndexOutOfRangeError,
     PreconditionViolatedError,
+    TooLargeError,
 )
 from cckit.formats import parse_digraph
-from cckit.reachability import Digraph, layer, reach_to_ccv, reachable_set
+from cckit.reachability import (
+    Digraph,
+    layer,
+    layered_arcs,
+    layered_circuit,
+    reach_to_ccv,
+    reachable_set,
+)
 from cckit.verify import SplitMix, gen_digraph, split
 
 
@@ -117,3 +125,37 @@ def test_padding_changes_no_wire():
         plain = eval(reach_to_ccv(layered, target), ())
         padded = eval(reach_to_ccv(layered, target, pad_dummies=True), ())
         assert plain == padded
+
+
+def test_layered_sizes_are_known_before_layering():
+    loops = 0
+    for g, src, layered, node_map, target in random_layered_graphs():
+        loops += any(u == v for u, v in g.edges)
+        assert layered_arcs(g) == len(layered.edges)
+        v = next(v for v, i in node_map.items() if i == target)
+        for pad in (False, True):
+            c, got_map = layered_circuit(g, src, v, pad)
+            assert got_map == node_map
+            assert c == reach_to_ccv(layered, target, pad)
+    assert loops > 0  # a loop (v, v) is also a stay-arc, counted once
+
+
+@pytest.mark.parametrize("pad, gates", [(False, 76608160000), (True, 2047987200160000)])
+def test_oversized_layering_is_refused_before_layer_runs(monkeypatch, capsys, tmp_path, pad, gates):
+    from cckit import reachability
+    from cckit.cli import main
+
+    def never(*args):
+        raise AssertionError("layer ran")
+
+    monkeypatch.setattr(reachability, "layer", never)
+    arcs = [(i, (i + d) % 400) for i in range(400) for d in (1, 7)]
+    message = f"the pebbling circuit would have {gates} gates, over the limit of 10000000"
+    with pytest.raises(TooLargeError) as refused:
+        layered_circuit(Digraph(400, frozenset(arcs)), 0, 7, pad)
+    assert str(refused.value) == message
+    path = tmp_path / "big.digraph"
+    path.write_text("DIGRAPH v1\nnodes 400\n" + "".join(f"arc {u} {v}\n" for u, v in arcs))
+    argv = ["reduce", "reach-to-ccv", str(path), "-", "--layer", "--target", "7"]
+    assert main(argv + ["--pad"] * pad) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")

@@ -13,6 +13,7 @@ from cckit.circuit import (
     NegInput,
     Negation,
     eval,
+    eval_extensions,
     eval_tri,
 )
 from cckit.errors import (
@@ -30,6 +31,7 @@ from cckit.reductions import (
     lfmm3_to_sm,
     lfmm_to_ccvneg,
     mosm_to_ccv,
+    sm_rail_prefix,
     sm_to_tri_circuit,
     to_all_up,
     tri_to_bool,
@@ -306,7 +308,7 @@ def test_pair_circuits_rail_the_prefix_once(monkeypatch):
         return double_rail(c)
 
     monkeypatch.setattr(reductions, "double_rail", counting)
-    reductions._sm_rail_prefix.cache_clear()
+    reductions.sm_rail_prefix.cache_clear()
     inst = gen_sm(4242, 3)
     circuits = [
         build(inst, (m, w))
@@ -318,3 +320,20 @@ def test_pair_circuits_rail_the_prefix_once(monkeypatch):
     prefix = 2 * calls[0]  # a comparator rails to two gates
     assert all(c.gates[:prefix] == circuits[0].gates[:prefix] for c in circuits)
     assert all(len(c.gates) - prefix <= 7 for c in circuits)  # NOT and two comparators
+
+
+def test_pair_circuits_answer_through_one_prefix_evaluation():
+    for seed in (1, 2, 3, 4242):
+        for n in range(1, 5):
+            inst = gen_sm(seed, n)
+            base = sm_rail_prefix(inst)[0]
+            circuits = [
+                build(inst, (m, w))
+                for m in range(n)
+                for w in range(n)
+                for build in (mosm_to_ccv, wosm_to_ccv)
+            ]
+            for c in circuits:
+                full = Circuit(c.num_wires, c.annotations, c.gates, c.output_wire)
+                assert c == full and c.has_negations is full.has_negations is False
+            assert eval_extensions(base, circuits, ()) == [eval(c, ())[1] for c in circuits]

@@ -18,9 +18,18 @@ from cckit.formats import (
     serialize_sm,
 )
 from cckit.matching import max_degree
+from cckit.stable_marriage import (
+    MatrixPair,
+    all_stable_marriages,
+    feasible_to_marriage,
+    is_feasible_pair,
+)
 from cckit.verify import (
     Report,
+    SUITES,
     SplitMix,
+    candidate_pair,
+    feasible_candidates,
     gen_bipartite,
     gen_circuit,
     gen_digraph,
@@ -404,3 +413,52 @@ def test_ring_columns_report_what_the_product_loop_reported(monkeypatch, broken)
     if broken == "both":
         # the wire map and the dual failed on the same row, and each first
         assert {"tie", "a", "b"} <= orders
+
+
+def product_candidates(inst):
+    """Every candidate matrix pair, in the order the feasible-pairs suite
+    enumerated them before it was bitsliced: itertools.product over the
+    men's monotone rows, then the women's."""
+
+    def rows(pref, one_first):
+        out = []
+        for k in range(1, len(pref) + 1):
+            row = [0] * len(pref)
+            for r, q in enumerate(pref):
+                row[q] = int((r < k) == one_first)
+            out.append(tuple(row))
+        return out
+
+    mm_rows = [rows(p, True) for p in inst.man_pref]
+    ww_rows = [rows(p, False) for p in inst.woman_pref]
+    for mm in itertools.product(*mm_rows):
+        for ww in itertools.product(*ww_rows):
+            yield MatrixPair(mm, ww)
+
+
+def test_bitsliced_feasible_candidates_match_the_scalar_loop():
+    # every instance of the suite's own default run: seed 1, n = 1 + i % 4
+    counts = []
+    for i in range(SUITES["feasible-pairs"].default):
+        inst = gen_sm(SplitMix(split(1, i)).next64(), 1 + i % 4)
+        want = [(r, mp) for r, mp in enumerate(product_candidates(inst)) if is_feasible_pair(inst, mp)]
+        got = feasible_candidates(inst)
+        assert [(r, candidate_pair(inst, r)) for r in got] == want, i
+        counts.append(len(got))
+    assert max(counts) > 1
+
+
+def test_every_candidate_decodes_in_product_order():
+    for n in (1, 2, 3):
+        inst = gen_sm(99, n)
+        every = list(product_candidates(inst))
+        assert [candidate_pair(inst, r) for r in range(n ** (2 * n))] == every
+
+
+@pytest.mark.parametrize("seed", [1, 5])
+def test_feasible_pairs_at_n5_are_the_stable_marriages(seed):
+    # 5^10 = 9,765,625 candidates; above the suite's n <= 4
+    inst = gen_sm(seed, 5)
+    marriages = [feasible_to_marriage(inst, candidate_pair(inst, r)) for r in feasible_candidates(inst)]
+    assert len(set(marriages)) == len(marriages)
+    assert set(marriages) == all_stable_marriages(inst)
