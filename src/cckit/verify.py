@@ -582,13 +582,13 @@ def feasible_candidates(inst: SMInstance) -> list:
     found = []
     for lead in range(n):
         MM[0] = [mask if lead >= mrank[0][w] else 0 for w in range(n)]
+        # every digit is at least 0, so every candidate already has the 1 on
+        # a man's first entry and the 0 on a woman's that is_feasible_pair asks
         ok = mask
         for m, pref in enumerate(inst.man_pref):
-            ok &= MM[m][pref[0]]
             for a, b in zip(pref, pref[1:]):
                 ok &= ~(MM[m][b] ^ (MM[m][a] & WW[a][m]))
         for w, pref in enumerate(inst.woman_pref):
-            ok &= ~WW[w][pref[0]]
             for a, b in zip(pref, pref[1:]):
                 ok &= ~(WW[w][b] ^ (WW[w][a] | MM[a][w]))
         while ok:

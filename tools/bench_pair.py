@@ -1,19 +1,19 @@
 """Record before/after pairs of benchmark runs as a BENCH_<LABEL>.json file.
 
     python3 tools/bench_pair.py PARENT LABEL --workload oracle --seeds 1 \\
-        --pairs 10 --batch claim --note "..." --what "..." [--seconds 10] \\
-        [--append]
+        [--pairs 10] --batch claim --note "..." --what "..." [--append]
 
 Extracts ``git archive PARENT`` into a temporary directory outside the
 repository (under ``$TMPDIR``); the change side is the working tree of
 the repository this script sits in.  For each seed it runs
-``perfbench/run.py --workload WL --seed SEED --seconds S --trace 0``
-from both trees, one run at a time, ``--pairs`` times.  The parent runs
-first in odd pairs and the change first in even pairs,
+``perfbench/run.py --workload WL --seed SEED --trace 0`` from both
+trees, one run at a time, ``--pairs`` times (ten by default).  Each run
+lasts BENCHMARK.json's ``run_seconds``, as the benchmark itself does.
+The parent runs first in odd pairs and the change first in even pairs,
 counting pairs across seeds.  The last line each run prints is kept.
 
 The file gets ``label``, ``what``, ``parent``, ``host``, ``command``,
-``batches`` (batch name -> note), ``summary`` and ``runs``.  For each
+``run_seconds``, ``batches`` (batch name -> note), ``summary`` and ``runs``.  For each
 workload and batch, ``summary`` gives every end-to-end metric of the
 change tree's BENCHMARK.json as the parent's and the change's quartiles
 (q1, median, q3), the number of pairs in which the change is strictly
@@ -59,10 +59,10 @@ def short(rev):
                           check=True, capture_output=True, text=True).stdout.strip()
 
 
-def bench(tree, workload, seed, seconds):
+def bench(tree, workload, seed):
     """The last line of one benchmark run from ``tree``, as parsed JSON."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
-            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+            "--seed", str(seed), "--trace", "0"]
     done = subprocess.run(argv, cwd=tree, check=True, capture_output=True, text=True)
     return json.loads(done.stdout.strip().splitlines()[-1])
 
@@ -106,20 +106,25 @@ def main(argv=None):
     p.add_argument("label", help="the file written is BENCH_<LABEL>.json")
     p.add_argument("--workload", required=True, choices=("pebble", "ring", "oracle"))
     p.add_argument("--seeds", nargs="+", default=["1"])
-    p.add_argument("--pairs", type=int, default=1, help="pairs per seed")
-    p.add_argument("--seconds", type=float, default=10.0)
+    p.add_argument("--pairs", type=int, default=10, help="pairs per seed")
     p.add_argument("--batch", default="A", help="name of this set of pairs")
     p.add_argument("--note", default="", help="what this batch is for")
     p.add_argument("--what", default="", help="what the change is (a new file needs it)")
     p.add_argument("--append", action="store_true", help="add this batch to an existing file")
     args = p.parse_args(argv)
 
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        declared = json.load(fh)
+    metrics = [(m["name"], m["better"]) for m in declared["end_to_end"]]
+    run_seconds = declared["run_seconds"]
     out = os.path.join(ROOT, f"BENCH_{args.label}.json")
     if args.append:
         with open(out) as fh:
             record = json.load(fh)
         if args.batch in record["batches"]:
             p.error(f"batch {args.batch!r} is already in {out}")
+        if record.get("run_seconds") != run_seconds:
+            p.error(f"{out} was not recorded at run_seconds {run_seconds:g}")
     elif not args.what:
         p.error("a new file needs --what")
     else:
@@ -128,8 +133,9 @@ def main(argv=None):
             "what": args.what,
             "parent": short(args.parent),
             "host": {"nproc": os.cpu_count(), "python": platform.python_version()},
-            "command": "python3 perfbench/run.py --workload WL --seed SEED --seconds S "
-                       "--trace 0, each side from its own tree, keeping the last line printed",
+            "command": "python3 perfbench/run.py --workload WL --seed SEED --trace 0, "
+                       "each side from its own tree, keeping the last line printed",
+            "run_seconds": run_seconds,
             "batches": {},
             "summary": {},
             "runs": [],
@@ -139,10 +145,8 @@ def main(argv=None):
     try:
         trees = {"parent": os.path.join(scratch, "parent"), "change": ROOT}
         extract(args.parent, trees["parent"])
-        with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
-            metrics = [(m["name"], m["better"]) for m in json.load(fh)["end_to_end"]]
         note = f"{args.workload} seeds {' '.join(args.seeds)}, {args.pairs} pair(s) per seed, "
-        note += f"{args.seconds:g} s per run, the side that runs first alternating"
+        note += f"{run_seconds:g} s per run, the side that runs first alternating"
         record["batches"][args.batch] = f"{note}; {args.note}" if args.note else note
         pair = 0
         for seed in seed_list(args.seeds):
@@ -150,7 +154,7 @@ def main(argv=None):
                 pair += 1
                 order = ("parent", "change") if pair % 2 else ("change", "parent")
                 for side in order:
-                    last = bench(trees[side], args.workload, seed, args.seconds)
+                    last = bench(trees[side], args.workload, seed)
                     record["runs"].append({
                         "batch": args.batch, "side": side, "workload": args.workload,
                         "seed": seed, "pair": pair, "first": order[0], "last": last,
