@@ -165,30 +165,35 @@ def _pebbling_texts():
     return texts
 
 
-def _mutants(text, rng, per_kind):
+def _mutants(text, rng, per_kind, extra_lines=_EXTRA_LINES, extra_tokens=_EXTRA_TOKENS, kinds=5):
     """Copies of text with one line token-extended, duplicated, deleted,
-    replaced or appended, per_kind of each."""
+    replaced or appended, and with kinds=6 also one token replaced,
+    per_kind of each."""
     lines = text.splitlines()
-    for kind in range(5):
+    for kind in range(kinds):
         for _ in range(per_kind):
             out = list(lines)
             i = rng.randrange(len(out))
             if kind == 0:
-                out[i] += " " + rng.choice(_EXTRA_TOKENS)
+                out[i] += " " + rng.choice(extra_tokens)
             elif kind == 1:
                 out.insert(rng.randrange(len(out) + 1), out[i])
             elif kind == 2:
                 del out[i]
             elif kind == 3:
-                out[i] = rng.choice(_EXTRA_LINES + lines)
+                out[i] = rng.choice(extra_lines + lines)
+            elif kind == 4:
+                out.append(rng.choice(extra_lines + lines))
             else:
-                out.append(rng.choice(_EXTRA_LINES + lines))
+                toks = out[i].split(" ")
+                toks[rng.randrange(len(toks))] = rng.choice(extra_tokens)
+                out[i] = " ".join(toks)
             yield "\n".join(out) + "\n"
 
 
-def _outcome(text):
+def _outcome(text, parse=lambda text: repr(parse_circuit(text))):
     try:
-        return repr(parse_circuit(text))
+        return parse(text)
     except CckitError as e:
         return f"{type(e).__name__} {getattr(e, 'line', None)} {e}"
 
@@ -205,6 +210,67 @@ def test_parse_outcomes_over_a_mutated_corpus_are_pinned():
     assert len(outcomes) == 906 and 100 < errors < 800
     digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
     assert digest == "b9efe3ede2adcc4c1bd01f8546ab042bd7fed2479a642822f60d893507d077fc"
+
+
+# Per grammar: extra lines and tokens for its mutants, and a canonical outcome
+# (edge sets are written sorted, so a pin does not hang on set iteration order).
+_GRAMMARS = {
+    "graph": (
+        ["edge 0 0", "edge 1 0 # c", "  edge 0 1  ", "edge 00 1", "edge 0 99", "edge -1 0",
+         "edge 0", "edge 0 1 2", "edge \u0663 0", "edge +1 0", "bottom 2", "top 3", "top -1",
+         "target-edge 0 0", "target-top 1", "target-top 9", "target-edge 0", "GRAPH v1",
+         "bogus 1", "# only a comment", ""],
+        lambda text: serialize_graph(*parse_graph(text)),
+    ),
+    "sm": (
+        ["n 2", "n 0", "n -1", "man 0: 0 1", "woman 1: 1 0 # c", "  man 1:  1 0 ", "man 0 0 1",
+         "man 9: 0", "man -1: 0", "woman 0: 0 0", "man x: 1", "man 01: 1 0", "man: 0",
+         "man", "woman 0: 0 \u0661", "SM v1", "bogus 1", "# only a comment", ""],
+        lambda text: repr(parse_sm(text)),
+    ),
+    "digraph": (
+        ["arc 0 1", "arc 1 0 # c", "  arc 0 0  ", "arc 00 1", "arc 0 99", "arc -1 0", "arc 0",
+         "arc 0 1 2", "arc 0 \u0661", "nodes 3", "nodes 0", "DIGRAPH v1", "bogus 1",
+         "# only a comment", ""],
+        lambda text: serialize_digraph(parse_digraph(text)),
+    ),
+}
+_GRAMMAR_TOKENS = ["0", "1", "2", "01", "x", "-1", "+1", "1:", ":", "#", "# c", "\u00b2"]
+
+
+def _grammar_texts(grammar):
+    rng = random.Random(5)
+    if grammar == "graph":
+        fixtures = sorted(pathlib.Path(cckit.__file__).parent.glob("fixtures/*.graph"))
+        texts = [f.read_text() for f in fixtures]
+        for k in range(4):
+            g = gen_bipartite(rng.getrandbits(64), 6, 6, 0.4)
+            desig = [None, ("top", g.num_top - 1), ("edge", (0, 0)), None][k]
+            texts.append(serialize_graph(g, desig))
+    elif grammar == "sm":
+        texts = [serialize_sm(gen_sm(rng.getrandbits(64), n)) for n in (1, 2, 3, 4, 5, 6)]
+    else:
+        texts = [pathlib.Path(cckit.__file__).parent.joinpath("fixtures/reach_demo.digraph").read_text()]
+        texts += [serialize_digraph(gen_digraph(rng.getrandbits(64), 7, 0.3)) for _ in range(5)]
+    return texts
+
+
+@pytest.mark.parametrize("grammar, count, digest", [
+    ("graph", 7 * 181, "c20902c11f8d7ecb34f44ffffd3327ceb4fc10ae8004577ce8c6fd7011d12459"),
+    ("sm", 6 * 181, "33f024c8891a390d80285aecbe2209f6de070e067fa9aae9e40c184e19208649"),
+    ("digraph", 6 * 181, "55cfa7ceeeb5cb6d4d5dae793d1c66d0d9e087abcc6597efbc5e7c96594b9803"),
+])
+def test_other_parse_outcomes_over_mutated_corpora_are_pinned(grammar, count, digest):
+    extra_lines, parse = _GRAMMARS[grammar]
+    rng = random.Random(13)
+    outcomes = []
+    for text in _grammar_texts(grammar):
+        outcomes.append(_outcome(text, parse))
+        mutants = _mutants(text, rng, 30, extra_lines, _GRAMMAR_TOKENS, kinds=6)
+        outcomes.extend(_outcome(m, parse) for m in mutants)
+    errors = sum(o.startswith("ParseError") for o in outcomes)
+    assert len(outcomes) == count and 50 < errors < count - 50
+    assert hashlib.sha256("\n".join(outcomes).encode()).hexdigest() == digest
 
 
 def test_missing_output_reported_at_eof():
