@@ -135,13 +135,21 @@ class Circuit:
         tail = tuple(tail)
         negations = _check_gates(tail, self.num_wires)
         _check_output(output_wire, self.num_wires)
-        out = object.__new__(Circuit)
+        return Circuit._trusted(self.num_wires, self.annotations, self.gates + tail,
+                                output_wire, self.has_negations or negations)
+
+    @classmethod
+    def _trusted(cls, num_wires, annotations, gates, output_wire, has_negations) -> Circuit:
+        """A circuit from tuples that already passed every check the
+        constructor makes, built without checking them again.  Only
+        ``extend`` and the text parser call this."""
+        out = object.__new__(cls)
         vars(out).update(
-            num_wires=self.num_wires,
-            annotations=self.annotations,
-            gates=self.gates + tail,
+            num_wires=num_wires,
+            annotations=annotations,
+            gates=gates,
             output_wire=output_wire,
-            has_negations=self.has_negations or negations,
+            has_negations=has_negations,
         )
         return out
 

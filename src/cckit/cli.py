@@ -107,9 +107,9 @@ def cmd_eval(args) -> int:
         outputs, answer = eval_tri(c, x, on_step=show)
     else:
         outputs, answer = eval(c, x, allow_negations=True, on_step=show)
-    for w, v in enumerate(outputs):
-        print(f"w{w}={v}")
-    print(f"answer={answer}")
+    lines = [f"w{w}={v}\n" for w, v in enumerate(outputs)]
+    lines.append(f"answer={answer}\n")
+    sys.stdout.write("".join(lines))
     return 0 if answer == 1 else 1
 
 

@@ -15,6 +15,13 @@ line and exits with the status given here:
 """
 
 
+# The most nodes, arcs, gates, graph vertices or preference entries an
+# operation builds, checked on closed-form sizes before anything is allocated;
+# far above the largest circuit built here, the padded n = 8 layered pebbling
+# circuit with 129,088 gates.  Over it, TooLargeError.
+SIZE_LIMIT = 10**7
+
+
 class CckitError(Exception):
     pass
 

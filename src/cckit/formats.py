@@ -15,6 +15,8 @@ serialize are mutual inverses.
 
 from __future__ import annotations
 
+from itertools import islice
+
 from .circuit import Circuit, Comparator, Const, Input, NegInput, Negation
 from .errors import ParseError
 from .matching import BipartiteGraph
@@ -22,16 +24,17 @@ from .reachability import Digraph
 from .stable_marriage import SMInstance
 
 
-def _lines(text):
-    """Yield ``(line number, tokens)`` for each significant line."""
-    for no, raw in enumerate(text.splitlines(), start=1):
+def _body(text, expect):
+    """The lines of ``text`` and the index of the first line after its
+    ``expect`` header, which must be the first significant line."""
+    lines = text.splitlines()
+    for no, raw in enumerate(lines, start=1):
         toks = raw.split("#", 1)[0].split()
         if toks:
-            yield no, toks
-
-
-def _eof_line(text) -> int:
-    return max(1, len(text.splitlines()))
+            if toks != expect.split():
+                raise ParseError(no, f"expected `{expect}` header")
+            return lines, no
+    raise ParseError(max(1, len(lines)), f"missing `{expect}` header")
 
 
 def _int(token, no, what):
@@ -42,29 +45,45 @@ def _int(token, no, what):
     return int(token)
 
 
-def _header(text, expect):
-    """The significant lines after the ``expect`` header, as an iterator."""
-    rows = _lines(text)
-    first = next(rows, None)
-    if first is None:
-        raise ParseError(_eof_line(text), f"missing `{expect}` header")
-    no, toks = first
-    if toks != expect.split():
-        raise ParseError(no, f"expected `{expect}` header")
-    return rows
+def _number(token, no, what, nums):
+    """The value of an index token.  A token of ASCII digits only is also
+    stored in ``nums``, a dict kept for one parse, so the hot directives
+    read each distinct index token once and look it up after that; any
+    other token goes through `_int`, which raises its error or returns a
+    negative value for the caller's range check."""
+    if token.isdigit() and token.isascii():
+        value = nums[token] = int(token)
+        return value
+    return _int(token, no, what)
 
 
-def _need(count, toks, no):
-    if len(toks) != count:
-        raise ParseError(no, f"`{toks[0]}` takes {count - 1} argument(s)")
+def _arity(count, toks, no):
+    return ParseError(no, f"`{toks[0]}` takes {count - 1} argument(s)")
+
+
+def _annotation(val, no):
+    if val in ("0", "1"):
+        return Const(int(val))
+    if val.startswith("!x"):
+        a = NegInput(_int(val[2:], no, "input index"))
+    elif val.startswith("x"):
+        a = Input(_int(val[1:], no, "input index"))
+    else:
+        raise ParseError(no, f"bad annotation value {val!r}")
+    if a.index < 0:
+        raise ParseError(no, "negative input index")
+    return a
 
 
 def parse_circuit(text: str) -> Circuit:
-    lines = text.splitlines()
-    header = False
+    lines, start = _body(text, "CCV v1")
     wires = None
+    nums = {}
     annots = {}
+    # One annotation object per value token, as written.
+    by_token = {}
     gates = []
+    negations = False
     # Every `gate`/`neg` line accepted so far, as written, with its gate.
     # `wires` is set once, before any such line, so a repeat of a raw line is
     # accepted again as the same gate: the lookup comes before tokenizing.
@@ -72,7 +91,7 @@ def parse_circuit(text: str) -> Circuit:
     # One Comparator per wire pair, however its lines are written.
     shared = {}
     output = None
-    for no, raw in enumerate(lines, start=1):
+    for no, raw in enumerate(islice(lines, start, None), start=start + 1):
         g = accepted.get(raw)
         if g is not None:
             gates.append(g)
@@ -80,61 +99,65 @@ def parse_circuit(text: str) -> Circuit:
         toks = raw.split("#", 1)[0].split()
         if not toks:
             continue
-        if not header:
-            if toks != ["CCV", "v1"]:
-                raise ParseError(no, "expected `CCV v1` header")
-            header = True
-            continue
         kind = toks[0]
-        if kind == "wires":
-            _need(2, toks, no)
+        if kind == "gate":
+            if len(toks) != 3:
+                raise _arity(3, toks, no)
+            if wires is None:
+                raise ParseError(no, "`gate` before `wires`")
+            a = nums.get(toks[1])
+            if a is None:
+                a = _number(toks[1], no, "wire", nums)
+            b = nums.get(toks[2])
+            if b is None:
+                b = _number(toks[2], no, "wire", nums)
+            if not (0 <= a < wires and 0 <= b < wires):
+                raise ParseError(no, f"gate ({a}, {b}) out of range")
+            g = shared.get((a, b))
+            if g is None:
+                g = shared[a, b] = Comparator(a, b)
+            accepted[raw] = g
+            gates.append(g)
+        elif kind == "annot":
+            if len(toks) != 3:
+                raise _arity(3, toks, no)
+            if wires is None:
+                raise ParseError(no, "`annot` before `wires`")
+            w = nums.get(toks[1])
+            if w is None:
+                w = _number(toks[1], no, "wire", nums)
+            if not 0 <= w < wires:
+                raise ParseError(no, f"wire {w} out of range")
+            if w in annots:
+                raise ParseError(no, f"duplicate annotation for wire {w}")
+            a = by_token.get(toks[2])
+            if a is None:
+                a = by_token[toks[2]] = _annotation(toks[2], no)
+            annots[w] = a
+        elif kind == "neg":
+            if len(toks) != 2:
+                raise _arity(2, toks, no)
+            if wires is None:
+                raise ParseError(no, "`neg` before `wires`")
+            w = nums.get(toks[1])
+            if w is None:
+                w = _number(toks[1], no, "wire", nums)
+            if not 0 <= w < wires:
+                raise ParseError(no, f"wire {w} out of range")
+            accepted[raw] = g = Negation(w)
+            gates.append(g)
+            negations = True
+        elif kind == "wires":
+            if len(toks) != 2:
+                raise _arity(2, toks, no)
             if wires is not None:
                 raise ParseError(no, "duplicate `wires`")
             wires = _int(toks[1], no, "wire count")
             if wires < 0:
                 raise ParseError(no, "negative wire count")
-        elif kind == "annot":
-            _need(3, toks, no)
-            if wires is None:
-                raise ParseError(no, "`annot` before `wires`")
-            w = _int(toks[1], no, "wire")
-            if not 0 <= w < wires:
-                raise ParseError(no, f"wire {w} out of range")
-            if w in annots:
-                raise ParseError(no, f"duplicate annotation for wire {w}")
-            val = toks[2]
-            if val in ("0", "1"):
-                annots[w] = Const(int(val))
-            elif val.startswith("!x"):
-                annots[w] = NegInput(_int(val[2:], no, "input index"))
-            elif val.startswith("x"):
-                annots[w] = Input(_int(val[1:], no, "input index"))
-            else:
-                raise ParseError(no, f"bad annotation value {val!r}")
-            idx = getattr(annots[w], "index", 0)
-            if idx < 0:
-                raise ParseError(no, "negative input index")
-        elif kind == "gate":
-            _need(3, toks, no)
-            if wires is None:
-                raise ParseError(no, "`gate` before `wires`")
-            a = _int(toks[1], no, "wire")
-            b = _int(toks[2], no, "wire")
-            if not (0 <= a < wires and 0 <= b < wires):
-                raise ParseError(no, f"gate ({a}, {b}) out of range")
-            accepted[raw] = g = shared.setdefault((a, b), Comparator(a, b))
-            gates.append(g)
-        elif kind == "neg":
-            _need(2, toks, no)
-            if wires is None:
-                raise ParseError(no, "`neg` before `wires`")
-            w = _int(toks[1], no, "wire")
-            if not 0 <= w < wires:
-                raise ParseError(no, f"wire {w} out of range")
-            accepted[raw] = g = Negation(w)
-            gates.append(g)
         elif kind == "output":
-            _need(2, toks, no)
+            if len(toks) != 2:
+                raise _arity(2, toks, no)
             if wires is None:
                 raise ParseError(no, "`output` before `wires`")
             if output is not None:
@@ -145,16 +168,16 @@ def parse_circuit(text: str) -> Circuit:
         else:
             raise ParseError(no, f"unknown directive {kind!r}")
     eof = max(1, len(lines))
-    if not header:
-        raise ParseError(eof, "missing `CCV v1` header")
     if wires is None:
         raise ParseError(eof, "missing `wires`")
-    for w in range(wires):
-        if w not in annots:
-            raise ParseError(eof, f"wire {w} has no annotation")
+    if len(annots) != wires:
+        missing = next(w for w in range(wires) if w not in annots)
+        raise ParseError(eof, f"wire {missing} has no annotation")
     if output is None:
         raise ParseError(eof, "missing `output`")
-    return Circuit(wires, tuple(annots[w] for w in range(wires)), tuple(gates), output)
+    # `output` is in range, so wires >= 1 as the constructor requires
+    annotations = tuple(map(annots.__getitem__, range(wires)))
+    return Circuit._trusted(wires, annotations, tuple(gates), output, negations)
 
 
 def _annot_token(a) -> str:
@@ -167,8 +190,13 @@ def _annot_token(a) -> str:
 
 def serialize_circuit(c: Circuit) -> str:
     out = ["CCV v1", f"wires {c.num_wires}"]
+    # One token per distinct annotation object, keyed by id as gates are below.
+    tokens = {}
     for w, a in enumerate(c.annotations):
-        out.append(f"annot {w} {_annot_token(a)}")
+        token = tokens.get(id(a))
+        if token is None:
+            token = tokens[id(a)] = _annot_token(a)
+        out.append(f"annot {w} {token}")
     # One line per distinct gate object, keyed by id: the circuit keeps every
     # gate alive, and hashing a frozen dataclass by value costs a Python call.
     formatted = {}
@@ -188,14 +216,36 @@ def serialize_circuit(c: Circuit) -> str:
 def parse_graph(text: str):
     """Returns (graph, designation): designation is None,
     ("edge", (i, j)) or ("top", j)."""
-    rows = _header(text, "GRAPH v1")
+    lines, start = _body(text, "GRAPH v1")
     bottom = top = None
+    nums = {}
     edges = set()
     target = None
-    for no, toks in rows:
+    for no, raw in enumerate(islice(lines, start, None), start=start + 1):
+        toks = raw.split("#", 1)[0].split()
+        if not toks:
+            continue
         kind = toks[0]
-        if kind in ("bottom", "top"):
-            _need(2, toks, no)
+        if kind == "edge":
+            if len(toks) != 3:
+                raise _arity(3, toks, no)
+            if bottom is None or top is None:
+                raise ParseError(no, "`edge` before sizes")
+            i = nums.get(toks[1])
+            if i is None:
+                i = _number(toks[1], no, "bottom index", nums)
+            j = nums.get(toks[2])
+            if j is None:
+                j = _number(toks[2], no, "top index", nums)
+            if not (0 <= i < bottom and 0 <= j < top):
+                raise ParseError(no, f"edge ({i}, {j}) out of range")
+            size = len(edges)
+            edges.add((i, j))
+            if len(edges) == size:
+                raise ParseError(no, f"duplicate edge ({i}, {j})")
+        elif kind in ("bottom", "top"):
+            if len(toks) != 2:
+                raise _arity(2, toks, no)
             val = _int(toks[1], no, "count")
             if val < 0:
                 raise ParseError(no, f"negative `{kind}` count")
@@ -207,42 +257,34 @@ def parse_graph(text: str):
                 if top is not None:
                     raise ParseError(no, "duplicate `top`")
                 top = val
-        elif kind == "edge":
-            _need(3, toks, no)
-            if bottom is None or top is None:
-                raise ParseError(no, "`edge` before sizes")
-            i = _int(toks[1], no, "bottom index")
-            j = _int(toks[2], no, "top index")
-            if not (0 <= i < bottom and 0 <= j < top):
-                raise ParseError(no, f"edge ({i}, {j}) out of range")
-            if (i, j) in edges:
-                raise ParseError(no, f"duplicate edge ({i}, {j})")
-            edges.add((i, j))
         elif kind in ("target-edge", "target-top"):
             if target is not None:
                 raise ParseError(no, "more than one target directive")
             if bottom is None or top is None:
                 raise ParseError(no, f"`{kind}` before sizes")
             if kind == "target-edge":
-                _need(3, toks, no)
+                if len(toks) != 3:
+                    raise _arity(3, toks, no)
                 i = _int(toks[1], no, "bottom index")
                 j = _int(toks[2], no, "top index")
                 if not (0 <= i < bottom and 0 <= j < top):
                     raise ParseError(no, f"target ({i}, {j}) out of range")
                 target = ("edge", (i, j))
             else:
-                _need(2, toks, no)
+                if len(toks) != 2:
+                    raise _arity(2, toks, no)
                 j = _int(toks[1], no, "top index")
                 if not 0 <= j < top:
                     raise ParseError(no, f"target top {j} out of range")
                 target = ("top", j)
         else:
             raise ParseError(no, f"unknown directive {kind!r}")
+    eof = max(1, len(lines))
     if bottom is None:
-        raise ParseError(_eof_line(text), "missing `bottom`")
+        raise ParseError(eof, "missing `bottom`")
     if top is None:
-        raise ParseError(_eof_line(text), "missing `top`")
-    return BipartiteGraph(bottom, top, frozenset(edges)), target
+        raise ParseError(eof, "missing `top`")
+    return BipartiteGraph._trusted(bottom, top, frozenset(edges)), target
 
 
 def serialize_graph(g: BipartiteGraph, designation=None) -> str:
@@ -259,47 +301,61 @@ def serialize_graph(g: BipartiteGraph, designation=None) -> str:
 
 
 def parse_sm(text: str) -> SMInstance:
-    rows = _header(text, "SM v1")
-    n = None
+    lines, start = _body(text, "SM v1")
+    n = identity = None
+    nums = {}
     men = {}
     women = {}
-    for no, toks in rows:
+    for no, raw in enumerate(islice(lines, start, None), start=start + 1):
+        toks = raw.split("#", 1)[0].split()
+        if not toks:
+            continue
         kind = toks[0]
-        if kind == "n":
-            _need(2, toks, no)
-            if n is not None:
-                raise ParseError(no, "duplicate `n`")
-            n = _int(toks[1], no, "size")
-            if n < 1:
-                raise ParseError(no, "size must be at least 1")
-        elif kind in ("man", "woman"):
+        if kind in ("man", "woman"):
             if n is None:
                 raise ParseError(no, f"`{kind}` before `n`")
             if len(toks) != n + 2:
                 raise ParseError(no, f"`{kind}` row needs {n} entries")
+            if identity is None:
+                # built at the first row of n entries, so that `n` alone
+                # allocates nothing
+                identity = list(range(n))
             label = toks[1]
             if not label.endswith(":"):
                 raise ParseError(no, f"expected `{kind} <i>:`")
-            who = _int(label[:-1], no, "person index")
+            who = nums.get(label[:-1])
+            if who is None:
+                who = _number(label[:-1], no, "person index", nums)
             if not 0 <= who < n:
                 raise ParseError(no, f"{kind} {who} out of range")
             store = men if kind == "man" else women
             if who in store:
                 raise ParseError(no, f"duplicate row for {kind} {who}")
-            prefs = tuple(_int(t, no, "preference") for t in toks[2:])
-            if sorted(prefs) != list(range(n)):
+            prefs = tuple(map(nums.get, toks[2:]))
+            if None in prefs:
+                prefs = tuple(_number(t, no, "preference", nums) for t in toks[2:])
+            if sorted(prefs) != identity:
                 raise ParseError(no, "row is not a permutation")
             store[who] = prefs
+        elif kind == "n":
+            if len(toks) != 2:
+                raise _arity(2, toks, no)
+            if n is not None:
+                raise ParseError(no, "duplicate `n`")
+            n = _int(toks[1], no, "size")
+            if n < 1:
+                raise ParseError(no, "size must be at least 1")
         else:
             raise ParseError(no, f"unknown directive {kind!r}")
+    eof = max(1, len(lines))
     if n is None:
-        raise ParseError(_eof_line(text), "missing `n`")
+        raise ParseError(eof, "missing `n`")
     for label, store in (("man", men), ("woman", women)):
-        for i in range(n):
-            if i not in store:
-                raise ParseError(_eof_line(text), f"missing row for {label} {i}")
-    return SMInstance(
-        n, tuple(men[i] for i in range(n)), tuple(women[i] for i in range(n))
+        if len(store) != n:
+            missing = next(i for i in range(n) if i not in store)
+            raise ParseError(eof, f"missing row for {label} {missing}")
+    return SMInstance._trusted(
+        n, tuple(map(men.__getitem__, range(n))), tuple(map(women.__getitem__, range(n)))
     )
 
 
@@ -313,33 +369,44 @@ def serialize_sm(inst: SMInstance) -> str:
 
 
 def parse_digraph(text: str) -> Digraph:
-    rows = _header(text, "DIGRAPH v1")
+    lines, start = _body(text, "DIGRAPH v1")
     n = None
+    nums = {}
     seen = set()
-    for no, toks in rows:
+    for no, raw in enumerate(islice(lines, start, None), start=start + 1):
+        toks = raw.split("#", 1)[0].split()
+        if not toks:
+            continue
         kind = toks[0]
-        if kind == "nodes":
-            _need(2, toks, no)
+        if kind == "arc":
+            if len(toks) != 3:
+                raise _arity(3, toks, no)
+            if n is None:
+                raise ParseError(no, "`arc` before `nodes`")
+            u = nums.get(toks[1])
+            if u is None:
+                u = _number(toks[1], no, "node", nums)
+            v = nums.get(toks[2])
+            if v is None:
+                v = _number(toks[2], no, "node", nums)
+            if not (0 <= u < n and 0 <= v < n):
+                raise ParseError(no, f"arc ({u}, {v}) out of range")
+            size = len(seen)
+            seen.add((u, v))
+            if len(seen) == size:
+                raise ParseError(no, f"duplicate arc ({u}, {v})")
+        elif kind == "nodes":
+            if len(toks) != 2:
+                raise _arity(2, toks, no)
             if n is not None:
                 raise ParseError(no, "duplicate `nodes`")
             n = _int(toks[1], no, "node count")
             if n < 1:
                 raise ParseError(no, "need at least one node")
-        elif kind == "arc":
-            _need(3, toks, no)
-            if n is None:
-                raise ParseError(no, "`arc` before `nodes`")
-            u = _int(toks[1], no, "node")
-            v = _int(toks[2], no, "node")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ParseError(no, f"arc ({u}, {v}) out of range")
-            if (u, v) in seen:
-                raise ParseError(no, f"duplicate arc ({u}, {v})")
-            seen.add((u, v))
         else:
             raise ParseError(no, f"unknown directive {kind!r}")
     if n is None:
-        raise ParseError(_eof_line(text), "missing `nodes`")
+        raise ParseError(max(1, len(lines)), "missing `nodes`")
     return Digraph(n, frozenset(seen))
 
 

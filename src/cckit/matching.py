@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import BadShapeError, IndexOutOfRangeError
+from .errors import SIZE_LIMIT, BadShapeError, IndexOutOfRangeError, TooLargeError
 
 
 @dataclass(frozen=True)
@@ -25,17 +25,40 @@ class BipartiteGraph:
         object.__setattr__(self, "edges", frozenset(self.edges))
         if self.num_bottom < 0 or self.num_top < 0:
             raise BadShapeError("negative vertex count")
-        by_bottom = [[] for _ in range(self.num_bottom)]
-        by_top = [[] for _ in range(self.num_top)]
+        _check_size(self.num_bottom, self.num_top)
         for (i, j) in self.edges:
             if not (0 <= i < self.num_bottom and 0 <= j < self.num_top):
                 raise IndexOutOfRangeError(f"edge ({i}, {j}) out of range")
-            by_bottom[i].append(j)
-            by_top[j].append(i)
-        for v in by_bottom + by_top:
-            v.sort()
-        object.__setattr__(self, "by_bottom", tuple(map(tuple, by_bottom)))
-        object.__setattr__(self, "by_top", tuple(map(tuple, by_top)))
+        _fill_adjacency(self)
+
+    @classmethod
+    def _trusted(cls, num_bottom, num_top, edges) -> BipartiteGraph:
+        """A graph from non-negative counts and a frozenset of edges already
+        checked to be in range, built without checking each edge again.
+        Only the text parser calls this."""
+        _check_size(num_bottom, num_top)
+        g = object.__new__(cls)
+        vars(g).update(num_bottom=num_bottom, num_top=num_top, edges=edges)
+        _fill_adjacency(g)
+        return g
+
+
+def _check_size(num_bottom, num_top) -> None:
+    # the adjacency holds one tuple per vertex, so refuse before allocating it
+    if num_bottom + num_top > SIZE_LIMIT:
+        raise TooLargeError(f"a graph of {num_bottom} + {num_top} vertices is "
+                            f"over the limit of {SIZE_LIMIT}")
+
+
+def _fill_adjacency(g: BipartiteGraph) -> None:
+    by_bottom = [[] for _ in range(g.num_bottom)]
+    by_top = [[] for _ in range(g.num_top)]
+    for (i, j) in g.edges:
+        by_bottom[i].append(j)
+        by_top[j].append(i)
+    for v in by_bottom + by_top:
+        v.sort()
+    vars(g).update(by_bottom=tuple(map(tuple, by_bottom)), by_top=tuple(map(tuple, by_top)))
 
 
 def lfm_matching(g: BipartiteGraph) -> frozenset:

@@ -13,12 +13,13 @@ from collections import deque
 from dataclasses import dataclass
 
 from .circuit import Circuit, Comparator, Const
-from .errors import BadShapeError, IndexOutOfRangeError, PreconditionViolatedError, TooLargeError
-
-# The most nodes, arcs or gates layer and reach_to_ccv build, checked on their
-# closed-form sizes before anything is allocated; far above the largest circuit
-# built here, the padded n = 8 layered one with 129,088 gates.
-_SIZE_LIMIT = 10**7
+from .errors import (
+    SIZE_LIMIT,
+    BadShapeError,
+    IndexOutOfRangeError,
+    PreconditionViolatedError,
+    TooLargeError,
+)
 
 
 @dataclass(frozen=True)
@@ -59,17 +60,17 @@ def _check_layer(g: Digraph, src: int) -> None:
         raise IndexOutOfRangeError(f"source {src} out of range")
     n = g.n
     arcs = (n - 1) * (len(g.edges) + n)
-    if max(n * n, arcs) > _SIZE_LIMIT:
+    if max(n * n, arcs) > SIZE_LIMIT:
         raise TooLargeError(f"layering {n} nodes would make {n * n} nodes and up to {arcs} arcs, "
-                            f"over the limit of {_SIZE_LIMIT}")
+                            f"over the limit of {SIZE_LIMIT}")
 
 
 def _check_pebbling(n: int, arcs: int, pad_dummies: bool) -> None:
     """Refuse a pebbling circuit on n nodes and ``arcs`` arcs past the limit."""
     gates = n * (1 + (n * (n - 1) // 2 if pad_dummies else arcs))
-    if gates > _SIZE_LIMIT:
+    if gates > SIZE_LIMIT:
         raise TooLargeError(f"the pebbling circuit would have {gates} gates, "
-                            f"over the limit of {_SIZE_LIMIT}")
+                            f"over the limit of {SIZE_LIMIT}")
 
 
 def layer(g: Digraph, src: int):

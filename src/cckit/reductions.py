@@ -28,9 +28,11 @@ from .circuit import (
     resolve_inputs,
 )
 from .errors import (
+    SIZE_LIMIT,
     IndexOutOfRangeError,
     NegationNotSupportedError,
     PreconditionViolatedError,
+    TooLargeError,
 )
 from .matching import BipartiteGraph, max_degree
 from .stable_marriage import SMInstance
@@ -59,31 +61,34 @@ def _layer_edges(c: Circuit):
         raise PreconditionViolatedError("apply to_all_up first")
     m = c.num_wires
     vals = resolve_inputs(c, ())
-    nid = lambda layer, wire: layer * m + wire
+    # node (layer, wire) has id layer * m + wire; `here` is layer * m and
+    # `before` is (layer - 1) * m
     edges = []
     for x in range(m):
         if vals[x] == 1:
-            edges.append((nid(0, x), nid(0, x)))
+            edges.append((x, x))
     for layer, g in enumerate(c.gates, start=1):
+        here = layer * m
+        before = here - m
         involved = set()
         if not g.is_dummy:
             u, v = g.max_wire, g.min_wire  # u < v since all-up
             involved = {u, v}
-            edges.append((nid(layer, u), nid(layer - 1, u)))
-            edges.append((nid(layer, u), nid(layer, u)))
-            edges.append((nid(layer, v), nid(layer - 1, v)))
-            edges.append((nid(layer, v), nid(layer, u)))
-            edges.append((nid(layer, v), nid(layer, v)))
+            edges.append((here + u, before + u))
+            edges.append((here + u, here + u))
+            edges.append((here + v, before + v))
+            edges.append((here + v, here + u))
+            edges.append((here + v, here + v))
         for w in range(m):
             if w not in involved:
-                edges.append((nid(layer, w), nid(layer - 1, w)))
-                edges.append((nid(layer, w), nid(layer, w)))
+                edges.append((here + w, before + w))
+                edges.append((here + w, here + w))
     node_map = {
-        (layer, wire): nid(layer, wire)
+        (layer, wire): layer * m + wire
         for layer in range(len(c.gates) + 1)
         for wire in range(m)
     }
-    return edges, node_map, nid(len(c.gates), c.output_wire)
+    return edges, node_map, len(c.gates) * m + c.output_wire
 
 
 def ccv_to_3vlfmm(c: Circuit):
@@ -254,6 +259,11 @@ def lfmm3_to_sm(g: BipartiteGraph, n: int) -> SMInstance:
         raise PreconditionViolatedError(f"{g.num_bottom}x{g.num_top} is not {n}x{n}")
     if max_degree(g) > 3:
         raise PreconditionViolatedError("degree must be at most 3")
+    # 2n rows of 2n entries per side
+    entries = 2 * (2 * n) ** 2
+    if entries > SIZE_LIMIT:
+        raise TooLargeError(f"the marriage instance would have {entries} preference entries, "
+                            f"over the limit of {SIZE_LIMIT}")
 
     def rows(adjacency):
         out = []

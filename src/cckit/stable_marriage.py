@@ -62,8 +62,33 @@ class SMInstance:
             for row in side:
                 if sorted(row) != list(range(self.n)):
                     raise BadShapeError(f"row {row} is not a permutation")
-        object.__setattr__(self, "man_rank", tuple(map(_inverse, self.man_pref)))
-        object.__setattr__(self, "woman_rank", tuple(map(_inverse, self.woman_pref)))
+        _fill_ranks(self)
+
+    @classmethod
+    def _trusted(cls, n, man_pref, woman_pref) -> SMInstance:
+        """An instance from n >= 1 and two tuples of n permutation tuples,
+        already checked, built without sorting every row again.  Only the
+        text parser calls this."""
+        inst = object.__new__(cls)
+        vars(inst).update(n=n, man_pref=man_pref, woman_pref=woman_pref)
+        _fill_ranks(inst)
+        return inst
+
+
+def _fill_ranks(inst: SMInstance) -> None:
+    """man_rank and woman_rank, from rows already checked to be permutations."""
+    n = inst.n
+
+    def ranks(rows):
+        out = []
+        for row in rows:
+            rank = [0] * n
+            for r, p in enumerate(row):
+                rank[p] = r
+            out.append(tuple(rank))
+        return tuple(out)
+
+    vars(inst).update(man_rank=ranks(inst.man_pref), woman_rank=ranks(inst.woman_pref))
 
 
 @dataclass(frozen=True)

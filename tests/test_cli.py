@@ -578,6 +578,23 @@ def test_oversized_reachability_exits_two_before_building(tmp_path, nodes, arcs,
     assert done.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("size, argv, message", [
+    ((300000000, 1), ["lfmm", "FILE"],
+     "a graph of 300000000 + 1 vertices is over the limit of 10000000"),
+    ((2000, 2000), ["reduce", "lfmm3-to-sm", "FILE", "-"],
+     "the marriage instance would have 32000000 preference entries, over the limit of 10000000"),
+], ids=["lfmm-300000000-bottoms", "lfmm3-to-sm-2000-square"])
+def test_oversized_graphs_exit_two_before_building(tmp_path, size, argv, message):
+    # in a child under a 512 MB address-space limit and a timeout, as above
+    path = tmp_path / "big.graph"
+    path.write_text("GRAPH v1\nbottom %d\ntop %d\nedge 0 0\n" % size)
+    argv = [str(path) if a == "FILE" else a for a in argv]
+    done = subprocess.run([sys.executable, "-m", "cckit.cli", *argv], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": SRC}, timeout=30,
+                          preexec_fn=limited_address_space)
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", f"error: {message}\n")
+
+
 def test_parser_is_built_once_and_carries_nothing_between_calls(capsys):
     from cckit import cli
 

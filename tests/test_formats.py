@@ -9,7 +9,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cckit.circuit import Circuit, Comparator, Const, Input, NegInput, Negation
-from cckit.errors import CckitError, ParseError
+from cckit.errors import (
+    BadShapeError,
+    CckitError,
+    IndexOutOfRangeError,
+    ParseError,
+    TooLargeError,
+)
 from cckit.formats import (
     _int,
     parse_circuit,
@@ -21,7 +27,9 @@ from cckit.formats import (
     serialize_graph,
     serialize_sm,
 )
+from cckit.matching import BipartiteGraph
 from cckit.reachability import Digraph, layer, reach_to_ccv
+from cckit.stable_marriage import SMInstance
 from cckit.verify import gen_bipartite, gen_circuit, gen_digraph, gen_sm
 
 CIRCUIT = """\
@@ -271,6 +279,105 @@ def test_other_parse_outcomes_over_mutated_corpora_are_pinned(grammar, count, di
     errors = sum(o.startswith("ParseError") for o in outcomes)
     assert len(outcomes) == count and 50 < errors < count - 50
     assert hashlib.sha256("\n".join(outcomes).encode()).hexdigest() == digest
+
+
+def test_a_zero_wire_circuit_is_refused_as_before():
+    # the parser never reaches the constructor's "at least one wire": with
+    # `wires 0` no output wire is in range
+    for text, line, message in [
+        ("CCV v1\nwires 0\n", 2, "missing `output`"),
+        ("CCV v1\nwires 0\noutput 0\n", 3, "wire 0 out of range"),
+        ("CCV v1\nwires 0\nannot 0 1\n", 3, "wire 0 out of range"),
+        ("CCV v1\nwires 0\ngate 0 0\n", 3, "gate (0, 0) out of range"),
+    ]:
+        with pytest.raises(ParseError) as e:
+            parse_circuit(text)
+        assert (e.value.line, e.value.message) == (line, message)
+
+
+# What each public constructor rejects: the parsers build through private
+# constructors that skip these checks, so the checks must stay here.
+_MALFORMED = [
+    (Circuit, (0, (), (), 0), BadShapeError, "a circuit needs at least one wire"),
+    (Circuit, (2, (Const(0),), (), 0), BadShapeError, "1 annotations for 2 wires"),
+    (Circuit, (1, (Const(2),), (), 0), BadShapeError, "constant annotation 2"),
+    (Circuit, (1, (Input(-1),), (), 0), BadShapeError, "negative input index"),
+    (Circuit, (1, (NegInput(-2),), (), 0), BadShapeError, "negative input index"),
+    (Circuit, (1, ("x0",), (), 0), BadShapeError, "unknown annotation 'x0'"),
+    (Circuit, (2, (Const(0),) * 2, (Comparator(0, 2),), 0), IndexOutOfRangeError,
+     "gate Comparator(min_wire=0, max_wire=2) out of range"),
+    (Circuit, (2, (Const(0),) * 2, (Comparator(-1, 0),), 0), IndexOutOfRangeError,
+     "gate Comparator(min_wire=-1, max_wire=0) out of range"),
+    (Circuit, (2, (Const(0),) * 2, (Negation(2),), 0), IndexOutOfRangeError,
+     "gate Negation(wire=2) out of range"),
+    (Circuit, (2, (Const(0),) * 2, (("gate", 0, 1),), 0), BadShapeError,
+     "unknown gate ('gate', 0, 1)"),
+    (Circuit, (2, (Const(0),) * 2, (), 2), IndexOutOfRangeError, "output wire 2 out of range"),
+    (Circuit, (2, (Const(0),) * 2, (), -1), IndexOutOfRangeError, "output wire -1 out of range"),
+    (BipartiteGraph, (-1, 1, ()), BadShapeError, "negative vertex count"),
+    (BipartiteGraph, (1, -1, ()), BadShapeError, "negative vertex count"),
+    (BipartiteGraph, (1, 1, {(0, 1)}), IndexOutOfRangeError, "edge (0, 1) out of range"),
+    (BipartiteGraph, (1, 1, {(-1, 0)}), IndexOutOfRangeError, "edge (-1, 0) out of range"),
+    (BipartiteGraph, (2, 3, {(2, 0)}), IndexOutOfRangeError, "edge (2, 0) out of range"),
+    (SMInstance, (0, (), ()), BadShapeError, "need at least one man and one woman"),
+    (SMInstance, (2, ((0, 1),), ((0, 1), (1, 0))), BadShapeError,
+     "preference table has wrong height"),
+    (SMInstance, (2, ((0, 1), (1, 0)), ((0, 1),) * 3), BadShapeError,
+     "preference table has wrong height"),
+    (SMInstance, (2, ((0, 1), (0, 0)), ((0, 1),) * 2), BadShapeError,
+     "row (0, 0) is not a permutation"),
+    (SMInstance, (2, ((0, 1),) * 2, ((0, 1), (1, 2))), BadShapeError,
+     "row (1, 2) is not a permutation"),
+    (SMInstance, (2, ((0, 1), (1,)), ((0, 1),) * 2), BadShapeError,
+     "row (1,) is not a permutation"),
+    (SMInstance, (1, ((-1,),), ((0,),)), BadShapeError, "row (-1,) is not a permutation"),
+]
+
+
+@pytest.mark.parametrize("cls, args, error, message", _MALFORMED,
+                         ids=lambda v: v.__name__ if isinstance(v, type) else "")
+def test_public_constructors_reject_every_malformed_shape(cls, args, error, message):
+    with pytest.raises(error) as e:
+        cls(*args)
+    assert str(e.value) == message
+
+
+def test_a_graph_is_refused_before_its_adjacency_is_allocated():
+    with pytest.raises(TooLargeError, match="a graph of 10000000 [+] 1 vertices is over the limit"):
+        BipartiteGraph(10**7, 1, ())
+    with pytest.raises(TooLargeError, match="a graph of 300000000 [+] 1 vertices"):
+        parse_graph("GRAPH v1\nbottom 300000000\ntop 1\nedge 0 0\n")
+
+
+def test_only_the_parsers_build_through_the_private_constructors():
+    # `Circuit.extend` shares the circuit one; every other builder checks
+    import ast
+
+    callers = set()
+    for path in pathlib.Path(cckit.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr == "_trusted":
+                callers.add((path.name, ast.unparse(node.value)))
+    assert callers == {
+        ("circuit.py", "Circuit"),
+        ("formats.py", "Circuit"),
+        ("formats.py", "BipartiteGraph"),
+        ("formats.py", "SMInstance"),
+    }
+
+
+def test_parsed_values_carry_the_fields_the_public_constructors_fill():
+    rng = random.Random(3)
+    for _ in range(60):
+        c = gen_circuit(rng.getrandbits(64), 6, 10, with_neg=rng.random() < 0.5)
+        got = parse_circuit(serialize_circuit(c))
+        assert (got, got.has_negations) == (c, c.has_negations)
+        g = gen_bipartite(rng.getrandbits(64), 6, 6, 0.4)
+        got, _ = parse_graph(serialize_graph(g))
+        assert (got, got.by_bottom, got.by_top) == (g, g.by_bottom, g.by_top)
+        inst = gen_sm(rng.getrandbits(64), rng.randint(1, 6))
+        got = parse_sm(serialize_sm(inst))
+        assert (got, got.man_rank, got.woman_rank) == (inst, inst.man_rank, inst.woman_rank)
 
 
 def test_missing_output_reported_at_eof():
