@@ -10,7 +10,11 @@ negated input variable.  One wire is designated as the answer.
 
 Three-valued evaluation works over ``{0, STAR, 1}`` with the chain order
 ``0 < STAR < 1``; conjunction and disjunction are min and max in that
-order, which matches the strong Kleene tables.
+order, which matches the strong Kleene tables.  Each value has one code,
+its rail pair in ``TRI_RAILS`` (0 as 00, STAR as 01, 1 as 11, the pairs
+``tri_to_bool`` lowers to) read as a two-bit int.  On those codes min and
+max are ``&`` and ``|``, so one gate loop runs bits, bitsliced columns and
+three-valued codes alike: a comparator maps (p, q) to (p & q, p | q).
 """
 
 from __future__ import annotations
@@ -25,21 +29,23 @@ Bit = int
 STAR = "*"
 Tri = Union[int, str]
 
-_TRI_RANK = {0: 0, STAR: 1, 1: 2}
+TRI_RAILS = {0: (0, 0), STAR: (0, 1), 1: (1, 1)}
+TRI_CODE = {v: (a << 1) | b for v, (a, b) in TRI_RAILS.items()}
+TRI_VALUE = {code: v for v, code in TRI_CODE.items()}
+# NOT swaps and flips the rails: (a, b) -> (1 - b, 1 - a)
+_CODE_NOT = {(a << 1) | b: ((1 - b) << 1) | (1 - a) for a, b in TRI_RAILS.values()}
 
 
 def tri_and(a: Tri, b: Tri) -> Tri:
-    return a if _TRI_RANK[a] <= _TRI_RANK[b] else b
+    return TRI_VALUE[TRI_CODE[a] & TRI_CODE[b]]
 
 
 def tri_or(a: Tri, b: Tri) -> Tri:
-    return a if _TRI_RANK[a] >= _TRI_RANK[b] else b
+    return TRI_VALUE[TRI_CODE[a] | TRI_CODE[b]]
 
 
 def tri_not(v: Tri) -> Tri:
-    if v == STAR:
-        return STAR
-    return 1 - v
+    return TRI_VALUE[_CODE_NOT[TRI_CODE[v]]]
 
 
 def refines(finer: Tri, coarser: Tri) -> bool:
@@ -218,21 +224,25 @@ def eval(c: Circuit, x: Sequence[Bit], allow_negations: bool = False, on_step=No
     vals = list(resolve_inputs(c, x))
     if on_step is not None:
         on_step(tuple(vals))
-    _run(c.gates, vals, on_step)
+    _run(c.gates, vals, 1, on_step)
     outputs = tuple(vals)
     return outputs, outputs[c.output_wire]
 
 
-def _run(gates, vals: list, on_step=None) -> None:
-    """Apply Boolean gates to the wire values in place."""
+def _run(gates, vals: list, mask: int, on_step=None) -> None:
+    """Apply gates to the wire values in place: a comparator maps (p, q)
+    to (p & q, p | q), a negation flips ``mask``.  Values are bits,
+    bitsliced columns or three-valued codes."""
     for g in gates:
         if isinstance(g, Comparator):
-            p = vals[g.min_wire]
-            q = vals[g.max_wire]
-            vals[g.min_wire] = p & q
-            vals[g.max_wire] = p | q
+            a = g.min_wire
+            b = g.max_wire
+            p = vals[a]
+            q = vals[b]
+            vals[a] = p & q
+            vals[b] = p | q
         else:
-            vals[g.wire] = 1 - vals[g.wire]
+            vals[g.wire] ^= mask
         if on_step is not None:
             on_step(tuple(vals))
 
@@ -256,9 +266,9 @@ def eval_extensions(base: Circuit, circuits: Sequence[Circuit], x: Sequence[Bit]
             raise NegationNotSupportedError("circuit contains negation gates")
         if shared is None:
             shared = list(resolve_inputs(base, x))
-            _run(base.gates, shared)
+            _run(base.gates, shared, 1)
         vals = list(shared)
-        _run(c.gates[k:], vals)
+        _run(c.gates[k:], vals, 1)
         answers.append(vals[c.output_wire])
     return answers
 
@@ -297,37 +307,30 @@ def eval_batch(c: Circuit, columns: Sequence[int], count: int) -> list:
         if not 0 <= col <= mask:
             raise BadShapeError(f"column {col!r} is not {count} bits")
     vals = _resolve(c, columns, lambda col: col ^ mask, mask)
-    for g in c.gates:
-        a = g.min_wire
-        b = g.max_wire
-        p = vals[a]
-        q = vals[b]
-        vals[a] = p & q
-        vals[b] = p | q
+    _run(c.gates, vals, mask)
     return vals
 
 
 def eval_tri(c: Circuit, x: Sequence[Tri], on_step=None):
     """Run the circuit over {0, STAR, 1}. Negation gates are rejected.
 
-    Returns and snapshots as in :func:`eval`.
+    Returns and snapshots as in :func:`eval`.  The wires carry codes, and
+    outputs and snapshots are decoded to {0, STAR, 1}.
     """
     if c.has_negations:
         raise NegationNotSupportedError("three-valued evaluation has no negation")
     for v in x:
-        if v not in _TRI_RANK:
+        if v not in TRI_CODE:
             raise BadShapeError(f"three-valued input {v!r}")
-    vals = _resolve(c, x, tri_not)
+    one = TRI_CODE[1]
+    vals = _resolve(c, [TRI_CODE[v] for v in x], _CODE_NOT.__getitem__, one)
+    value = TRI_VALUE.__getitem__
+    step = None
     if on_step is not None:
-        on_step(tuple(vals))
-    for g in c.gates:
-        p = vals[g.min_wire]
-        q = vals[g.max_wire]
-        vals[g.min_wire] = tri_and(p, q)
-        vals[g.max_wire] = tri_or(p, q)
-        if on_step is not None:
-            on_step(tuple(vals))
-    outputs = tuple(vals)
+        step = lambda snap: on_step(tuple(map(value, snap)))
+        step(vals)
+    _run(c.gates, vals, one, step)
+    outputs = tuple(map(value, vals))
     return outputs, outputs[c.output_wire]
 
 

@@ -78,9 +78,9 @@ def _write(path: str, text: str):
         raise CckitError(f"cannot write {path}: {e.strerror or e}") from None
 
 
-# One wire value and its text, in either value domain: {0, 1} or {0, STAR, 1}.
+# One wire value from its text, in either value domain: {0, 1} or
+# {0, STAR, 1}.  The way back is str, since STAR is the text "*".
 _TEXT_VALUE = {"0": 0, "1": 1, "*": STAR}
-_VALUE_TEXT = {0: "0", 1: "1", STAR: "*"}.__getitem__
 
 
 def _bits(c, s: str):
@@ -101,7 +101,7 @@ def cmd_eval(args) -> int:
         steps = itertools.count()
 
         def show(snap):
-            print(f"step {next(steps)} " + "".join(map(_VALUE_TEXT, snap)))
+            print(f"step {next(steps)} " + "".join(map(str, snap)))
 
     if args.tri is not None:
         outputs, answer = eval_tri(c, x, on_step=show)

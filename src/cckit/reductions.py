@@ -16,6 +16,7 @@ from functools import lru_cache
 
 from .circuit import (
     STAR,
+    TRI_RAILS,
     Circuit,
     Comparator,
     Const,
@@ -217,24 +218,18 @@ def lfmm_to_ccvneg(g: BipartiteGraph, edge: tuple) -> Circuit:
 def tri_to_bool(c: Circuit, x):
     """Boolean rail-pair simulation of a three-valued circuit.
 
-    Each tri wire w becomes rails (2w, 2w+1) encoding 0 as (0,0), STAR as
-    (0,1) and 1 as (1,1); a comparator acts railwise and the rail order
-    never breaks.  Inputs are resolved against ``x`` so the result is a
-    closed instance; a final comparator lands rail1 AND rail2 of the
-    designated pair on the designated wire.  Returns (circuit, rail_map).
+    Each tri wire w becomes rails (2w, 2w+1) holding its ``TRI_RAILS``
+    pair: 0 as (0,0), STAR as (0,1) and 1 as (1,1).  A comparator acts
+    railwise and the rail order never breaks.  Inputs are resolved against
+    ``x`` so the result is a closed instance; a final comparator lands
+    rail1 AND rail2 of the designated pair on the designated wire.
+    Returns (circuit, rail_map).
     """
     if c.has_negations:
         raise NegationNotSupportedError("three-valued circuits are negation-free")
     # a gateless copy resolves and validates the inputs in one step
     vals, _ = eval_tri(Circuit(c.num_wires, c.annotations, (), c.output_wire), x)
-    anns = []
-    for v in vals:
-        if v == 0:
-            anns.extend((Const(0), Const(0)))
-        elif v == STAR:
-            anns.extend((Const(0), Const(1)))
-        else:
-            anns.extend((Const(1), Const(1)))
+    anns = [Const(r) for v in vals for r in TRI_RAILS[v]]
     gates = []
     for g in c.gates:
         gates.append(Comparator(2 * g.min_wire, 2 * g.max_wire))

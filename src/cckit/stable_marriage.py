@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .circuit import STAR, tri_and, tri_or
+from .circuit import STAR, TRI_CODE, TRI_VALUE, tri_and, tri_or
 from .errors import (
     BadShapeError,
     InternalBoundViolationError,
@@ -286,20 +286,22 @@ def _matrix_fixed_point(inst: SMInstance, adjacent_only: bool, on_step=None):
     just the neighbouring term, which is the circuit-implementable rule;
     otherwise full prefix AND/OR.
 
-    Cells are coded 0 < 1 (STAR) < 2, so AND is min and OR is max.  Every
-    pass reads the matrices the previous pass left and applies its changes
-    after both sweeps.  Man row m is a function of row m of MM and column
-    m of WW only, so a pass recomputes it only if one of those changed in
-    the previous pass; woman rows likewise.
+    Cells hold the three-valued codes of ``circuit.TRI_CODE``, on which
+    AND is ``&`` and OR is ``|``.  Every pass reads the matrices the
+    previous pass left and applies its changes after both sweeps.  Man
+    row m is a function of row m of MM and column m of WW only, so a pass
+    recomputes it only if one of those changed in the previous pass;
+    woman rows likewise.
     """
     n = inst.n
     mpref, wpref = inst.man_pref, inst.woman_pref
-    MM = [[1] * n for _ in range(n)]
-    WW = [[1] * n for _ in range(n)]
+    zero, star, one = TRI_CODE[0], TRI_CODE[STAR], TRI_CODE[1]
+    MM = [[star] * n for _ in range(n)]
+    WW = [[star] * n for _ in range(n)]
     for m in range(n):
-        MM[m][mpref[m][0]] = 2
+        MM[m][mpref[m][0]] = one
     for w in range(n):
-        WW[w][wpref[w][0]] = 0
+        WW[w][wpref[w][0]] = zero
     if on_step is not None:
         on_step(_decoded(MM, WW))
     men = women = range(n)
@@ -312,28 +314,26 @@ def _matrix_fixed_point(inst: SMInstance, adjacent_only: bool, on_step=None):
         mm_changes = []
         for m in men:
             row, pref = MM[m], mpref[m]
-            prev, acc = pref[0], 2
+            prev, acc = pref[0], one
             for i in range(1, n):
                 w = pref[i]
                 t = WW[prev][m]
                 if not adjacent_only:
-                    acc = t = acc if acc < t else t
-                a = row[prev]
-                v = a if a < t else t
+                    acc = t = acc & t
+                v = row[prev] & t
                 if v != row[w]:
                     mm_changes.append((m, w, v))
                 prev = w
         ww_changes = []
         for w in women:
             row, pref = WW[w], wpref[w]
-            prev, acc = pref[0], 0
+            prev, acc = pref[0], zero
             for i in range(1, n):
                 m = pref[i]
                 t = MM[prev][w]
                 if not adjacent_only:
-                    acc = t = acc if acc > t else t
-                a = row[prev]
-                v = a if a > t else t
+                    acc = t = acc | t
+                v = row[prev] | t
                 if v != row[m]:
                     ww_changes.append((w, m, v))
                 prev = m
@@ -353,8 +353,8 @@ def _matrix_fixed_point(inst: SMInstance, adjacent_only: bool, on_step=None):
 
 
 def _decoded(MM, WW) -> MatrixPair:
-    """The int-coded matrices as a MatrixPair over {0, STAR, 1}."""
-    value = (0, STAR, 1).__getitem__
+    """The coded matrices as a MatrixPair over {0, STAR, 1}."""
+    value = TRI_VALUE.__getitem__
     return MatrixPair(
         tuple(tuple(map(value, row)) for row in MM),
         tuple(tuple(map(value, row)) for row in WW),

@@ -534,11 +534,8 @@ def _case_sm_ladder(rng, i):
         stables = all_stable_marriages(inst)
         if man1 not in stables:
             yield show("man-optimal not among stable marriages")
-        mrank = [
-            {w: r for r, w in enumerate(inst.man_pref[m])} for m in range(n)
-        ]
         for m in range(n):
-            best = min((mar.match[m] for mar in stables), key=lambda w: mrank[m][w])
+            best = min((mar.match[m] for mar in stables), key=inst.man_rank[m].__getitem__)
             if man1.match[m] != best:
                 yield show("man-optimal partner is not the best stable partner")
 

@@ -1,10 +1,15 @@
 """Core IR and evaluator behaviour."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
 from cckit.circuit import (
     STAR,
+    TRI_CODE,
+    TRI_RAILS,
+    TRI_VALUE,
     Circuit,
     Comparator,
     Const,
@@ -126,15 +131,71 @@ def test_updown_properties():
 
 def test_tri_tables():
     order = {0: 0, STAR: 1, 1: 2}
+    assert set(TRI_RAILS) == set(order)
     for a in (0, STAR, 1):
+        assert TRI_VALUE[TRI_CODE[a]] == a
+        first, second = TRI_RAILS[a]
+        assert first <= second  # the rail order tri_to_bool keeps
         for b in (0, STAR, 1):
             lo, hi = sorted((a, b), key=order.get)
             assert tri_and(a, b) == lo
             assert tri_or(a, b) == hi
+            # on the codes, the chain's min and max are & and |
+            assert TRI_VALUE[TRI_CODE[a] & TRI_CODE[b]] == lo, (a, b)
+            assert TRI_VALUE[TRI_CODE[a] | TRI_CODE[b]] == hi, (a, b)
     assert tri_not(STAR) == STAR
     assert tri_not(0) == 1
+    assert tri_not(1) == 0
     assert refines(1, STAR) and refines(0, STAR)
     assert refines(STAR, STAR) and not refines(STAR, 1)
+
+
+_RANK = {0: 0, STAR: 1, 1: 2}
+
+
+def rank_eval_tri(c, x, on_step=None):
+    """Three-valued evaluation as it ran before the shared code: values
+    kept as 0, STAR, 1 and compared through a chain-rank table."""
+    vals = []
+    for a in c.annotations:
+        if isinstance(a, Const):
+            vals.append(a.value)
+        else:
+            v = x[a.index]
+            if isinstance(a, NegInput):
+                v = STAR if v == STAR else 1 - v
+            vals.append(v)
+    if on_step is not None:
+        on_step(tuple(vals))
+    for g in c.gates:
+        p = vals[g.min_wire]
+        q = vals[g.max_wire]
+        vals[g.min_wire] = p if _RANK[p] <= _RANK[q] else q
+        vals[g.max_wire] = p if _RANK[p] >= _RANK[q] else q
+        if on_step is not None:
+            on_step(tuple(vals))
+    outputs = tuple(vals)
+    return outputs, outputs[c.output_wire]
+
+
+def test_coded_eval_tri_matches_the_rank_table_loop():
+    rng = random.Random(19)
+    seen = {"star_input": 0, "star_neg_input": 0, "bool_neg_input": 0, "star_answer": 0}
+    for i in range(400):
+        c = gen_circuit(split(19, i), 6, 14, with_neg=False)
+        x = [rng.choice((0, STAR, 1)) for _ in range(c.num_inputs)]
+        got_steps, want_steps = [], []
+        got = eval_tri(c, x, on_step=got_steps.append)
+        want = rank_eval_tri(c, x, on_step=want_steps.append)
+        assert got == want, i
+        assert got_steps == want_steps, i
+        assert eval_tri(c, x) == want, i
+        negs = [x[a.index] for a in c.annotations if isinstance(a, NegInput)]
+        seen["star_input"] += STAR in x
+        seen["star_neg_input"] += STAR in negs
+        seen["bool_neg_input"] += any(v != STAR for v in negs)
+        seen["star_answer"] += got[1] == STAR
+    assert min(seen.values()) > 0, seen
 
 
 def test_eval_tri_star_propagates():
@@ -342,9 +403,9 @@ def test_eval_extensions_runs_the_base_once(monkeypatch):
     runs = []
     real = circuit._run
 
-    def counting(gates, vals, on_step=None):
+    def counting(gates, vals, mask, on_step=None):
         runs.append(len(gates))
-        return real(gates, vals, on_step)
+        return real(gates, vals, mask, on_step)
 
     monkeypatch.setattr(circuit, "_run", counting)
     assert eval_extensions(base, circuits, (1, 0)) == want
