@@ -118,9 +118,7 @@ class Circuit:
         if self.num_wires < 1:
             raise BadShapeError("a circuit needs at least one wire")
         if len(self.annotations) != self.num_wires:
-            raise BadShapeError(
-                f"{len(self.annotations)} annotations for {self.num_wires} wires"
-            )
+            raise BadShapeError(f"{len(self.annotations)} annotations for {self.num_wires} wires")
         for a in self.annotations:
             if isinstance(a, Const):
                 if a.value not in (0, 1):
@@ -148,15 +146,10 @@ class Circuit:
     def _trusted(cls, num_wires, annotations, gates, output_wire, has_negations) -> Circuit:
         """A circuit from tuples that already passed every check the
         constructor makes, built without checking them again.  Only
-        ``extend`` and the text parser call this."""
+        ``extend``, ``CircuitBuilder.build`` and the text parser call this."""
         out = object.__new__(cls)
-        vars(out).update(
-            num_wires=num_wires,
-            annotations=annotations,
-            gates=gates,
-            output_wire=output_wire,
-            has_negations=has_negations,
-        )
+        vars(out).update(num_wires=num_wires, annotations=annotations, gates=gates,
+                         output_wire=output_wire, has_negations=has_negations)
         return out
 
     @property
@@ -171,20 +164,57 @@ class Circuit:
     @property
     def is_all_down(self) -> bool:
         """Every non-dummy comparator has its tip at the larger index."""
-        return all(
-            g.is_dummy or g.min_wire < g.max_wire
-            for g in self.gates
-            if isinstance(g, Comparator)
-        ) and not self.has_negations
+        return not self.has_negations and all(g.min_wire <= g.max_wire for g in self.gates)
 
     @property
     def is_all_up(self) -> bool:
         """Every non-dummy comparator has its tip at the smaller index."""
-        return all(
-            g.is_dummy or g.max_wire < g.min_wire
-            for g in self.gates
-            if isinstance(g, Comparator)
-        ) and not self.has_negations
+        return not self.has_negations and all(g.max_wire <= g.min_wire for g in self.gates)
+
+
+class CircuitBuilder:
+    """A circuit assembled wire by wire, starting from one wire per
+    annotation in ``annotations``.  Gate endpoints drawn from those wires
+    and the indices ``wire`` and ``wires`` return are in range by
+    construction, so ``build`` checks only the output wire.  The gates on
+    one wire pair share one ``Comparator``, as in parsed circuits."""
+
+    def __init__(self, annotations=()):
+        self.annotations = list(annotations)
+        self.gates, self._shared, self.has_negations = [], {}, False
+
+    def wire(self, annotation) -> int:
+        self.annotations.append(annotation)
+        return len(self.annotations) - 1
+
+    def wires(self, annotations) -> int:
+        """Add one wire per annotation; returns the first new index."""
+        first = len(self.annotations)
+        self.annotations.extend(annotations)
+        return first
+
+    def gate(self, a: int, b: int) -> Comparator:
+        g = self._shared.get((a, b))
+        if g is None:
+            g = self._shared[a, b] = Comparator(a, b)
+        self.gates.append(g)
+        return g
+
+    def neg(self, w: int) -> None:
+        self.gates.append(Negation(w))
+        self.has_negations = True
+
+    def extend(self, gates, has_negations: bool = False) -> None:
+        """Append gates as they are: ones ``gate`` returned, or a circuit's
+        own gates over wires numbered as this builder's."""
+        self.gates.extend(gates)
+        self.has_negations = self.has_negations or has_negations
+
+    def build(self, output_wire: int) -> Circuit:
+        n = len(self.annotations)
+        _check_output(output_wire, n)
+        return Circuit._trusted(n, tuple(self.annotations), tuple(self.gates),
+                                output_wire, self.has_negations)
 
 
 def _resolve(c: Circuit, x: Sequence, negate, one=1) -> list:
@@ -311,6 +341,14 @@ def eval_batch(c: Circuit, columns: Sequence[int], count: int) -> list:
     return vals
 
 
+def resolve_tri_inputs(c: Circuit, x: Sequence[Tri]) -> list:
+    """Initial wire codes for three-valued input vector ``x``."""
+    for v in x:
+        if v not in TRI_CODE:
+            raise BadShapeError(f"three-valued input {v!r}")
+    return _resolve(c, [TRI_CODE[v] for v in x], _CODE_NOT.__getitem__, TRI_CODE[1])
+
+
 def eval_tri(c: Circuit, x: Sequence[Tri], on_step=None):
     """Run the circuit over {0, STAR, 1}. Negation gates are rejected.
 
@@ -319,19 +357,22 @@ def eval_tri(c: Circuit, x: Sequence[Tri], on_step=None):
     """
     if c.has_negations:
         raise NegationNotSupportedError("three-valued evaluation has no negation")
-    for v in x:
-        if v not in TRI_CODE:
-            raise BadShapeError(f"three-valued input {v!r}")
-    one = TRI_CODE[1]
-    vals = _resolve(c, [TRI_CODE[v] for v in x], _CODE_NOT.__getitem__, one)
+    vals = resolve_tri_inputs(c, x)
     value = TRI_VALUE.__getitem__
     step = None
     if on_step is not None:
         step = lambda snap: on_step(tuple(map(value, snap)))
         step(vals)
-    _run(c.gates, vals, one, step)
+    _run(c.gates, vals, TRI_CODE[1], step)
     outputs = tuple(map(value, vals))
     return outputs, outputs[c.output_wire]
+
+
+def negated(a):
+    """The annotation whose wire starts at the negation of ``a``'s."""
+    if isinstance(a, Const):
+        return Const(1 - a.value)
+    return NegInput(a.index) if isinstance(a, Input) else Input(a.index)
 
 
 def dual(c: Circuit) -> Circuit:
@@ -342,16 +383,10 @@ def dual(c: Circuit) -> Circuit:
     """
     if c.has_negations:
         raise NegationNotSupportedError("dual is defined for comparator-only circuits")
-    anns = []
-    for a in c.annotations:
-        if isinstance(a, Const):
-            anns.append(Const(1 - a.value))
-        elif isinstance(a, Input):
-            anns.append(NegInput(a.index))
-        else:
-            anns.append(Input(a.index))
-    gates = tuple(Comparator(g.max_wire, g.min_wire) for g in c.gates)
-    return Circuit(c.num_wires, tuple(anns), gates, c.output_wire)
+    cb = CircuitBuilder(map(negated, c.annotations))
+    for g in c.gates:
+        cb.gate(g.max_wire, g.min_wire)
+    return cb.build(c.output_wire)
 
 
 def normalize_down(c: Circuit):
@@ -367,42 +402,35 @@ def normalize_down(c: Circuit):
     if c.has_negations:
         raise NegationNotSupportedError("normalize_down is comparator-only")
     holder = list(range(c.num_wires))
-    anns = list(c.annotations)
-    gates = []
-    width = c.num_wires
+    cb = CircuitBuilder(c.annotations)
     for g in c.gates:
         if g.is_dummy:
             continue
         a = holder[g.max_wire]
         b = holder[g.min_wire]
-        top = width
-        bot = width + 1
-        width += 2
-        anns.extend((Const(0), Const(0)))
+        top = cb.wires((Const(0), Const(0)))
+        bot = top + 1
         # Three pushes onto the fresh pair: the first parks the max-side
         # value, the second merges in the min side (disjunction lands on
         # top), the third drops the leftover conjunction onto bot.
-        gates.append(Comparator(a, top))
-        gates.append(Comparator(b, top))
-        gates.append(Comparator(b, bot))
+        cb.gate(a, top)
+        cb.gate(b, top)
+        cb.gate(b, bot)
         holder[g.max_wire] = top
         holder[g.min_wire] = bot
-    wire_map = {w: holder[w] for w in range(c.num_wires)}
-    out = Circuit(width, tuple(anns), tuple(gates), holder[c.output_wire])
-    return out, wire_map
+    return cb.build(holder[c.output_wire]), dict(enumerate(holder))
 
 
 def mirror(c: Circuit) -> Circuit:
     """Relabel wire i as num_wires-1-i everywhere, keeping gate roles."""
     m = c.num_wires
-    anns = tuple(reversed(c.annotations))
-    gates = []
+    cb = CircuitBuilder(reversed(c.annotations))
     for g in c.gates:
         if isinstance(g, Comparator):
-            gates.append(Comparator(m - 1 - g.min_wire, m - 1 - g.max_wire))
+            cb.gate(m - 1 - g.min_wire, m - 1 - g.max_wire)
         else:
-            gates.append(Negation(m - 1 - g.wire))
-    return Circuit(m, anns, tuple(gates), m - 1 - c.output_wire)
+            cb.neg(m - 1 - g.wire)
+    return cb.build(m - 1 - c.output_wire)
 
 
 def compose(outer: Circuit, inners: Sequence[Circuit]) -> Circuit:
@@ -419,24 +447,19 @@ def compose(outer: Circuit, inners: Sequence[Circuit]) -> Circuit:
         raise BadShapeError(
             f"outer consumes {outer.num_inputs} positions, {len(inners)} inners given"
         )
-    anns = []
-    gates = []
+    cb = CircuitBuilder()
     wire_of = {}
-    width = 0
     for w, a in enumerate(outer.annotations):
         if isinstance(a, Const):
-            wire_of[w] = width
-            anns.append(a)
-            width += 1
+            wire_of[w] = cb.wire(a)
             continue
         inner = inners[a.index]
         if isinstance(a, NegInput):
             inner = dual(inner)
-        base = width
-        anns.extend(inner.annotations)
-        width += inner.num_wires
-        gates.extend(Comparator(base + g.min_wire, base + g.max_wire) for g in inner.gates)
+        base = cb.wires(inner.annotations)
+        for g in inner.gates:
+            cb.gate(base + g.min_wire, base + g.max_wire)
         wire_of[w] = base + inner.output_wire
     for g in outer.gates:
-        gates.append(Comparator(wire_of[g.min_wire], wire_of[g.max_wire]))
-    return Circuit(width, tuple(anns), tuple(gates), wire_of[outer.output_wire])
+        cb.gate(wire_of[g.min_wire], wire_of[g.max_wire])
+    return cb.build(wire_of[outer.output_wire])

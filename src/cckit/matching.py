@@ -8,6 +8,7 @@ The result depends only on the graph, and it is maximal.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import SIZE_LIMIT, BadShapeError, IndexOutOfRangeError, TooLargeError
 
@@ -17,9 +18,8 @@ class BipartiteGraph:
     num_bottom: int
     num_top: int
     edges: frozenset
-    # one ascending tuple of neighbours per bottom vertex, and per top vertex
+    # one ascending tuple of neighbours per bottom vertex
     by_bottom: tuple = field(init=False, repr=False, compare=False)
-    by_top: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "edges", frozenset(self.edges))
@@ -29,7 +29,7 @@ class BipartiteGraph:
         for (i, j) in self.edges:
             if not (0 <= i < self.num_bottom and 0 <= j < self.num_top):
                 raise IndexOutOfRangeError(f"edge ({i}, {j}) out of range")
-        _fill_adjacency(self)
+        vars(self)["by_bottom"] = _adjacency(self.num_bottom, self.edges)
 
     @classmethod
     def _trusted(cls, num_bottom, num_top, edges) -> BipartiteGraph:
@@ -38,9 +38,14 @@ class BipartiteGraph:
         Only the text parser calls this."""
         _check_size(num_bottom, num_top)
         g = object.__new__(cls)
-        vars(g).update(num_bottom=num_bottom, num_top=num_top, edges=edges)
-        _fill_adjacency(g)
+        vars(g).update(num_bottom=num_bottom, num_top=num_top, edges=edges,
+                       by_bottom=_adjacency(num_bottom, edges))
         return g
+
+    @cached_property
+    def by_top(self) -> tuple:
+        """One ascending tuple of neighbours per top vertex, built on first read."""
+        return _adjacency(self.num_top, [(j, i) for (i, j) in self.edges])
 
 
 def _check_size(num_bottom, num_top) -> None:
@@ -50,15 +55,14 @@ def _check_size(num_bottom, num_top) -> None:
                             f"over the limit of {SIZE_LIMIT}")
 
 
-def _fill_adjacency(g: BipartiteGraph) -> None:
-    by_bottom = [[] for _ in range(g.num_bottom)]
-    by_top = [[] for _ in range(g.num_top)]
-    for (i, j) in g.edges:
-        by_bottom[i].append(j)
-        by_top[j].append(i)
-    for v in by_bottom + by_top:
-        v.sort()
-    vars(g).update(by_bottom=tuple(map(tuple, by_bottom)), by_top=tuple(map(tuple, by_top)))
+def _adjacency(count: int, pairs) -> tuple:
+    """For each u in 0..count-1, the v of every pair (u, v) in ascending order."""
+    out = [[] for _ in range(count)]
+    for (u, v) in pairs:
+        out[u].append(v)
+    for vs in out:
+        vs.sort()
+    return tuple(map(tuple, out))
 
 
 def lfm_matching(g: BipartiteGraph) -> frozenset:

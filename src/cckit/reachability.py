@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .circuit import Circuit, Comparator, Const
+from .circuit import Circuit, CircuitBuilder, Const
 from .errors import (
     SIZE_LIMIT,
     BadShapeError,
@@ -126,20 +126,21 @@ def reach_to_ccv(g: Digraph, target: int, pad_dummies: bool = False) -> Circuit:
     bad = min(((i, j) for (i, j) in g.edges if i >= j), default=None)
     if bad is not None:
         raise PreconditionViolatedError(f"edge {bad} is not ascending")
-    anns = [Const(1)] * n + [Const(0)] * n
+    cb = CircuitBuilder([Const(1)] * n + [Const(0)] * n)
+    # round 0 makes the sweep's gates; every later round appends them whole
+    cb.gate(0, n)
     if pad_dummies:
         sweep = [
-            Comparator(n + i, n + j) if (i, j) in g.edges else Comparator(n + i, n + i)
+            cb.gate(n + i, n + j) if (i, j) in g.edges else cb.gate(n + i, n + i)
             for i in range(n)
             for j in range(i + 1, n)
         ]
     else:
-        sweep = [Comparator(n + i, n + j) for (i, j) in sorted(g.edges)]
-    gates = []
-    for k in range(n):
-        gates.append(Comparator(k, n))
-        gates.extend(sweep)
-    return Circuit(2 * n, tuple(anns), tuple(gates), n + target)
+        sweep = [cb.gate(n + i, n + j) for (i, j) in sorted(g.edges)]
+    for k in range(1, n):
+        cb.gate(k, n)
+        cb.extend(sweep)
+    return cb.build(n + target)
 
 
 def layered_arcs(g: Digraph) -> int:

@@ -17,16 +17,18 @@ from functools import lru_cache
 from .circuit import (
     STAR,
     TRI_RAILS,
+    TRI_VALUE,
     Circuit,
+    CircuitBuilder,
     Comparator,
     Const,
     Input,
-    NegInput,
     Negation,
-    eval_tri,
     mirror,
+    negated,
     normalize_down,
     resolve_inputs,
+    resolve_tri_inputs,
 )
 from .errors import (
     SIZE_LIMIT,
@@ -41,8 +43,9 @@ from .stable_marriage import SMInstance
 
 def close_circuit(c: Circuit, x) -> Circuit:
     """Bake an input vector into constant annotations."""
-    vals = resolve_inputs(c, x)
-    return Circuit(c.num_wires, tuple(Const(v) for v in vals), c.gates, c.output_wire)
+    cb = CircuitBuilder(map(Const, resolve_inputs(c, x)))
+    cb.extend(c.gates, c.has_negations)
+    return cb.build(c.output_wire)
 
 
 def to_all_up(c: Circuit):
@@ -106,17 +109,15 @@ def ccv_to_3vlfmm(c: Circuit):
     return BipartiteGraph(count, count, frozenset(edges)), ("top", target), node_map
 
 
-def _greedy_gates(g: BipartiteGraph, offset: int = 0, skip=None) -> list:
+def _greedy_gates(cb: CircuitBuilder, g: BipartiteGraph, offset: int = 0, skip=None) -> None:
     """One comparator per edge, bottoms in order and each bottom's tops
     ascending: bottom i on wire offset + num_top + i, top j on offset + j.
     The edge ``skip``, if given, gets no gate."""
     T = g.num_top
-    return [
-        Comparator(offset + T + i, offset + j)
-        for i, tops in enumerate(g.by_bottom)
-        for j in tops
-        if (i, j) != skip
-    ]
+    for i, tops in enumerate(g.by_bottom):
+        for j in tops:
+            if (i, j) != skip:
+                cb.gate(offset + T + i, offset + j)
 
 
 def vlfmm_to_ccv(g: BipartiteGraph, target_top: int, pad_dummies: bool = False) -> Circuit:
@@ -130,16 +131,14 @@ def vlfmm_to_ccv(g: BipartiteGraph, target_top: int, pad_dummies: bool = False) 
     if not (0 <= target_top < g.num_top):
         raise IndexOutOfRangeError(f"top {target_top} out of range")
     T, B = g.num_top, g.num_bottom
-    anns = [Const(0)] * T + [Const(1)] * B
+    cb = CircuitBuilder([Const(0)] * T + [Const(1)] * B)
     if pad_dummies:
-        gates = [
-            Comparator(T + b, t) if t in tops else Comparator(T + b, T + b)
-            for b, tops in enumerate(g.by_bottom)
-            for t in range(T)
-        ]
+        for b, tops in enumerate(g.by_bottom):
+            for t in range(T):
+                cb.gate(T + b, t if t in tops else T + b)
     else:
-        gates = _greedy_gates(g)
-    return Circuit(T + B, tuple(anns), tuple(gates), target_top)
+        _greedy_gates(cb, g)
+    return cb.build(target_top)
 
 
 def ccv_to_3lfmm(c: Circuit):
@@ -156,12 +155,13 @@ def ccv_to_3lfmm(c: Circuit):
 
 
 def _rail_gates(g, t):
-    """The double-rail lowering of one gate, with ``t`` the zero wire."""
+    """The double-rail lowering of one gate as (min, max) wire pairs, with
+    ``t`` the zero wire."""
     if isinstance(g, Comparator):
         a, b = g.min_wire, g.max_wire
-        return Comparator(2 * a, 2 * b), Comparator(2 * b + 1, 2 * a + 1)
+        return (2 * a, 2 * b), (2 * b + 1, 2 * a + 1)
     z = 2 * g.wire
-    return Comparator(z, t), Comparator(z + 1, z), Comparator(t, z + 1)
+    return (z, t), (z + 1, z), (t, z + 1)
 
 
 def double_rail(c: Circuit):
@@ -172,19 +172,14 @@ def double_rail(c: Circuit):
     Returns (circuit, wire_map) with wire_map[w] == 2w.
     """
     m = c.num_wires
-    t = 2 * m
-    anns = []
+    cb = CircuitBuilder()
     for a in c.annotations:
-        if isinstance(a, Const):
-            anns.extend((Const(a.value), Const(1 - a.value)))
-        elif isinstance(a, Input):
-            anns.extend((Input(a.index), NegInput(a.index)))
-        else:
-            anns.extend((NegInput(a.index), Input(a.index)))
-    anns.append(Const(0))
-    gates = tuple(r for g in c.gates for r in _rail_gates(g, t))
-    out = Circuit(2 * m + 1, tuple(anns), gates, 2 * c.output_wire)
-    return out, {w: 2 * w for w in range(m)}
+        cb.wires((a, negated(a)))
+    t = cb.wire(Const(0))
+    for g in c.gates:
+        for p, q in _rail_gates(g, t):
+            cb.gate(p, q)
+    return cb.build(2 * c.output_wire), {w: 2 * w for w in range(m)}
 
 
 def lfmm_to_ccvneg(g: BipartiteGraph, edge: tuple) -> Circuit:
@@ -206,13 +201,13 @@ def lfmm_to_ccvneg(g: BipartiteGraph, edge: tuple) -> Circuit:
     B, T = y + 1, cc + 1
     cut = BipartiteGraph(B, T, frozenset((i, j) for (i, j) in g.edges if i < B and j < T))
     half = T + B
-    anns = ([Const(0)] * T + [Const(1)] * B) * 2
-    gates = _greedy_gates(cut) + _greedy_gates(cut, half, (y, cc))
-    c_full = cc
-    c_primed = half + cc
-    gates.append(Negation(c_primed))
-    gates.append(Comparator(c_full, c_primed))
-    return Circuit(2 * half, tuple(anns), tuple(gates), c_full)
+    cb = CircuitBuilder(([Const(0)] * T + [Const(1)] * B) * 2)
+    _greedy_gates(cb, cut)
+    _greedy_gates(cb, cut, half, (y, cc))
+    c_full, c_primed = cc, half + cc
+    cb.neg(c_primed)
+    cb.gate(c_full, c_primed)
+    return cb.build(c_full)
 
 
 def tri_to_bool(c: Circuit, x):
@@ -227,18 +222,15 @@ def tri_to_bool(c: Circuit, x):
     """
     if c.has_negations:
         raise NegationNotSupportedError("three-valued circuits are negation-free")
-    # a gateless copy resolves and validates the inputs in one step
-    vals, _ = eval_tri(Circuit(c.num_wires, c.annotations, (), c.output_wire), x)
-    anns = [Const(r) for v in vals for r in TRI_RAILS[v]]
-    gates = []
+    cb = CircuitBuilder()
+    for code in resolve_tri_inputs(c, x):
+        cb.wires(Const(r) for r in TRI_RAILS[TRI_VALUE[code]])
     for g in c.gates:
-        gates.append(Comparator(2 * g.min_wire, 2 * g.max_wire))
-        gates.append(Comparator(2 * g.min_wire + 1, 2 * g.max_wire + 1))
+        cb.gate(2 * g.min_wire, 2 * g.max_wire)
+        cb.gate(2 * g.min_wire + 1, 2 * g.max_wire + 1)
     d = c.output_wire
-    gates.append(Comparator(2 * d, 2 * d + 1))
-    circuit = Circuit(2 * c.num_wires, tuple(anns), tuple(gates), 2 * d)
-    rail_map = {w: (2 * w, 2 * w + 1) for w in range(c.num_wires)}
-    return circuit, rail_map
+    cb.gate(2 * d, 2 * d + 1)
+    return cb.build(2 * d), {w: (2 * w, 2 * w + 1) for w in range(c.num_wires)}
 
 
 def lfmm3_to_sm(g: BipartiteGraph, n: int) -> SMInstance:
@@ -286,26 +278,17 @@ def sm_to_tri_circuit(inst: SMInstance):
     cell_map keyed by ("m"|"w", person, rank).
     """
     n = inst.n
-    anns = []
-
-    def fresh(a):
-        anns.append(a)
-        return len(anns) - 1
-
+    cb = CircuitBuilder()
     binding = {}
     next_in = 0
-    for side, prefs in (("m", inst.man_pref), ("w", inst.woman_pref)):
-        base = Const(1) if side == "m" else Const(0)
+    for side, base in (("m", Const(1)), ("w", Const(0))):
         for p in range(n):
-            for r in range(n):
-                if r == 0:
-                    binding[(side, p, 0)] = fresh(base)
-                else:
-                    binding[(side, p, r)] = fresh(Input(next_in))
-                    next_in += 1
+            binding[(side, p, 0)] = cb.wire(base)
+            for r in range(1, n):
+                binding[(side, p, r)] = cb.wire(Input(next_in))
+                next_in += 1
 
     mrank, wrank = inst.man_rank, inst.woman_rank
-    gates = []
     for _ in range(2 * n * n):
         nxt = dict(binding)
         for m in range(n):
@@ -314,19 +297,17 @@ def sm_to_tri_circuit(inst: SMInstance):
                 rw = wrank[w][m]
                 a = binding[("m", m, rm)]
                 b = binding[("w", w, rw)]
-                gates.append(Comparator(a, b))
+                cb.gate(a, b)
                 if rm + 1 < n:
                     nxt[("m", m, rm + 1)] = a
                 if rw + 1 < n:
                     nxt[("w", w, rw + 1)] = b
         for m in range(n):
-            nxt[("m", m, 0)] = fresh(Const(1))
+            nxt[("m", m, 0)] = cb.wire(Const(1))
         for w in range(n):
-            nxt[("w", w, 0)] = fresh(Const(0))
+            nxt[("w", w, 0)] = cb.wire(Const(0))
         binding = nxt
-    out = binding[("m", 0, 0)]
-    circuit = Circuit(len(anns), tuple(anns), tuple(gates), out)
-    return circuit, dict(binding)
+    return cb.build(binding[("m", 0, 0)]), dict(binding)
 
 
 @lru_cache(maxsize=1)
@@ -371,7 +352,8 @@ def _optimal_pair_circuit(inst, pair, side):
             gates.append(Comparator(beta, delta))
         answer_wire = beta
     t = base.num_wires - 1
-    return base.extend((r for g in gates for r in _rail_gates(g, t)), 2 * answer_wire)
+    railed = (Comparator(a, b) for g in gates for a, b in _rail_gates(g, t))
+    return base.extend(railed, 2 * answer_wire)
 
 
 def mosm_to_ccv(inst: SMInstance, pair: tuple) -> Circuit:

@@ -15,7 +15,7 @@ the control pair ends as (0, 1) and is never reused.
 
 from __future__ import annotations
 
-from .circuit import Circuit, Comparator, Input, NegInput
+from .circuit import Circuit, CircuitBuilder, Input, NegInput
 from .errors import BadShapeError, NegationNotSupportedError, TooLargeError
 
 
@@ -38,27 +38,21 @@ def build_universal(m: int, n: int) -> Circuit:
         raise BadShapeError("negative slot count")
     pairs = _pairs(m)
     ncontrols = len(pairs) * n
-    anns = [Input(ncontrols + d) for d in range(m)]
-    gates = []
-    width = m
+    cb = CircuitBuilder(Input(ncontrols + d) for d in range(m))
     for slot in range(n):
         for p, (i, j) in enumerate(pairs):
             ctrl = slot * len(pairs) + p
-            b = width
-            bbar = width + 1
-            width += 2
-            anns.append(Input(ctrl))
-            anns.append(NegInput(ctrl))
+            b = cb.wires((Input(ctrl), NegInput(ctrl)))
+            bbar = b + 1
             # Pair (i, j) simulates Comparator(min=i, max=j): the gadget's
             # x line is data wire j (receives the disjunction) and its y
             # line is data wire i (receives the conjunction).
-            x = j
-            y = i
-            gates.append(Comparator(b, y))
-            gates.append(Comparator(b, x))
-            gates.append(Comparator(y, bbar))
-            gates.append(Comparator(b, y))
-    return Circuit(width, tuple(anns), tuple(gates), 0)
+            x, y = j, i
+            cb.gate(b, y)
+            cb.gate(b, x)
+            cb.gate(y, bbar)
+            cb.gate(b, y)
+    return cb.build(0)
 
 
 def encode_control(c: Circuit, m: int, n: int) -> tuple:

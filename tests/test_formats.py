@@ -350,7 +350,8 @@ def test_a_graph_is_refused_before_its_adjacency_is_allocated():
 
 
 def test_only_the_parsers_build_through_the_private_constructors():
-    # `Circuit.extend` shares the circuit one; every other builder checks
+    # circuit.py's one entry covers `Circuit.extend` and `CircuitBuilder.build`,
+    # which checks only the output wire; every other builder checks
     import ast
 
     callers = set()
