@@ -104,7 +104,7 @@ def _check_output(wire: int, n: int) -> None:
         raise IndexOutOfRangeError(f"output wire {wire} out of range")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Circuit:
     num_wires: int
     annotations: tuple
@@ -112,25 +112,32 @@ class Circuit:
     output_wire: int
     has_negations: bool = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "annotations", tuple(self.annotations))
-        object.__setattr__(self, "gates", tuple(self.gates))
-        if self.num_wires < 1:
-            raise BadShapeError("a circuit needs at least one wire")
-        if len(self.annotations) != self.num_wires:
-            raise BadShapeError(f"{len(self.annotations)} annotations for {self.num_wires} wires")
-        for a in self.annotations:
-            if isinstance(a, Const):
-                if a.value not in (0, 1):
-                    raise BadShapeError(f"constant annotation {a.value!r}")
-            elif isinstance(a, (Input, NegInput)):
-                if a.index < 0:
-                    raise BadShapeError("negative input index")
-            else:
-                raise BadShapeError(f"unknown annotation {a!r}")
-        negations = _check_gates(self.gates, self.num_wires)
-        _check_output(self.output_wire, self.num_wires)
-        object.__setattr__(self, "has_negations", negations)
+    def __init__(self, num_wires, annotations, gates, output_wire, *, _negations=None):
+        """Check every field; ``has_negations`` is set from the gates.
+        ``_negations`` is for ``_trusted`` alone: given, the fields are
+        taken as already checked and it becomes ``has_negations``."""
+        annotations = tuple(annotations)
+        gates = tuple(gates)
+        if _negations is None:
+            if num_wires < 1:
+                raise BadShapeError("a circuit needs at least one wire")
+            if len(annotations) != num_wires:
+                raise BadShapeError(
+                    f"{len(annotations)} annotations for {num_wires} wires"
+                )
+            for a in annotations:
+                if isinstance(a, Const):
+                    if a.value not in (0, 1):
+                        raise BadShapeError(f"constant annotation {a.value!r}")
+                elif isinstance(a, (Input, NegInput)):
+                    if a.index < 0:
+                        raise BadShapeError("negative input index")
+                else:
+                    raise BadShapeError(f"unknown annotation {a!r}")
+            _negations = _check_gates(gates, num_wires)
+            _check_output(output_wire, num_wires)
+        vars(self).update(num_wires=num_wires, annotations=annotations, gates=gates,
+                          output_wire=output_wire, has_negations=_negations)
 
     def extend(self, tail, output_wire: int) -> Circuit:
         """This circuit with ``tail`` appended and ``output_wire`` as the
@@ -145,12 +152,10 @@ class Circuit:
     @classmethod
     def _trusted(cls, num_wires, annotations, gates, output_wire, has_negations) -> Circuit:
         """A circuit from tuples that already passed every check the
-        constructor makes, built without checking them again.  Only
-        ``extend``, ``CircuitBuilder.build`` and the text parser call this."""
-        out = object.__new__(cls)
-        vars(out).update(num_wires=num_wires, annotations=annotations, gates=gates,
-                         output_wire=output_wire, has_negations=has_negations)
-        return out
+        constructor makes, built through ``__init__`` without checking them
+        again, so every circuit is filled in one place.  Only ``extend``,
+        ``CircuitBuilder.build`` and the text parser call this."""
+        return cls(num_wires, annotations, gates, output_wire, _negations=has_negations)
 
     @property
     def num_inputs(self) -> int:
@@ -164,12 +169,20 @@ class Circuit:
     @property
     def is_all_down(self) -> bool:
         """Every non-dummy comparator has its tip at the larger index."""
-        return not self.has_negations and all(g.min_wire <= g.max_wire for g in self.gates)
+        return all(
+            g.is_dummy or g.min_wire < g.max_wire
+            for g in self.gates
+            if isinstance(g, Comparator)
+        ) and not self.has_negations
 
     @property
     def is_all_up(self) -> bool:
         """Every non-dummy comparator has its tip at the smaller index."""
-        return not self.has_negations and all(g.max_wire <= g.min_wire for g in self.gates)
+        return all(
+            g.is_dummy or g.max_wire < g.min_wire
+            for g in self.gates
+            if isinstance(g, Comparator)
+        ) and not self.has_negations
 
 
 class CircuitBuilder:
@@ -206,7 +219,8 @@ class CircuitBuilder:
 
     def extend(self, gates, has_negations: bool = False) -> None:
         """Append gates as they are: ones ``gate`` returned, or a circuit's
-        own gates over wires numbered as this builder's."""
+        own gates over wires numbered as this builder's.  ``has_negations``
+        says whether any of them is a ``Negation``; it is not checked."""
         self.gates.extend(gates)
         self.has_negations = self.has_negations or has_negations
 

@@ -223,7 +223,12 @@ def gen_digraph(seed: int, n_max: int, density: float) -> Digraph:
 
 
 def _distinct_inputs(c: Circuit) -> Circuit:
-    return Circuit(c.num_wires, tuple(map(Input, range(c.num_wires))), c.gates, c.output_wire)
+    return Circuit(
+        c.num_wires,
+        tuple(Input(w) for w in range(c.num_wires)),
+        c.gates,
+        c.output_wire,
+    )
 
 
 def _show(kind, text, expected, got):

@@ -25,6 +25,7 @@ from cckit.circuit import (
     eval_tri,
 )
 from cckit.errors import BadShapeError, IndexOutOfRangeError
+from cckit.formats import parse_circuit, serialize_circuit
 from cckit.reachability import layered_circuit
 from cckit.reductions import sm_to_tri_circuit, tri_to_bool
 from cckit.verify import gen_circuit, gen_digraph, gen_sm, run_suite, split
@@ -100,7 +101,41 @@ def test_eval_tri_and_tri_to_bool_refuse_inputs_alike():
         assert str(lowered.value) == str(tri.value)
 
 
-def test_every_construction_rebuilds_through_the_public_constructor(monkeypatch):
+@pytest.fixture
+def inits(monkeypatch):
+    """Every circuit that ``Circuit.__init__`` fills, in order."""
+    done = []
+    real_init = Circuit.__init__
+
+    def recording_init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        done.append(self)
+
+    monkeypatch.setattr(Circuit, "__init__", recording_init)
+    return done
+
+
+def test_only_trusted_passes_the_negation_flag_to_the_constructor():
+    callers = set()
+    for path in SRC.glob("*.py"):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(fn, ast.FunctionDef):
+                for node in ast.walk(fn):
+                    if isinstance(node, ast.Call) and any(
+                        k.arg == "_negations" for k in node.keywords
+                    ):
+                        callers.add((path.name, fn.name))
+    assert callers == {("circuit.py", "_trusted")}
+
+
+def test_parsed_and_extended_circuits_are_built_through_init(inits):
+    c = parse_circuit(serialize_circuit(gen_circuit(3, 4, 6, with_neg=True)))
+    d = c.extend((Comparator(0, 1),), 0)
+    assert inits[-2] is c and inits[-1] is d
+    assert d.has_negations is c.has_negations
+
+
+def test_every_construction_rebuilds_through_the_public_constructor(monkeypatch, inits):
     built = []
     real_build = CircuitBuilder.build
 
@@ -123,8 +158,10 @@ def test_every_construction_rebuilds_through_the_public_constructor(monkeypatch)
     tri_to_bool(tri, (STAR,) * tri.num_inputs)
 
     assert {name for name, _ in built} == CONSTRUCTIONS
+    through_init = set(map(id, inits))  # inits keeps each one alive
     shared = 0
     for name, c in built:
+        assert id(c) in through_init, name
         again = Circuit(c.num_wires, c.annotations, c.gates, c.output_wire)
         assert (again, again.has_negations) == (c, c.has_negations), name
         if name == "close_circuit":
