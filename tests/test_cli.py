@@ -222,6 +222,20 @@ def test_reduce_rejects_flags_the_pass_does_not_read(capsys, tmp_path):
         assert not out.exists() and not (tmp_path / "o.ccv.map").exists()
 
 
+@pytest.mark.parametrize("argv, line", [
+    (("reach-to-ccv", "--target", "1", "--src", "1"), "--src needs --layer"),
+    (("reach-to-ccv", "--target", "1", "--input", "1"), "reach-to-ccv does not read --input"),
+    (("reach-to-ccv",), "line 1: expected `DIGRAPH v1` header"),
+    (("mosm-to-ccv",), "line 1: expected `SM v1` header"),
+], ids=["src-needs-layer", "stray-flag", "parse-before-target", "parse-before-pair"])
+def test_reduce_flag_errors_win_over_a_malformed_input(capsys, tmp_path, argv, line):
+    # flag errors come before the file is read; a parse error comes before
+    # the errors a pass raises on the parsed value
+    bad = tmp_path / "bad"
+    bad.write_text("not a header\n")
+    assert run(capsys, "reduce", argv[0], str(bad), "-", *argv[1:]) == (2, "", f"error: {line}\n")
+
+
 def test_reduce_tri_lower_needs_input(capsys, tmp_path):
     p = tmp_path / "t.ccv"
     p.write_text("CCV v1\nwires 1\nannot 0 x0\noutput 0\n")
@@ -349,19 +363,24 @@ REDUCE_PINS = [
 ]
 
 
+PIN_IDS = [pin[0] + "".join(f"-{flag}" for flag in ("layer", "pad") if f"--{flag}" in pin[2])
+           for pin in REDUCE_PINS]
+
+
+def pin_source(tmp_path, source):
+    """The path of a pin's input: a fixture, or inline text written out."""
+    if "\n" not in source:
+        return fx(source)
+    (tmp_path / "in").write_text(source)
+    return str(tmp_path / "in")
+
+
 @pytest.mark.parametrize(
     "name, source, extra, out_sha, map_sha", REDUCE_PINS,
-    ids=[
-        pin[0] + "".join(f"-{flag}" for flag in ("layer", "pad") if f"--{flag}" in pin[2])
-        for pin in REDUCE_PINS
-    ],
+    ids=PIN_IDS,
 )
 def test_reduce_pass_output_is_pinned(capsys, tmp_path, name, source, extra, out_sha, map_sha):
-    if "\n" in source:
-        (tmp_path / "in").write_text(source)
-        source = str(tmp_path / "in")
-    else:
-        source = fx(source)
+    source = pin_source(tmp_path, source)
     out = tmp_path / "out"
     assert run(capsys, "reduce", name, source, str(out), *extra) == (0, "", "")
     assert sha_or_none(out) == out_sha
@@ -372,6 +391,52 @@ def test_every_pass_is_pinned():
     from cckit.cli import PASSES
 
     assert {pin[0] for pin in REDUCE_PINS} == set(PASSES)
+
+
+# pass: (parse function, serialize function, library function)
+PASS_FUNCTIONS = {
+    "normalize-down": ("parse_circuit", "serialize_circuit", "normalize_down"),
+    "dual": ("parse_circuit", "serialize_circuit", "dual"),
+    "neg-elim": ("parse_circuit", "serialize_circuit", "double_rail"),
+    "tri-lower": ("parse_circuit", "serialize_circuit", "tri_to_bool"),
+    "ccv-to-3vlfmm": ("parse_circuit", "serialize_graph", "ccv_to_3vlfmm"),
+    "ccv-to-3lfmm": ("parse_circuit", "serialize_graph", "ccv_to_3lfmm"),
+    "vlfmm-to-ccv": ("parse_graph", "serialize_circuit", "vlfmm_to_ccv"),
+    "lfmm-to-ccvneg": ("parse_graph", "serialize_circuit", "lfmm_to_ccvneg"),
+    "lfmm3-to-sm": ("parse_graph", "serialize_sm", "lfmm3_to_sm"),
+    "mosm-to-ccv": ("parse_sm", "serialize_circuit", "mosm_to_ccv"),
+    "wosm-to-ccv": ("parse_sm", "serialize_circuit", "wosm_to_ccv"),
+    # with --layer, through layered_circuit
+    "reach-to-ccv": ("parse_digraph", "serialize_circuit", "reach_to_ccv"),
+    "universal": ("parse_circuit", "serialize_circuit", "build_universal"),
+}
+
+
+@pytest.mark.parametrize(
+    "name, source, extra, out_sha, map_sha", REDUCE_PINS,
+    ids=PIN_IDS,
+)
+def test_reduce_calls_each_function_of_its_row_once(
+        monkeypatch, capsys, tmp_path, name, source, extra, out_sha, map_sha):
+    # each function is replaced in every cckit module namespace that binds
+    # it, as perfbench's tracer does, so a caller holding a function it
+    # captured at import reads a count of 0 here
+    modules = [m for key, m in sys.modules.items() if key.startswith("cckit.")]
+    calls = {}
+    for fname in PASS_FUNCTIONS[name]:
+        fn = next(vars(m)[fname] for m in modules if fname in vars(m))
+        calls[fname] = 0
+
+        def counted(*args, _fname=fname, _fn=fn, **kwargs):
+            calls[_fname] += 1
+            return _fn(*args, **kwargs)
+
+        for m in modules:
+            if vars(m).get(fname) is fn:
+                monkeypatch.setattr(m, fname, counted)
+    source = pin_source(tmp_path, source)
+    assert run(capsys, "reduce", name, source, str(tmp_path / "out"), *extra) == (0, "", "")
+    assert calls == dict.fromkeys(PASS_FUNCTIONS[name], 1)
 
 
 def test_readme_examples_name_every_pass():
