@@ -19,15 +19,7 @@ from .errors import (
     CckitError,
     InternalBoundViolationError,
 )
-from .formats import (
-    parse_circuit,
-    parse_digraph,
-    parse_graph,
-    parse_sm,
-    serialize_circuit,
-    serialize_graph,
-    serialize_sm,
-)
+from .formats import KINDS
 from .matching import lfm_matching, lfmm_decision, vlfmm_decision
 from .reachability import layered_circuit, reach_to_ccv
 from .reductions import (
@@ -78,6 +70,10 @@ def _write(path: str, text: str):
         raise CckitError(f"cannot write {path}: {e.strerror or e}") from None
 
 
+def _load(kind: str, path: str):
+    return KINDS[kind][0](_read(path))
+
+
 # One wire value from its text, in either value domain: {0, 1} or
 # {0, STAR, 1}.  The way back is str, since STAR is the text "*".
 _TEXT_VALUE = {"0": 0, "1": 1, "*": STAR}
@@ -94,7 +90,7 @@ def _bits(c, s: str):
 
 
 def cmd_eval(args) -> int:
-    c = parse_circuit(_read(args.file))
+    c = _load("ccv", args.file)
     x = _bits(c, args.tri if args.tri is not None else (args.input or ""))
     show = None
     if args.trace:
@@ -113,124 +109,103 @@ def cmd_eval(args) -> int:
     return 0 if answer == 1 else 1
 
 
-def _wire_lines(wmap):
-    return [f"w{a} w{b}" for a, b in sorted(wmap.items())]
+def _wired(pair):
+    """A (value, wire map) result with its map as sidecar lines."""
+    out, wmap = pair
+    return out, [f"w{a} w{b}" for a, b in sorted(wmap.items())]
 
 
-def _closed_input(text, args):
-    c = parse_circuit(text)
-    return c, _bits(c, args.input or "")
+def _tri_lower(c, args):
+    out_c, rails = tri_to_bool(c, _bits(c, args.input or ""))
+    return out_c, [f"w{w} w{a},w{b}" for w, (a, b) in sorted(rails.items())]
 
 
-def _normalize_down(text, args):
-    out_c, wmap = normalize_down(parse_circuit(text))
-    return serialize_circuit(out_c), _wire_lines(wmap)
-
-
-def _dual(text, args):
-    return serialize_circuit(dual(parse_circuit(text))), None
-
-
-def _neg_elim(text, args):
-    out_c, wmap = double_rail(parse_circuit(text))
-    return serialize_circuit(out_c), _wire_lines(wmap)
-
-
-def _tri_lower(text, args):
-    out_c, rails = tri_to_bool(*_closed_input(text, args))
-    rail_lines = [f"w{w} w{a},w{b}" for w, (a, b) in sorted(rails.items())]
-    return serialize_circuit(out_c), rail_lines
-
-
-def _ccv_to_lfmm(text, args):
-    up, wmap = to_all_up(close_circuit(*_closed_input(text, args)))
-    lower = ccv_to_3vlfmm if args.pass_name == "ccv-to-3vlfmm" else ccv_to_3lfmm
+def _ccv_to_lfmm(lower, c, args):
+    up, wires = _wired(to_all_up(close_circuit(c, _bits(c, args.input or ""))))
     g, desig, node_map = lower(up)
-    nodes = [f"n{l},{w} {i}" for (l, w), i in sorted(node_map.items())]
-    return serialize_graph(g, desig), _wire_lines(wmap) + nodes
+    return (g, desig), wires + [f"n{l},{w} {i}" for (l, w), i in sorted(node_map.items())]
 
 
-def _vlfmm_to_ccv(text, args):
-    g, desig = parse_graph(text)
+def _vlfmm_to_ccv(gd, args):
+    g, desig = gd
     if desig is None or desig[0] != "top":
         raise BadShapeError("needs a graph with a target-top designation")
     n = g.num_top
-    return serialize_circuit(vlfmm_to_ccv(g, desig[1])), (
+    return vlfmm_to_ccv(g, desig[1]), (
         [f"t{j} w{j}" for j in range(n)] + [f"v{i} w{n + i}" for i in range(g.num_bottom)])
 
 
-def _lfmm_to_ccvneg(text, args):
-    g, desig = parse_graph(text)
+def _lfmm_to_ccvneg(gd, args):
+    g, desig = gd
     if desig is None or desig[0] != "edge":
         raise BadShapeError("needs a graph with a target-edge designation")
-    return serialize_circuit(lfmm_to_ccvneg(g, desig[1])), None
+    return lfmm_to_ccvneg(g, desig[1]), None
 
 
-def _lfmm3_to_sm(text, args):
-    g, _ = parse_graph(text)  # a marriage instance has no place for a designation
-    return serialize_sm(lfmm3_to_sm(g, g.num_bottom)), None
-
-
-def _optimal_pair(text, args):
-    inst = parse_sm(text)
+def _optimal_pair(build, inst, args):
     if args.pair is None:
         raise BadShapeError("needs --pair M W")
-    build = mosm_to_ccv if args.pass_name == "mosm-to-ccv" else wosm_to_ccv
-    return serialize_circuit(build(inst, tuple(args.pair))), None
+    return build(inst, tuple(args.pair)), None
 
 
-def _reach_to_ccv(text, args):
-    if args.src is not None and not args.layer:
-        raise BadShapeError("--src needs --layer")
-    g = parse_digraph(text)
+def _reach_to_ccv(g, args):
     if args.target is None:
         raise BadShapeError("needs --target")
     if not args.layer:
-        return serialize_circuit(reach_to_ccv(g, args.target, pad_dummies=args.pad)), None
+        return reach_to_ccv(g, args.target, pad_dummies=args.pad), None
     c, node_map = layered_circuit(g, args.src or 0, args.target, args.pad)
-    return serialize_circuit(c), [f"n{v} {i}" for v, i in sorted(node_map.items())]
+    return c, [f"n{v} {i}" for v, i in sorted(node_map.items())]
 
 
-def _universal(text, args):
-    c = parse_circuit(text)
+def _universal(c, args):
     m, n = max(2, c.num_wires), len(c.gates)
     enc = encode_control(c, m, n)
-    return serialize_circuit(build_universal(m, n)), [f"b{i} {b}" for i, b in enumerate(enc)]
+    return build_universal(m, n), [f"b{i} {b}" for i, b in enumerate(enc)]
 
 
-# name: (optional flags it reads, fn(text, args) -> (output text, sidecar lines
-# or None)).  fn looks library functions up as it runs, so a tracer sees them.
+# name: (input kind, output kind, optional flags it reads, run(value, args) ->
+# (output value, sidecar lines or None)), the kinds keys of formats.KINDS.
+# run looks library functions up as it runs, so a tracer sees them.
 PASSES = {
-    "normalize-down": ((), _normalize_down),
-    "dual": ((), _dual),
-    "neg-elim": ((), _neg_elim),
-    "tri-lower": (("input",), _tri_lower),
-    "ccv-to-3vlfmm": (("input",), _ccv_to_lfmm),
-    "ccv-to-3lfmm": (("input",), _ccv_to_lfmm),
-    "vlfmm-to-ccv": ((), _vlfmm_to_ccv),
-    "lfmm-to-ccvneg": ((), _lfmm_to_ccvneg),
-    "lfmm3-to-sm": ((), _lfmm3_to_sm),
-    "mosm-to-ccv": (("pair",), _optimal_pair),
-    "wosm-to-ccv": (("pair",), _optimal_pair),
-    "reach-to-ccv": (("target", "src", "layer", "pad"), _reach_to_ccv),
-    "universal": ((), _universal),
+    "normalize-down": ("ccv", "ccv", (), lambda c, args: _wired(normalize_down(c))),
+    "dual": ("ccv", "ccv", (), lambda c, args: (dual(c), None)),
+    "neg-elim": ("ccv", "ccv", (), lambda c, args: _wired(double_rail(c))),
+    "tri-lower": ("ccv", "ccv", ("input",), _tri_lower),
+    "ccv-to-3vlfmm": ("ccv", "graph", ("input",),
+                      lambda c, args: _ccv_to_lfmm(ccv_to_3vlfmm, c, args)),
+    "ccv-to-3lfmm": ("ccv", "graph", ("input",),
+                     lambda c, args: _ccv_to_lfmm(ccv_to_3lfmm, c, args)),
+    "vlfmm-to-ccv": ("graph", "ccv", (), _vlfmm_to_ccv),
+    "lfmm-to-ccvneg": ("graph", "ccv", (), _lfmm_to_ccvneg),
+    # a marriage instance has no place for a designation
+    "lfmm3-to-sm": ("graph", "sm", (),
+                    lambda gd, args: (lfmm3_to_sm(gd[0], gd[0].num_bottom), None)),
+    "mosm-to-ccv": ("sm", "ccv", ("pair",),
+                    lambda inst, args: _optimal_pair(mosm_to_ccv, inst, args)),
+    "wosm-to-ccv": ("sm", "ccv", ("pair",),
+                    lambda inst, args: _optimal_pair(wosm_to_ccv, inst, args)),
+    "reach-to-ccv": ("digraph", "ccv", ("target", "src", "layer", "pad"), _reach_to_ccv),
+    "universal": ("ccv", "ccv", (), _universal),
 }
-_PASS_FLAGS = tuple(dict.fromkeys(f for flags, _ in PASSES.values() for f in flags))
+_PASS_FLAGS = tuple(dict.fromkeys(f for _, _, flags, _ in PASSES.values() for f in flags))
 
 
 def cmd_reduce(args) -> int:
     name = args.pass_name
     if name not in PASSES:
         raise BadShapeError(f"unknown pass {name!r}")
-    reads, run = PASSES[name]
+    source, target, reads, run = PASSES[name]
     stray = [f"--{f}" for f in _PASS_FLAGS if f not in reads
              and getattr(args, f) is not None and getattr(args, f) is not False]
     if stray:
         raise BadShapeError(f"{name} does not read {', '.join(stray)}")
-    out, sidecar = run(_read(args.infile), args)
+    # only reach-to-ccv reads --src, and only with --layer
+    if args.src is not None and not args.layer:
+        raise BadShapeError("--src needs --layer")
+    out, sidecar = run(_load(source, args.infile), args)
     if sidecar is None and args.map is not None:
         raise BadShapeError(f"{name} writes no correspondence data; drop --map")
-    _write(args.outfile, out)
+    _write(args.outfile, KINDS[target][1](out))
     if sidecar is not None and (args.map is not None or args.outfile != "-"):
         map_path = args.outfile + ".map" if args.map is None else args.map
         _write(map_path, "".join(line + "\n" for line in sidecar))
@@ -238,7 +213,7 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_lfmm(args) -> int:
-    g, desig = parse_graph(_read(args.file))
+    g, desig = _load("graph", args.file)
     for i, j in sorted(lfm_matching(g)):
         print(f"v{i} w{j}")
     if desig is None:
@@ -257,7 +232,7 @@ def _print_marriage(mar, label=None):
 
 
 def cmd_gs(args) -> int:
-    inst = parse_sm(_read(args.file))
+    inst = _load("sm", args.file)
     alg = args.alg
     if alg == 1:
         mar, _ = gale_shapley(inst)
@@ -275,7 +250,7 @@ def cmd_gs(args) -> int:
 
 
 def cmd_reach(args) -> int:
-    g = parse_digraph(_read(args.file))
+    g = _load("digraph", args.file)
     c, _ = layered_circuit(g, args.src, args.target)
     _, answer = eval(c, ())
     print(f"reachable={answer}")

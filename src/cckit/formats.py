@@ -415,3 +415,14 @@ def serialize_digraph(g: Digraph) -> str:
     for (u, v) in sorted(g.edges):
         out.append(f"arc {u} {v}")
     return "\n".join(out) + "\n"
+
+
+# kind: (parse, serialize).  A graph value is the (graph, designation) pair
+# that parse_graph returns.  Each entry looks its function up when called,
+# so a wrapper put in this module's namespace sees every call.
+KINDS = {
+    "ccv": (lambda text: parse_circuit(text), lambda c: serialize_circuit(c)),
+    "graph": (lambda text: parse_graph(text), lambda gd: serialize_graph(*gd)),
+    "sm": (lambda text: parse_sm(text), lambda inst: serialize_sm(inst)),
+    "digraph": (lambda text: parse_digraph(text), lambda g: serialize_digraph(g)),
+}

@@ -40,6 +40,7 @@ from .circuit import (
 )
 from .errors import BadShapeError
 from .formats import (
+    KINDS,
     parse_circuit,
     parse_digraph,
     parse_graph,
@@ -243,20 +244,9 @@ def fixture_text(name: str) -> str:
     return (files("cckit") / "fixtures" / name).read_text()
 
 
-# (parse, serialize) for each fixture suffix; graphs travel as (graph, designation)
-_CODECS = {
-    "ccv": (parse_circuit, serialize_circuit),
-    "graph": (parse_graph, lambda gd: serialize_graph(*gd)),
-    "digraph": (parse_digraph, serialize_digraph),
-}
-
-
-def _codec(name: str):
-    return _CODECS[name.rpartition(".")[2]]
-
-
 def _load(name: str):
-    return _codec(name)[0](fixture_text(name))
+    """A fixture parsed as the kind its suffix names."""
+    return KINDS[name.rpartition(".")[2]][0](fixture_text(name))
 
 
 def _negation_lowered(c):
@@ -782,7 +772,7 @@ def _case_strictification(rng, i):
 # -- formats -----------------------------------------------------------------
 
 def _fixture_round_trip(name):
-    parse, serialize = _codec(name)
+    parse, serialize = KINDS[name.rpartition(".")[2]]
     text = fixture_text(name)
     if serialize(parse(text)) != text:
         yield f"fixture {name} does not round-trip"

@@ -393,23 +393,24 @@ def test_every_pass_is_pinned():
     assert {pin[0] for pin in REDUCE_PINS} == set(PASSES)
 
 
-# pass: (parse function, serialize function, library function)
-PASS_FUNCTIONS = {
-    "normalize-down": ("parse_circuit", "serialize_circuit", "normalize_down"),
-    "dual": ("parse_circuit", "serialize_circuit", "dual"),
-    "neg-elim": ("parse_circuit", "serialize_circuit", "double_rail"),
-    "tri-lower": ("parse_circuit", "serialize_circuit", "tri_to_bool"),
-    "ccv-to-3vlfmm": ("parse_circuit", "serialize_graph", "ccv_to_3vlfmm"),
-    "ccv-to-3lfmm": ("parse_circuit", "serialize_graph", "ccv_to_3lfmm"),
-    "vlfmm-to-ccv": ("parse_graph", "serialize_circuit", "vlfmm_to_ccv"),
-    "lfmm-to-ccvneg": ("parse_graph", "serialize_circuit", "lfmm_to_ccvneg"),
-    "lfmm3-to-sm": ("parse_graph", "serialize_sm", "lfmm3_to_sm"),
-    "mosm-to-ccv": ("parse_sm", "serialize_circuit", "mosm_to_ccv"),
-    "wosm-to-ccv": ("parse_sm", "serialize_circuit", "wosm_to_ccv"),
-    # with --layer, through layered_circuit
-    "reach-to-ccv": ("parse_digraph", "serialize_circuit", "reach_to_ccv"),
-    "universal": ("parse_circuit", "serialize_circuit", "build_universal"),
+# the library function each pass runs (reach-to-ccv --layer through layered_circuit)
+PASS_LIBRARY = {
+    "normalize-down": "normalize_down",
+    "dual": "dual",
+    "neg-elim": "double_rail",
+    "tri-lower": "tri_to_bool",
+    "ccv-to-3vlfmm": "ccv_to_3vlfmm",
+    "ccv-to-3lfmm": "ccv_to_3lfmm",
+    "vlfmm-to-ccv": "vlfmm_to_ccv",
+    "lfmm-to-ccvneg": "lfmm_to_ccvneg",
+    "lfmm3-to-sm": "lfmm3_to_sm",
+    "mosm-to-ccv": "mosm_to_ccv",
+    "wosm-to-ccv": "wosm_to_ccv",
+    "reach-to-ccv": "reach_to_ccv",
+    "universal": "build_universal",
 }
+# the formats function suffix of each kind
+KIND_NAMES = {"ccv": "circuit", "graph": "graph", "sm": "sm", "digraph": "digraph"}
 
 
 @pytest.mark.parametrize(
@@ -421,9 +422,14 @@ def test_reduce_calls_each_function_of_its_row_once(
     # each function is replaced in every cckit module namespace that binds
     # it, as perfbench's tracer does, so a caller holding a function it
     # captured at import reads a count of 0 here
+    from cckit.cli import PASSES
+
+    source_kind, target_kind = PASSES[name][:2]
+    names = (f"parse_{KIND_NAMES[source_kind]}", f"serialize_{KIND_NAMES[target_kind]}",
+             PASS_LIBRARY[name])
     modules = [m for key, m in sys.modules.items() if key.startswith("cckit.")]
     calls = {}
-    for fname in PASS_FUNCTIONS[name]:
+    for fname in names:
         fn = next(vars(m)[fname] for m in modules if fname in vars(m))
         calls[fname] = 0
 
@@ -436,7 +442,7 @@ def test_reduce_calls_each_function_of_its_row_once(
                 monkeypatch.setattr(m, fname, counted)
     source = pin_source(tmp_path, source)
     assert run(capsys, "reduce", name, source, str(tmp_path / "out"), *extra) == (0, "", "")
-    assert calls == dict.fromkeys(PASS_FUNCTIONS[name], 1)
+    assert calls == dict.fromkeys(names, 1)
 
 
 def test_readme_examples_name_every_pass():
