@@ -13,7 +13,7 @@ from functools import cached_property
 from .errors import SIZE_LIMIT, BadShapeError, IndexOutOfRangeError, TooLargeError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BipartiteGraph:
     num_bottom: int
     num_top: int
@@ -21,38 +21,35 @@ class BipartiteGraph:
     # one ascending tuple of neighbours per bottom vertex
     by_bottom: tuple = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "edges", frozenset(self.edges))
-        if self.num_bottom < 0 or self.num_top < 0:
+    def __init__(self, num_bottom, num_top, edges, *, _checked=False):
+        """Check every field.  ``_checked`` is for ``_trusted`` alone: the
+        counts are then taken as non-negative and the edges as in range."""
+        edges = frozenset(edges)
+        if not _checked and (num_bottom < 0 or num_top < 0):
             raise BadShapeError("negative vertex count")
-        _check_size(self.num_bottom, self.num_top)
-        for (i, j) in self.edges:
-            if not (0 <= i < self.num_bottom and 0 <= j < self.num_top):
-                raise IndexOutOfRangeError(f"edge ({i}, {j}) out of range")
-        vars(self)["by_bottom"] = _adjacency(self.num_bottom, self.edges)
+        # the adjacency holds one tuple per vertex, so refuse before allocating it
+        if num_bottom + num_top > SIZE_LIMIT:
+            raise TooLargeError(f"a graph of {num_bottom} + {num_top} vertices is "
+                                f"over the limit of {SIZE_LIMIT}")
+        if not _checked:
+            for (i, j) in edges:
+                if not (0 <= i < num_bottom and 0 <= j < num_top):
+                    raise IndexOutOfRangeError(f"edge ({i}, {j}) out of range")
+        vars(self).update(num_bottom=num_bottom, num_top=num_top, edges=edges,
+                          by_bottom=_adjacency(num_bottom, edges))
 
     @classmethod
     def _trusted(cls, num_bottom, num_top, edges) -> BipartiteGraph:
         """A graph from non-negative counts and a frozenset of edges already
-        checked to be in range, built without checking each edge again.
-        Only the text parser calls this."""
-        _check_size(num_bottom, num_top)
-        g = object.__new__(cls)
-        vars(g).update(num_bottom=num_bottom, num_top=num_top, edges=edges,
-                       by_bottom=_adjacency(num_bottom, edges))
-        return g
+        checked to be in range, built through ``__init__`` without checking
+        each edge again.  Only the text parser and the two ``ccv_to_3*lfmm``
+        lowerings call this."""
+        return cls(num_bottom, num_top, edges, _checked=True)
 
     @cached_property
     def by_top(self) -> tuple:
         """One ascending tuple of neighbours per top vertex, built on first read."""
         return _adjacency(self.num_top, [(j, i) for (i, j) in self.edges])
-
-
-def _check_size(num_bottom, num_top) -> None:
-    # the adjacency holds one tuple per vertex, so refuse before allocating it
-    if num_bottom + num_top > SIZE_LIMIT:
-        raise TooLargeError(f"a graph of {num_bottom} + {num_top} vertices is "
-                            f"over the limit of {SIZE_LIMIT}")
 
 
 def _adjacency(count: int, pairs) -> tuple:

@@ -106,7 +106,7 @@ def ccv_to_3vlfmm(c: Circuit):
     """
     edges, node_map, target = _layer_edges(c)
     count = len(node_map)
-    return BipartiteGraph(count, count, frozenset(edges)), ("top", target), node_map
+    return BipartiteGraph._trusted(count, count, frozenset(edges)), ("top", target), node_map
 
 
 def _greedy_gates(cb: CircuitBuilder, g: BipartiteGraph, offset: int = 0, skip=None) -> None:
@@ -151,7 +151,7 @@ def ccv_to_3lfmm(c: Circuit):
     # the old target was already matched, so the designated edge tracks
     # coverage.
     edges += [(w, old_target), (w, w)]
-    return BipartiteGraph(w + 1, w + 1, frozenset(edges)), ("edge", (w, w)), node_map
+    return BipartiteGraph._trusted(w + 1, w + 1, frozenset(edges)), ("edge", (w, w)), node_map
 
 
 def _rail_gates(g, t):

@@ -38,7 +38,7 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SMInstance:
     """Preference rows plus their inverse: ``man_rank[m][w]`` is the rank of
     woman w in man m's row, and ``woman_rank`` the same for women."""
@@ -49,46 +49,39 @@ class SMInstance:
     man_rank: tuple = field(init=False, repr=False, compare=False)
     woman_rank: tuple = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "man_pref", tuple(tuple(r) for r in self.man_pref))
-        object.__setattr__(
-            self, "woman_pref", tuple(tuple(r) for r in self.woman_pref)
-        )
-        if self.n < 1:
-            raise BadShapeError("need at least one man and one woman")
-        for side in (self.man_pref, self.woman_pref):
-            if len(side) != self.n:
-                raise BadShapeError("preference table has wrong height")
-            for row in side:
-                if sorted(row) != list(range(self.n)):
-                    raise BadShapeError(f"row {row} is not a permutation")
-        _fill_ranks(self)
+    def __init__(self, n, man_pref, woman_pref, *, _checked=False):
+        """Check every field.  ``_checked`` is for ``_trusted`` alone: the
+        fields are then taken as already checked."""
+        if not _checked:
+            man_pref = tuple(tuple(r) for r in man_pref)
+            woman_pref = tuple(tuple(r) for r in woman_pref)
+            if n < 1:
+                raise BadShapeError("need at least one man and one woman")
+            for side in (man_pref, woman_pref):
+                if len(side) != n:
+                    raise BadShapeError("preference table has wrong height")
+                for row in side:
+                    if sorted(row) != list(range(n)):
+                        raise BadShapeError(f"row {row} is not a permutation")
+
+        def ranks(rows):
+            out = []
+            for row in rows:
+                rank = [0] * n
+                for r, p in enumerate(row):
+                    rank[p] = r
+                out.append(tuple(rank))
+            return tuple(out)
+
+        vars(self).update(n=n, man_pref=man_pref, woman_pref=woman_pref,
+                          man_rank=ranks(man_pref), woman_rank=ranks(woman_pref))
 
     @classmethod
     def _trusted(cls, n, man_pref, woman_pref) -> SMInstance:
         """An instance from n >= 1 and two tuples of n permutation tuples,
-        already checked, built without sorting every row again.  Only the
-        text parser calls this."""
-        inst = object.__new__(cls)
-        vars(inst).update(n=n, man_pref=man_pref, woman_pref=woman_pref)
-        _fill_ranks(inst)
-        return inst
-
-
-def _fill_ranks(inst: SMInstance) -> None:
-    """man_rank and woman_rank, from rows already checked to be permutations."""
-    n = inst.n
-
-    def ranks(rows):
-        out = []
-        for row in rows:
-            rank = [0] * n
-            for r, p in enumerate(row):
-                rank[p] = r
-            out.append(tuple(rank))
-        return tuple(out)
-
-    vars(inst).update(man_rank=ranks(inst.man_pref), woman_rank=ranks(inst.woman_pref))
+        already checked, built through ``__init__`` without sorting every
+        row again.  Only the text parser calls this."""
+        return cls(n, man_pref, woman_pref, _checked=True)
 
 
 @dataclass(frozen=True)

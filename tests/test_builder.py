@@ -116,16 +116,20 @@ def inits(monkeypatch):
 
 
 def test_only_trusted_passes_the_negation_flag_to_the_constructor():
+    # and the `_checked` flag of the graph and marriage constructors
     callers = set()
     for path in SRC.glob("*.py"):
         for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(fn, ast.FunctionDef):
                 for node in ast.walk(fn):
-                    if isinstance(node, ast.Call) and any(
-                        k.arg == "_negations" for k in node.keywords
-                    ):
-                        callers.add((path.name, fn.name))
-    assert callers == {("circuit.py", "_trusted")}
+                    if isinstance(node, ast.Call):
+                        callers.update((k.arg, path.name, fn.name) for k in node.keywords
+                                       if k.arg in ("_negations", "_checked"))
+    assert callers == {
+        ("_negations", "circuit.py", "_trusted"),
+        ("_checked", "matching.py", "_trusted"),
+        ("_checked", "stable_marriage.py", "_trusted"),
+    }
 
 
 def test_parsed_and_extended_circuits_are_built_through_init(inits):

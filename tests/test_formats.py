@@ -319,6 +319,10 @@ _MALFORMED = [
     (BipartiteGraph, (1, 1, {(0, 1)}), IndexOutOfRangeError, "edge (0, 1) out of range"),
     (BipartiteGraph, (1, 1, {(-1, 0)}), IndexOutOfRangeError, "edge (-1, 0) out of range"),
     (BipartiteGraph, (2, 3, {(2, 0)}), IndexOutOfRangeError, "edge (2, 0) out of range"),
+    # a negative count, then the size limit, then the edges
+    (BipartiteGraph, (-1, 10**8, {(0, 0)}), BadShapeError, "negative vertex count"),
+    (BipartiteGraph, (10**7, 1, {(10**7, 0)}), TooLargeError,
+     "a graph of 10000000 + 1 vertices is over the limit of 10000000"),
     (SMInstance, (0, (), ()), BadShapeError, "need at least one man and one woman"),
     (SMInstance, (2, ((0, 1),), ((0, 1), (1, 0))), BadShapeError,
      "preference table has wrong height"),
@@ -351,7 +355,8 @@ def test_a_graph_is_refused_before_its_adjacency_is_allocated():
 
 def test_only_the_parsers_build_through_the_private_constructors():
     # circuit.py's one entry covers `Circuit.extend` and `CircuitBuilder.build`,
-    # which checks only the output wire; every other builder checks
+    # which checks only the output wire, and reductions.py's the two
+    # ccv_to_3*lfmm graphs, in range by construction; every other builder checks
     import ast
 
     callers = set()
@@ -364,6 +369,7 @@ def test_only_the_parsers_build_through_the_private_constructors():
         ("formats.py", "Circuit"),
         ("formats.py", "BipartiteGraph"),
         ("formats.py", "SMInstance"),
+        ("reductions.py", "BipartiteGraph"),
     }
 
 
@@ -379,6 +385,19 @@ def test_parsed_values_carry_the_fields_the_public_constructors_fill():
         inst = gen_sm(rng.getrandbits(64), rng.randint(1, 6))
         got = parse_sm(serialize_sm(inst))
         assert (got, got.man_rank, got.woman_rank) == (inst, inst.man_rank, inst.woman_rank)
+
+
+def test_parsed_graphs_and_instances_are_built_through_init(monkeypatch):
+    done = []
+    for cls in (BipartiteGraph, SMInstance):
+        def recording_init(self, *args, _init=cls.__init__, **kwargs):
+            _init(self, *args, **kwargs)
+            done.append(self)
+
+        monkeypatch.setattr(cls, "__init__", recording_init)
+    g, _ = parse_graph(serialize_graph(gen_bipartite(5, 4, 4, 0.5)))
+    inst = parse_sm(serialize_sm(gen_sm(5, 3)))
+    assert len(done) == 4 and done[1] is g and done[3] is inst
 
 
 def test_missing_output_reported_at_eof():
