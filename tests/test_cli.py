@@ -553,6 +553,15 @@ def test_verify_output_is_deterministic(capsys):
     assert a == b
 
 
+def test_python_m_cckit_runs_the_command():
+    env = {**os.environ, "PYTHONPATH": SRC}
+    for suite, want in (("golden-fixtures", (0, "golden-fixtures: pass (9 cases)\n", "")),
+                        ("bogus", (2, "", "error: no suite named 'bogus'\n"))):
+        done = subprocess.run([sys.executable, "-m", "cckit", "verify", suite],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == want
+
+
 def test_usage_error_exits_two(capsys):
     assert main(["frobnicate"]) == 2
     assert main([]) == 2
