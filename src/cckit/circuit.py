@@ -83,22 +83,6 @@ class Negation:
     wire: int
 
 
-def _check_gates(gates, n: int) -> bool:
-    """Check every gate against n wires; True if any is a negation."""
-    negations = False
-    for g in gates:
-        if isinstance(g, Comparator):
-            if not (0 <= g.min_wire < n and 0 <= g.max_wire < n):
-                raise IndexOutOfRangeError(f"gate {g} out of range")
-        elif isinstance(g, Negation):
-            if not 0 <= g.wire < n:
-                raise IndexOutOfRangeError(f"gate {g} out of range")
-            negations = True
-        else:
-            raise BadShapeError(f"unknown gate {g!r}")
-    return negations
-
-
 def _check_output(wire: int, n: int) -> None:
     if not (0 <= wire < n):
         raise IndexOutOfRangeError(f"output wire {wire} out of range")
@@ -114,8 +98,8 @@ class Circuit:
 
     def __init__(self, num_wires, annotations, gates, output_wire, *, _negations=None):
         """Check every field; ``has_negations`` is set from the gates.
-        ``_negations`` is for ``_trusted`` alone: given, the fields are
-        taken as already checked and it becomes ``has_negations``."""
+        ``_negations`` is for ``CircuitBuilder.build`` alone: given, the
+        fields are taken as already checked and it becomes ``has_negations``."""
         annotations = tuple(annotations)
         gates = tuple(gates)
         if _negations is None:
@@ -134,28 +118,20 @@ class Circuit:
                         raise BadShapeError("negative input index")
                 else:
                     raise BadShapeError(f"unknown annotation {a!r}")
-            _negations = _check_gates(gates, num_wires)
+            _negations = False
+            for g in gates:
+                if isinstance(g, Comparator):
+                    if not (0 <= g.min_wire < num_wires and 0 <= g.max_wire < num_wires):
+                        raise IndexOutOfRangeError(f"gate {g} out of range")
+                elif isinstance(g, Negation):
+                    if not 0 <= g.wire < num_wires:
+                        raise IndexOutOfRangeError(f"gate {g} out of range")
+                    _negations = True
+                else:
+                    raise BadShapeError(f"unknown gate {g!r}")
             _check_output(output_wire, num_wires)
         vars(self).update(num_wires=num_wires, annotations=annotations, gates=gates,
                           output_wire=output_wire, has_negations=_negations)
-
-    def extend(self, tail, output_wire: int) -> Circuit:
-        """This circuit with ``tail`` appended and ``output_wire`` as the
-        answer.  Only the tail and the output wire are checked, with the
-        constructor's errors; the rest was checked when this was built."""
-        tail = tuple(tail)
-        negations = _check_gates(tail, self.num_wires)
-        _check_output(output_wire, self.num_wires)
-        return Circuit._trusted(self.num_wires, self.annotations, self.gates + tail,
-                                output_wire, self.has_negations or negations)
-
-    @classmethod
-    def _trusted(cls, num_wires, annotations, gates, output_wire, has_negations) -> Circuit:
-        """A circuit from tuples that already passed every check the
-        constructor makes, built through ``__init__`` without checking them
-        again, so every circuit is filled in one place.  Only ``extend``,
-        ``CircuitBuilder.build`` and the text parser call this."""
-        return cls(num_wires, annotations, gates, output_wire, _negations=has_negations)
 
     @property
     def num_inputs(self) -> int:
@@ -189,8 +165,8 @@ class CircuitBuilder:
     """A circuit assembled wire by wire, starting from one wire per
     annotation in ``annotations``.  Gate endpoints drawn from those wires
     and the indices ``wire`` and ``wires`` return are in range by
-    construction, so ``build`` checks only the output wire.  The gates on
-    one wire pair share one ``Comparator``, as in parsed circuits."""
+    construction, so ``build`` checks only the output wire.  The gates
+    ``gate`` makes on one wire pair share one ``Comparator``."""
 
     def __init__(self, annotations=()):
         self.annotations = list(annotations)
@@ -213,9 +189,11 @@ class CircuitBuilder:
         self.gates.append(g)
         return g
 
-    def neg(self, w: int) -> None:
-        self.gates.append(Negation(w))
+    def neg(self, w: int) -> Negation:
+        g = Negation(w)
+        self.gates.append(g)
         self.has_negations = True
+        return g
 
     def extend(self, gates, has_negations: bool = False) -> None:
         """Append gates as they are: ones ``gate`` returned, or a circuit's
@@ -227,8 +205,8 @@ class CircuitBuilder:
     def build(self, output_wire: int) -> Circuit:
         n = len(self.annotations)
         _check_output(output_wire, n)
-        return Circuit._trusted(n, tuple(self.annotations), tuple(self.gates),
-                                output_wire, self.has_negations)
+        return Circuit(n, self.annotations, self.gates, output_wire,
+                       _negations=self.has_negations)
 
 
 def _resolve(c: Circuit, x: Sequence, negate, one=1) -> list:
@@ -294,16 +272,16 @@ def _run(gates, vals: list, mask: int, on_step=None) -> None:
 def eval_extensions(base: Circuit, circuits: Sequence[Circuit], x: Sequence[Bit]) -> list:
     """``[eval(c, x)[1] for c in circuits]``, running ``base`` at most once.
 
-    A circuit whose annotations are ``base``'s and whose gates start with
-    ``base.gates`` (one made by ``base.extend``) runs only its remaining
-    gates, on a copy of ``base``'s final wire values.  Any other circuit
-    runs in full.  Errors are those of :func:`eval`, in list order.
+    A circuit whose annotations equal ``base``'s and whose gates start with
+    ``base.gates`` runs only its remaining gates, on a copy of ``base``'s
+    final wire values.  Any other circuit runs in full.  Errors are those
+    of :func:`eval`, in list order.
     """
     shared = None
     k = len(base.gates)
     answers = []
     for c in circuits:
-        if c.annotations is not base.annotations or c.gates[:k] != base.gates:
+        if c.annotations != base.annotations or c.gates[:k] != base.gates:
             answers.append(eval(c, x)[1])
             continue
         if c.has_negations:

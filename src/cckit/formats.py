@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from itertools import islice
 
-from .circuit import Circuit, Comparator, Const, Input, NegInput, Negation
+from .circuit import Circuit, CircuitBuilder, Comparator, Const, Input, NegInput
 from .errors import ParseError
 from .matching import BipartiteGraph
 from .reachability import Digraph
@@ -82,19 +82,17 @@ def parse_circuit(text: str) -> Circuit:
     annots = {}
     # One annotation object per value token, as written.
     by_token = {}
-    gates = []
-    negations = False
+    # Gates go in as they are read; the annotations go in last, in wire order.
+    cb = CircuitBuilder()
     # Every `gate`/`neg` line accepted so far, as written, with its gate.
     # `wires` is set once, before any such line, so a repeat of a raw line is
     # accepted again as the same gate: the lookup comes before tokenizing.
     accepted = {}
-    # One Comparator per wire pair, however its lines are written.
-    shared = {}
     output = None
     for no, raw in enumerate(islice(lines, start, None), start=start + 1):
         g = accepted.get(raw)
         if g is not None:
-            gates.append(g)
+            cb.gates.append(g)
             continue
         toks = raw.split("#", 1)[0].split()
         if not toks:
@@ -113,11 +111,7 @@ def parse_circuit(text: str) -> Circuit:
                 b = _number(toks[2], no, "wire", nums)
             if not (0 <= a < wires and 0 <= b < wires):
                 raise ParseError(no, f"gate ({a}, {b}) out of range")
-            g = shared.get((a, b))
-            if g is None:
-                g = shared[a, b] = Comparator(a, b)
-            accepted[raw] = g
-            gates.append(g)
+            accepted[raw] = cb.gate(a, b)
         elif kind == "annot":
             if len(toks) != 3:
                 raise _arity(3, toks, no)
@@ -144,9 +138,7 @@ def parse_circuit(text: str) -> Circuit:
                 w = _number(toks[1], no, "wire", nums)
             if not 0 <= w < wires:
                 raise ParseError(no, f"wire {w} out of range")
-            accepted[raw] = g = Negation(w)
-            gates.append(g)
-            negations = True
+            accepted[raw] = cb.neg(w)
         elif kind == "wires":
             if len(toks) != 2:
                 raise _arity(2, toks, no)
@@ -175,9 +167,8 @@ def parse_circuit(text: str) -> Circuit:
         raise ParseError(eof, f"wire {missing} has no annotation")
     if output is None:
         raise ParseError(eof, "missing `output`")
-    # `output` is in range, so wires >= 1 as the constructor requires
-    annotations = tuple(map(annots.__getitem__, range(wires)))
-    return Circuit._trusted(wires, annotations, tuple(gates), output, negations)
+    cb.wires(map(annots.__getitem__, range(wires)))
+    return cb.build(output)
 
 
 def _annot_token(a) -> str:
@@ -284,7 +275,7 @@ def parse_graph(text: str):
         raise ParseError(eof, "missing `bottom`")
     if top is None:
         raise ParseError(eof, "missing `top`")
-    return BipartiteGraph._trusted(bottom, top, frozenset(edges)), target
+    return BipartiteGraph(bottom, top, frozenset(edges), _checked=True), target
 
 
 def serialize_graph(g: BipartiteGraph, designation=None) -> str:
@@ -354,8 +345,9 @@ def parse_sm(text: str) -> SMInstance:
         if len(store) != n:
             missing = next(i for i in range(n) if i not in store)
             raise ParseError(eof, f"missing row for {label} {missing}")
-    return SMInstance._trusted(
-        n, tuple(map(men.__getitem__, range(n))), tuple(map(women.__getitem__, range(n)))
+    return SMInstance(
+        n, tuple(map(men.__getitem__, range(n))), tuple(map(women.__getitem__, range(n))),
+        _checked=True,
     )
 
 

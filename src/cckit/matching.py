@@ -22,8 +22,9 @@ class BipartiteGraph:
     by_bottom: tuple = field(init=False, repr=False, compare=False)
 
     def __init__(self, num_bottom, num_top, edges, *, _checked=False):
-        """Check every field.  ``_checked`` is for ``_trusted`` alone: the
-        counts are then taken as non-negative and the edges as in range."""
+        """Check every field.  ``_checked`` is for the text parser and the
+        two ``ccv_to_3*lfmm`` lowerings alone: the counts are then taken as
+        non-negative and the edges, a frozenset, as in range."""
         edges = frozenset(edges)
         if not _checked and (num_bottom < 0 or num_top < 0):
             raise BadShapeError("negative vertex count")
@@ -37,14 +38,6 @@ class BipartiteGraph:
                     raise IndexOutOfRangeError(f"edge ({i}, {j}) out of range")
         vars(self).update(num_bottom=num_bottom, num_top=num_top, edges=edges,
                           by_bottom=_adjacency(num_bottom, edges))
-
-    @classmethod
-    def _trusted(cls, num_bottom, num_top, edges) -> BipartiteGraph:
-        """A graph from non-negative counts and a frozenset of edges already
-        checked to be in range, built through ``__init__`` without checking
-        each edge again.  Only the text parser and the two ``ccv_to_3*lfmm``
-        lowerings call this."""
-        return cls(num_bottom, num_top, edges, _checked=True)
 
     @cached_property
     def by_top(self) -> tuple:

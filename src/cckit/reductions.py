@@ -106,7 +106,7 @@ def ccv_to_3vlfmm(c: Circuit):
     """
     edges, node_map, target = _layer_edges(c)
     count = len(node_map)
-    return BipartiteGraph._trusted(count, count, frozenset(edges)), ("top", target), node_map
+    return BipartiteGraph(count, count, frozenset(edges), _checked=True), ("top", target), node_map
 
 
 def _greedy_gates(cb: CircuitBuilder, g: BipartiteGraph, offset: int = 0, skip=None) -> None:
@@ -151,7 +151,7 @@ def ccv_to_3lfmm(c: Circuit):
     # the old target was already matched, so the designated edge tracks
     # coverage.
     edges += [(w, old_target), (w, w)]
-    return BipartiteGraph._trusted(w + 1, w + 1, frozenset(edges)), ("edge", (w, w)), node_map
+    return BipartiteGraph(w + 1, w + 1, frozenset(edges), _checked=True), ("edge", (w, w)), node_map
 
 
 def _rail_gates(g, t):
@@ -315,7 +315,7 @@ def sm_rail_prefix(inst: SMInstance):
     """Shared front half of the optimal-pair circuits, double-railed once
     per instance (the last instance is cached).  Returns (circuit,
     cell_map, rail_map); the two maps name wires of the circuit before
-    double-railing.  Every pair circuit of the instance extends this
+    double-railing.  Every pair circuit of the instance starts with this
     circuit, so ``eval_extensions`` can run it once for all of them."""
     tri_c, cell_map = sm_to_tri_circuit(inst)
     closed, rail_map = tri_to_bool(tri_c, (STAR,) * tri_c.num_inputs)
@@ -352,8 +352,12 @@ def _optimal_pair_circuit(inst, pair, side):
             gates.append(Comparator(beta, delta))
         answer_wire = beta
     t = base.num_wires - 1
-    railed = (Comparator(a, b) for g in gates for a, b in _rail_gates(g, t))
-    return base.extend(railed, 2 * answer_wire)
+    cb = CircuitBuilder(base.annotations)
+    cb.extend(base.gates, base.has_negations)
+    for g in gates:
+        for a, b in _rail_gates(g, t):
+            cb.gate(a, b)
+    return cb.build(2 * answer_wire)
 
 
 def mosm_to_ccv(inst: SMInstance, pair: tuple) -> Circuit:

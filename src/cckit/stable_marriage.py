@@ -50,8 +50,9 @@ class SMInstance:
     woman_rank: tuple = field(init=False, repr=False, compare=False)
 
     def __init__(self, n, man_pref, woman_pref, *, _checked=False):
-        """Check every field.  ``_checked`` is for ``_trusted`` alone: the
-        fields are then taken as already checked."""
+        """Check every field.  ``_checked`` is for the text parser alone:
+        n >= 1 and two tuples of n permutation tuples are then taken as
+        already checked."""
         if not _checked:
             man_pref = tuple(tuple(r) for r in man_pref)
             woman_pref = tuple(tuple(r) for r in woman_pref)
@@ -75,13 +76,6 @@ class SMInstance:
 
         vars(self).update(n=n, man_pref=man_pref, woman_pref=woman_pref,
                           man_rank=ranks(man_pref), woman_rank=ranks(woman_pref))
-
-    @classmethod
-    def _trusted(cls, n, man_pref, woman_pref) -> SMInstance:
-        """An instance from n >= 1 and two tuples of n permutation tuples,
-        already checked, built through ``__init__`` without sorting every
-        row again.  Only the text parser calls this."""
-        return cls(n, man_pref, woman_pref, _checked=True)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
 """The circuit builder behind every library construction.
 
-Each construction assembles its circuit through ``CircuitBuilder`` and is
-checked once, at the output wire.  The tests here pin that design: only
-``verify.py`` (whose generators build from random draws) calls the public
-constructor, every construction's output passes that constructor
+Each construction, the text parser included, assembles its circuit
+through ``CircuitBuilder`` and is checked once, at the output wire.  The
+tests here pin that design: besides ``CircuitBuilder.build``, only
+``verify.py`` (whose generators build from random draws) calls the
+constructor, every construction's output passes the full constructor
 unchanged, and gates on one wire pair share one ``Comparator``.
 """
 
@@ -27,7 +28,7 @@ from cckit.circuit import (
 from cckit.errors import BadShapeError, IndexOutOfRangeError
 from cckit.formats import parse_circuit, serialize_circuit
 from cckit.reachability import layered_circuit
-from cckit.reductions import sm_to_tri_circuit, tri_to_bool
+from cckit.reductions import mosm_to_ccv, sm_to_tri_circuit, tri_to_bool
 from cckit.verify import gen_circuit, gen_digraph, gen_sm, run_suite, split
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "cckit"
@@ -36,7 +37,7 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "cckit"
 CONSTRUCTIONS = {
     "dual", "normalize_down", "mirror", "compose", "reach_to_ccv", "close_circuit",
     "vlfmm_to_ccv", "double_rail", "lfmm_to_ccvneg", "tri_to_bool", "sm_to_tri_circuit",
-    "build_universal",
+    "build_universal", "parse_circuit", "_optimal_pair_circuit",
 }
 
 
@@ -56,7 +57,17 @@ def constructor_calls(tree):
 @pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "verify.py"),
                          ids=lambda p: p.name)
 def test_only_verify_calls_the_public_circuit_constructor(path):
-    assert constructor_calls(ast.parse(path.read_text(encoding="utf-8"))) == []
+    # and CircuitBuilder.build, once, with the negation flag the kwarg scan pins
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    want = []
+    if path.name == "circuit.py":
+        builder = next(n for n in tree.body if isinstance(n, ast.ClassDef)
+                       and n.name == "CircuitBuilder")
+        build = next(n for n in builder.body if isinstance(n, ast.FunctionDef)
+                     and n.name == "build")
+        want = constructor_calls(build)
+        assert len(want) == 1
+    assert constructor_calls(tree) == want
 
 
 def test_the_scan_sees_a_constructor_call():
@@ -115,8 +126,10 @@ def inits(monkeypatch):
     return done
 
 
-def test_only_trusted_passes_the_negation_flag_to_the_constructor():
-    # and the `_checked` flag of the graph and marriage constructors
+def test_only_build_passes_the_negation_flag_to_the_constructor():
+    # and only the parsers and the ccv_to_3*lfmm lowerings, whose edges are in
+    # range by construction, pass the `_checked` flag of the graph and
+    # marriage constructors
     callers = set()
     for path in SRC.glob("*.py"):
         for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -126,17 +139,20 @@ def test_only_trusted_passes_the_negation_flag_to_the_constructor():
                         callers.update((k.arg, path.name, fn.name) for k in node.keywords
                                        if k.arg in ("_negations", "_checked"))
     assert callers == {
-        ("_negations", "circuit.py", "_trusted"),
-        ("_checked", "matching.py", "_trusted"),
-        ("_checked", "stable_marriage.py", "_trusted"),
+        ("_negations", "circuit.py", "build"),
+        ("_checked", "formats.py", "parse_graph"),
+        ("_checked", "formats.py", "parse_sm"),
+        ("_checked", "reductions.py", "ccv_to_3vlfmm"),
+        ("_checked", "reductions.py", "ccv_to_3lfmm"),
     }
 
 
 def test_parsed_and_extended_circuits_are_built_through_init(inits):
     c = parse_circuit(serialize_circuit(gen_circuit(3, 4, 6, with_neg=True)))
-    d = c.extend((Comparator(0, 1),), 0)
-    assert inits[-2] is c and inits[-1] is d
-    assert d.has_negations is c.has_negations
+    assert inits[-1] is c
+    d = mosm_to_ccv(gen_sm(5, 3), (0, 0))
+    assert inits[-1] is d
+    assert c.has_negations is True and d.has_negations is False
 
 
 def test_every_construction_rebuilds_through_the_public_constructor(monkeypatch, inits):
@@ -151,13 +167,17 @@ def test_every_construction_rebuilds_through_the_public_constructor(monkeypatch,
     monkeypatch.setattr(CircuitBuilder, "build", recording_build)
     for suite in ("reduction-ring", "universal", "reachability"):
         assert run_suite(suite, 100, seed=5).passed
+    assert run_suite("sm-to-ccv", 20, seed=5).passed
     # what those suites leave out: composition, the padded pebbling
-    # circuit and the marriage circuit with its three-valued lowering
+    # circuit, parsed as well, and the marriage circuit with its
+    # three-valued lowering
     for i in range(20):
         outer = gen_circuit(split(11, i), 4, 6)
         inners = [gen_circuit(split(12, 8 * i + k), 4, 6) for k in range(outer.num_inputs)]
         compose(outer, inners)
         layered_circuit(gen_digraph(split(13, i), 4, 0.3), 0, 0, pad_dummies=True)
+    assert built[-1][0] == "reach_to_ccv"
+    parse_circuit(serialize_circuit(built[-1][1]))
     tri, _ = sm_to_tri_circuit(gen_sm(5, 3))
     tri_to_bool(tri, (STAR,) * tri.num_inputs)
 
@@ -168,8 +188,8 @@ def test_every_construction_rebuilds_through_the_public_constructor(monkeypatch,
         assert id(c) in through_init, name
         again = Circuit(c.num_wires, c.annotations, c.gates, c.output_wire)
         assert (again, again.has_negations) == (c, c.has_negations), name
-        if name == "close_circuit":
-            continue  # keeps the gate objects of the circuit it closes
+        if name in ("close_circuit", "_optimal_pair_circuit"):
+            continue  # keep the gate objects of the circuit they close or extend
         first = {}
         for g in c.gates:
             if isinstance(g, Comparator):

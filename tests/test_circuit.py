@@ -342,37 +342,16 @@ def outcome(build):
         return type(exc), str(exc)
 
 
-def test_extend_checks_the_tail_and_output_as_the_constructor_does():
-    base = Circuit(3, (Input(0), Const(1), NegInput(1)), (Comparator(0, 1), Negation(2)), 0)
-    tails = [
-        (), (Comparator(2, 0),), (Comparator(1, 1),), (Negation(1),),
-        (Comparator(0, 3),), (Comparator(-1, 2),), (Comparator(3, 0),), (Negation(3),),
-        (Negation(-1),), (Const(0),), ((0, 1),), (Comparator(0, 2), "gate"),
-    ]
-    seen = set()
-    for tail in tails:
-        for out in (0, 2, 3, -1):
-            want = outcome(lambda: Circuit(3, base.annotations, base.gates + tail, out))
-            got = outcome(lambda: base.extend(tail, out))
-            assert got == want, (tail, out)
-            if isinstance(want, Circuit):
-                assert got.has_negations == want.has_negations
-                seen.add("ok")
-            else:
-                seen.add(want[0])
-    assert seen == {"ok", IndexOutOfRangeError, BadShapeError}
-    plain = Circuit(2, wires(2), (Comparator(0, 1),), 0)
-    assert plain.extend([Comparator(1, 0)], 1).has_negations is False
-    assert plain.extend([Negation(1)], 1).has_negations is True
-    assert base.extend((), 0).has_negations is True
+def extension(base, tail, w):
+    return Circuit(base.num_wires, base.annotations, base.gates + tail, w)
 
 
 def test_eval_extensions_answers_as_eval_does():
     base = Circuit(4, (Input(0), Const(1), NegInput(1), Const(0)), (Comparator(0, 1), Comparator(2, 3)), 0)
     circuits = [
         base,
-        base.extend((Comparator(1, 0),), 1),
-        base.extend((Comparator(3, 0), Comparator(2, 1)), 2),
+        extension(base, (Comparator(1, 0),), 1),
+        extension(base, (Comparator(3, 0), Comparator(2, 1)), 2),
         Circuit(4, base.annotations, base.gates[:1], 3),  # a prefix of base runs in full
         Circuit(4, (Const(0),) * 4, base.gates + (Comparator(0, 1),), 1),  # other annotations
         Circuit(2, (Input(1), Input(0)), (Comparator(0, 1),), 1),
@@ -384,8 +363,8 @@ def test_eval_extensions_answers_as_eval_does():
 
 def test_eval_extensions_rejects_what_eval_rejects():
     base = Circuit(2, wires(2), (Comparator(0, 1),), 0)
-    ok = base.extend((Comparator(1, 0),), 1)
-    negated = base.extend((Negation(1),), 1)
+    ok = extension(base, (Comparator(1, 0),), 1)
+    negated = extension(base, (Negation(1),), 1)
     alien = Circuit(1, (Const(0),), (Negation(0),), 0)
     for circuits, x in (([ok, negated], (0, 1)), ([alien, ok], (0, 1)), ([ok], (0, 2)), ([ok], (1,))):
         want = outcome(lambda: [eval(c, x)[1] for c in circuits])
@@ -393,13 +372,10 @@ def test_eval_extensions_rejects_what_eval_rejects():
         assert outcome(lambda: eval_extensions(base, circuits, x)) == want
 
 
-def test_eval_extensions_runs_the_base_once(monkeypatch):
+def count_runs(monkeypatch) -> list:
+    """Patch ``circuit._run`` to record the gate count of each call."""
     from cckit import circuit
 
-    base = Circuit(2, wires(2), (Comparator(0, 1),) * 50, 0)
-    tails = [(), (Comparator(1, 0),), (Comparator(0, 1), Comparator(1, 0))]
-    circuits = [base.extend(t, w) for t in tails for w in (0, 1)]
-    want = [eval(c, (1, 0))[1] for c in circuits]
     runs = []
     real = circuit._run
 
@@ -408,5 +384,25 @@ def test_eval_extensions_runs_the_base_once(monkeypatch):
         return real(gates, vals, mask, on_step)
 
     monkeypatch.setattr(circuit, "_run", counting)
+    return runs
+
+
+def test_eval_extensions_runs_the_base_once(monkeypatch):
+    base = Circuit(2, wires(2), (Comparator(0, 1),) * 50, 0)
+    tails = [(), (Comparator(1, 0),), (Comparator(0, 1), Comparator(1, 0))]
+    circuits = [extension(base, t, w) for t in tails for w in (0, 1)]
+    want = [eval(c, (1, 0))[1] for c in circuits]
+    runs = count_runs(monkeypatch)
     assert eval_extensions(base, circuits, (1, 0)) == want
     assert sorted(runs) == [0, 0, 1, 1, 2, 2, 50]
+
+
+def test_eval_extensions_knows_an_extension_by_equal_annotations(monkeypatch):
+    base = Circuit(2, wires(2), (Comparator(0, 1),) * 50, 0)
+    again = wires(2)
+    assert again == base.annotations and again is not base.annotations
+    circuits = [Circuit(2, again, base.gates + (Comparator(1, 0),), w) for w in (0, 1)]
+    want = [eval(c, (1, 0))[1] for c in circuits]
+    runs = count_runs(monkeypatch)
+    assert eval_extensions(base, circuits, (1, 0)) == want
+    assert sorted(runs) == [1, 1, 50]

@@ -353,26 +353,6 @@ def test_a_graph_is_refused_before_its_adjacency_is_allocated():
         parse_graph("GRAPH v1\nbottom 300000000\ntop 1\nedge 0 0\n")
 
 
-def test_only_the_parsers_build_through_the_private_constructors():
-    # circuit.py's one entry covers `Circuit.extend` and `CircuitBuilder.build`,
-    # which checks only the output wire, and reductions.py's the two
-    # ccv_to_3*lfmm graphs, in range by construction; every other builder checks
-    import ast
-
-    callers = set()
-    for path in pathlib.Path(cckit.__file__).parent.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Attribute) and node.attr == "_trusted":
-                callers.add((path.name, ast.unparse(node.value)))
-    assert callers == {
-        ("circuit.py", "Circuit"),
-        ("formats.py", "Circuit"),
-        ("formats.py", "BipartiteGraph"),
-        ("formats.py", "SMInstance"),
-        ("reductions.py", "BipartiteGraph"),
-    }
-
-
 def test_parsed_values_carry_the_fields_the_public_constructors_fill():
     rng = random.Random(3)
     for _ in range(60):
