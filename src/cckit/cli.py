@@ -18,6 +18,7 @@ from .errors import (
     BadShapeError,
     CckitError,
     InternalBoundViolationError,
+    PreconditionViolatedError,
 )
 from .formats import KINDS
 from .matching import lfm_matching, lfmm_decision, vlfmm_decision
@@ -158,6 +159,9 @@ def _reach_to_ccv(g, args):
 
 
 def _universal(c, args):
+    if c.output_wire != 0:
+        raise PreconditionViolatedError(
+            f"the universal circuit answers on wire 0, not on output wire {c.output_wire}")
     m, n = max(2, c.num_wires), len(c.gates)
     enc = encode_control(c, m, n)
     return build_universal(m, n), [f"b{i} {b}" for i, b in enumerate(enc)]

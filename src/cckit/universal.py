@@ -16,12 +16,21 @@ the control pair ends as (0, 1) and is never reused.
 from __future__ import annotations
 
 from .circuit import Circuit, CircuitBuilder, Input, NegInput
-from .errors import BadShapeError, NegationNotSupportedError, TooLargeError
+from .errors import SIZE_LIMIT, BadShapeError, NegationNotSupportedError, TooLargeError
 
 
 def _pairs(m: int):
     """Ordered wire pairs (i, j), i != j, in lexicographic order."""
     return [(i, j) for i in range(m) for j in range(m) if i != j]
+
+
+def _check_size(m: int, n: int) -> None:
+    """Refuse UNIV(m, n) past the limit before allocating: one gadget per
+    slot and ordered pair, so 4·m(m-1)·n gates on m + 2·m(m-1)·n wires."""
+    gadgets = m * (m - 1) * n
+    if max(4 * gadgets, m + 2 * gadgets) > SIZE_LIMIT:
+        raise TooLargeError(f"the universal circuit would have {4 * gadgets} gates on "
+                            f"{m + 2 * gadgets} wires, over the limit of {SIZE_LIMIT}")
 
 
 def build_universal(m: int, n: int) -> Circuit:
@@ -36,6 +45,7 @@ def build_universal(m: int, n: int) -> Circuit:
         raise BadShapeError("a universal circuit needs at least two data wires")
     if n < 0:
         raise BadShapeError("negative slot count")
+    _check_size(m, n)
     pairs = _pairs(m)
     ncontrols = len(pairs) * n
     cb = CircuitBuilder(Input(ncontrols + d) for d in range(m))
@@ -67,6 +77,7 @@ def encode_control(c: Circuit, m: int, n: int) -> tuple:
         raise TooLargeError(f"{c.num_wires} wires > {m}")
     if len(c.gates) > n:
         raise TooLargeError(f"{len(c.gates)} gates > {n}")
+    _check_size(m, n)
     pairs = _pairs(m)
     index = {pq: k for k, pq in enumerate(pairs)}
     bits = [0] * (len(pairs) * n)

@@ -675,6 +675,33 @@ def test_oversized_graphs_exit_two_before_building(tmp_path, size, argv, message
     assert (done.returncode, done.stdout, done.stderr) == (2, "", f"error: {message}\n")
 
 
+def test_oversized_universal_exits_two_before_building(tmp_path):
+    # 300 wires and 300 gates: UNIV(300, 300) would have 4 * 300 * 299 * 300
+    # gates; in a child under a 512 MB address-space limit and a timeout, as above
+    path = tmp_path / "big.ccv"
+    path.write_text("CCV v1\nwires 300\n" + "".join(f"annot {w} 0\n" for w in range(300))
+                    + "".join(f"gate {i} {(i + 1) % 300}\n" for i in range(300)) + "output 0\n")
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "cckit.cli", "reduce", "universal", str(path), "-"],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC},
+                          timeout=30, preexec_fn=limited_address_space)
+    assert time.perf_counter() - start < 2.0
+    assert (done.returncode, done.stdout, done.stderr) == (
+        2, "", "error: the universal circuit would have 107640000 gates on 53820300 wires, "
+        "over the limit of 10000000\n")
+
+
+def test_reduce_universal_refuses_a_circuit_answering_off_wire_zero(capsys, tmp_path):
+    # UNIV(m, n) answers on data wire 0, so for a circuit answering on wire 1
+    # it would answer a different question
+    src = tmp_path / "c.ccv"
+    src.write_text("CCV v1\nwires 2\nannot 0 x0\nannot 1 x1\ngate 0 1\noutput 1\n")
+    out = tmp_path / "u.ccv"
+    assert run(capsys, "reduce", "universal", str(src), str(out)) == (
+        2, "", "error: the universal circuit answers on wire 0, not on output wire 1\n")
+    assert not out.exists() and not (tmp_path / "u.ccv.map").exists()
+
+
 def test_parser_is_built_once_and_carries_nothing_between_calls(capsys):
     from cckit import cli
 

@@ -52,6 +52,23 @@ def test_encode_rejects_oversized_circuits():
         encode_control(neg, 2, 1)
 
 
+def test_sizes_past_the_limit_are_refused_before_allocating():
+    from cckit.universal import _check_size
+
+    # UNIV(m, n) has 4 * m(m-1) * n gates on m + 2 * m(m-1) * n wires
+    for m, n, gates, wires in ((300, 300, 107640000, 53820300), (10**8, 0, 0, 10**8)):
+        message = f"the universal circuit would have {gates} gates on {wires} wires, over the limit"
+        with pytest.raises(TooLargeError, match=message):
+            build_universal(m, n)
+    c = Circuit(1, (Input(0),), (), 0)
+    with pytest.raises(TooLargeError, match="107640000 gates on 53820300 wires"):
+        encode_control(c, 300, 300)
+    # UNIV(2, 1250000) has exactly 10**7 gates
+    _check_size(2, 1250000)
+    with pytest.raises(TooLargeError, match="10000008 gates"):
+        _check_size(2, 1250001)
+
+
 def test_encode_is_one_hot_per_real_gate():
     c = Circuit(
         3,
