@@ -345,10 +345,8 @@ def parse_sm(text: str) -> SMInstance:
         if len(store) != n:
             missing = next(i for i in range(n) if i not in store)
             raise ParseError(eof, f"missing row for {label} {missing}")
-    return SMInstance(
-        n, tuple(map(men.__getitem__, range(n))), tuple(map(women.__getitem__, range(n))),
-        _checked=True,
-    )
+    return SMInstance(n, tuple(map(men.__getitem__, range(n))),
+                      tuple(map(women.__getitem__, range(n))), _checked=True)
 
 
 def serialize_sm(inst: SMInstance) -> str:

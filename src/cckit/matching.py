@@ -22,9 +22,8 @@ class BipartiteGraph:
     by_bottom: tuple = field(init=False, repr=False, compare=False)
 
     def __init__(self, num_bottom, num_top, edges, *, _checked=False):
-        """Check every field.  ``_checked`` is for the text parser and the
-        two ``ccv_to_3*lfmm`` lowerings alone: the counts are then taken as
-        non-negative and the edges, a frozenset, as in range."""
+        """Check every field.  ``_checked`` is for ``parse_graph`` and ``ccv_to_3*lfmm``
+        alone: the counts are then taken as non-negative and the edges as in range."""
         edges = frozenset(edges)
         if not _checked and (num_bottom < 0 or num_top < 0):
             raise BadShapeError("negative vertex count")

@@ -50,9 +50,8 @@ class SMInstance:
     woman_rank: tuple = field(init=False, repr=False, compare=False)
 
     def __init__(self, n, man_pref, woman_pref, *, _checked=False):
-        """Check every field.  ``_checked`` is for the text parser alone:
-        n >= 1 and two tuples of n permutation tuples are then taken as
-        already checked."""
+        """Check every field.  ``_checked`` is for ``parse_sm`` alone: n >= 1 and
+        two tuples of n permutation tuples are then taken as already checked."""
         if not _checked:
             man_pref = tuple(tuple(r) for r in man_pref)
             woman_pref = tuple(tuple(r) for r in woman_pref)
