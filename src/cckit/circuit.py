@@ -165,12 +165,11 @@ class CircuitBuilder:
     """A circuit assembled wire by wire, starting from one wire per
     annotation in ``annotations``.  Gate endpoints drawn from those wires
     and the indices ``wire`` and ``wires`` return are in range by
-    construction, so ``build`` checks only the output wire.  The gates
-    ``gate`` makes on one wire pair share one ``Comparator``."""
+    construction, so ``build`` checks only the output wire."""
 
     def __init__(self, annotations=()):
         self.annotations = list(annotations)
-        self.gates, self._shared, self.has_negations = [], {}, False
+        self.gates, self.has_negations = [], False
 
     def wire(self, annotation) -> int:
         self.annotations.append(annotation)
@@ -183,9 +182,7 @@ class CircuitBuilder:
         return first
 
     def gate(self, a: int, b: int) -> Comparator:
-        g = self._shared.get((a, b))
-        if g is None:
-            g = self._shared[a, b] = Comparator(a, b)
+        g = Comparator(a, b)
         self.gates.append(g)
         return g
 

@@ -119,7 +119,9 @@ def test_repeated_gate_lines_share_one_object():
     c = parse_circuit("CCV v1\nwires 2\nannot 0 0\nannot 1 1\n"
                       "gate 0 1\ngate 1 0\ngate 0 1\ngate 00 1\noutput 0\n")
     assert c.gates == (Comparator(0, 1), Comparator(1, 0), Comparator(0, 1), Comparator(0, 1))
-    assert c.gates[0] is c.gates[2] is c.gates[3]
+    assert c.gates[0] is c.gates[2]
+    # the same pair written differently is a distinct, equal gate
+    assert c.gates[3] is not c.gates[0]
     assert c.gates[1] is not c.gates[0]
 
 
