@@ -28,9 +28,7 @@ class BipartiteGraph:
         if not _checked and (num_bottom < 0 or num_top < 0):
             raise BadShapeError("negative vertex count")
         # the adjacency holds one tuple per vertex, so refuse before allocating it
-        if num_bottom + num_top > SIZE_LIMIT:
-            raise TooLargeError(f"a graph of {num_bottom} + {num_top} vertices is "
-                                f"over the limit of {SIZE_LIMIT}")
+        check_vertices(num_bottom, num_top)
         if not _checked:
             for (i, j) in edges:
                 if not (0 <= i < num_bottom and 0 <= j < num_top):
@@ -42,6 +40,13 @@ class BipartiteGraph:
     def by_top(self) -> tuple:
         """One ascending tuple of neighbours per top vertex, built on first read."""
         return _adjacency(self.num_top, [(j, i) for (i, j) in self.edges])
+
+
+def check_vertices(num_bottom: int, num_top: int) -> None:
+    """Refuse a graph of more than ``SIZE_LIMIT`` vertices."""
+    if num_bottom + num_top > SIZE_LIMIT:
+        raise TooLargeError(f"a graph of {num_bottom} + {num_top} vertices is "
+                            f"over the limit of {SIZE_LIMIT}")
 
 
 def _adjacency(count: int, pairs) -> tuple:

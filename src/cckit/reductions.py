@@ -37,7 +37,7 @@ from .errors import (
     PreconditionViolatedError,
     TooLargeError,
 )
-from .matching import BipartiteGraph, max_degree
+from .matching import BipartiteGraph, check_vertices, max_degree
 from .stable_marriage import SMInstance
 
 
@@ -57,13 +57,17 @@ def to_all_up(c: Circuit):
     return up, {w: m - 1 - down_map[w] for w in down_map}
 
 
-def _layer_edges(c: Circuit):
-    """Edges of ccv_to_3vlfmm's graph, its node_map and its target top."""
+def _layer_edges(c: Circuit, extra: int = 0):
+    """Edges of ccv_to_3vlfmm's graph, its node_map and its target top.
+    That graph, with ``extra`` more nodes per side, is refused past the
+    limit before any edge is made."""
     if c.has_negations:
         raise NegationNotSupportedError("lower negations first")
     if not c.is_all_up:
         raise PreconditionViolatedError("apply to_all_up first")
     m = c.num_wires
+    nodes = (len(c.gates) + 1) * m + extra
+    check_vertices(nodes, nodes)
     vals = resolve_inputs(c, ())
     # node (layer, wire) has id layer * m + wire; `here` is layer * m and
     # `before` is (layer - 1) * m
@@ -145,7 +149,7 @@ def ccv_to_3lfmm(c: Circuit):
     """Edge-designated variant: one extra top/bottom pair turns top
     coverage into edge membership.  Same preconditions and node_map as
     ccv_to_3vlfmm.  Returns (graph, ("edge", (w, w)), node_map)."""
-    edges, node_map, old_target = _layer_edges(c)
+    edges, node_map, old_target = _layer_edges(c, 1)
     w = len(node_map)  # id of both the new bottom and the new top
     # bottom w prefers the old target; it settles for top w exactly when
     # the old target was already matched, so the designated edge tracks
@@ -323,6 +327,17 @@ def sm_rail_prefix(inst: SMInstance):
     return railed, cell_map, rail_map
 
 
+def _check_pair_size(n: int) -> None:
+    """Refuse a pair circuit past the limit before its prefix is built:
+    sm_to_tri_circuit's 2n^4 gates on 4n^3 + 2n^2 wires, railed twice into
+    8n^4 + 2 gates on 16n^3 + 8n^2 + 1 wires, and a railed tail of at most
+    7 gates."""
+    gates, wires = 8 * n**4 + 9, 16 * n**3 + 8 * n**2 + 1
+    if max(gates, wires) > SIZE_LIMIT:
+        raise TooLargeError(f"the pair circuit would have up to {gates} gates on "
+                            f"{wires} wires, over the limit of {SIZE_LIMIT}")
+
+
 def _optimal_pair_circuit(inst, pair, side):
     """The railed prefix plus a tail of at most three gates, which is
     written on the prefix's wires before double-railing and railed here."""
@@ -330,6 +345,7 @@ def _optimal_pair_circuit(inst, pair, side):
     m, w = pair
     if not (0 <= m < n and 0 <= w < n):
         raise IndexOutOfRangeError(f"pair {pair} out of range")
+    _check_pair_size(n)
     base, cell_map, rail_map = sm_rail_prefix(inst)
     gates = []
     if side == "m":

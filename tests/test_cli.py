@@ -691,6 +691,36 @@ def test_oversized_universal_exits_two_before_building(tmp_path):
         "over the limit of 10000000\n")
 
 
+@pytest.mark.parametrize("name, message", [
+    ("mosm-to-ccv", "the pair circuit would have up to 20480009 gates on 1036801 wires, over the limit"),
+    ("wosm-to-ccv", "the pair circuit would have up to 20480009 gates on 1036801 wires, over the limit"),
+    ("ccv-to-3vlfmm", "a graph of 9003000 + 9003000 vertices is over the limit"),
+    ("ccv-to-3lfmm", "a graph of 9003001 + 9003001 vertices is over the limit"),
+])
+def test_oversized_lowerings_exit_two_before_building(tmp_path, name, message):
+    # a 40-person instance, whose pair circuit has 8 * 40**4 + 2 prefix gates,
+    # and a 1000-wire cycle of 1000 gates, 3000 wires and gates after
+    # to_all_up, so 3001 * 3000 graph nodes per side; in a child under a
+    # 512 MB address-space limit and a timeout, as above
+    from cckit.formats import serialize_sm
+    from cckit.verify import gen_sm
+
+    if name.endswith("-to-ccv"):
+        path, flags = tmp_path / "big.sm", ["--pair", "0", "0"]
+        path.write_text(serialize_sm(gen_sm(1, 40)))
+    else:
+        path, flags = tmp_path / "ring.ccv", []
+        path.write_text("CCV v1\nwires 1000\n" + "".join(f"annot {w} {w % 2}\n" for w in range(1000))
+                        + "".join(f"gate {i} {(i + 1) % 1000}\n" for i in range(1000)) + "output 0\n")
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "cckit.cli", "reduce", name, str(path), "-", *flags],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC},
+                          timeout=30, preexec_fn=limited_address_space)
+    assert time.perf_counter() - start < 2.0
+    assert (done.returncode, done.stdout, done.stderr) == (
+        2, "", f"error: {message} of 10000000\n")
+
+
 def test_reduce_universal_refuses_a_circuit_answering_off_wire_zero(capsys, tmp_path):
     # UNIV(m, n) answers on data wire 0, so for a circuit answering on wire 1
     # it would answer a different question

@@ -18,8 +18,10 @@ from cckit.circuit import (
 )
 from cckit.errors import (
     BadShapeError,
+    IndexOutOfRangeError,
     NegationNotSupportedError,
     PreconditionViolatedError,
+    TooLargeError,
 )
 from cckit.formats import serialize_circuit
 from cckit.matching import BipartiteGraph, lfm_matching, lfmm_decision, max_degree, vlfmm_decision
@@ -281,6 +283,39 @@ def test_optimal_pair_circuits():
             assert eval(wosm_to_ccv(inst, (m, w)), ())[1] == (
                 1 if swapped.match[w] == m else 0
             )
+
+
+def test_pair_circuits_past_the_limit_are_refused_before_building():
+    from cckit.reductions import _check_pair_size
+
+    # the closed form the guard reads: the railed prefix, and a tail of at most 7 gates
+    for n in (1, 2, 3):
+        inst = gen_sm(n, n)
+        prefix = sm_rail_prefix(inst)[0]
+        assert (len(prefix.gates), prefix.num_wires) == (8 * n**4 + 2, 16 * n**3 + 8 * n**2 + 1)
+        for m in range(n):
+            for build in (mosm_to_ccv, wosm_to_ccv):
+                assert len(build(inst, (m, n - 1 - m)).gates) <= 8 * n**4 + 9
+    _check_pair_size(33)  # up to 9487377 gates
+    inst = gen_sm(1, 34)
+    for build in (mosm_to_ccv, wosm_to_ccv):
+        with pytest.raises(IndexOutOfRangeError, match=r"pair \(34, 0\) out of range"):
+            build(inst, (34, 0))
+        with pytest.raises(TooLargeError, match="the pair circuit would have up to 10690697 gates "
+                                                "on 638113 wires, over the limit of 10000000"):
+            build(inst, (0, 0))
+
+
+def test_layered_graphs_past_the_limit_are_refused_before_their_edges():
+    # (gates + 1) * wires nodes per side, one more for the edge variant:
+    # 2000 * 2500 is exactly half the limit
+    c = Circuit(2000, (Const(0),) * 2000, (Comparator(1, 0),) * 2499, 0)
+    with pytest.raises(TooLargeError, match=r"^a graph of 5000001 \+ 5000001 vertices is over "
+                                            "the limit of 10000000$"):
+        ccv_to_3lfmm(c)
+    c = Circuit(2000, (Const(0),) * 2000, (Comparator(1, 0),) * 2500, 0)
+    with pytest.raises(TooLargeError, match=r"^a graph of 5002000 \+ 5002000 vertices"):
+        ccv_to_3vlfmm(c)
 
 
 def test_optimal_pair_circuits_are_pinned():
