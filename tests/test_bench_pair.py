@@ -1,7 +1,11 @@
-"""The pair-recording script's seed parsing and summary."""
+"""The pair-recording script's seed parsing, summary and partial record."""
 
 import importlib.util
+import json
 import pathlib
+import shutil
+
+import pytest
 
 TOOL = pathlib.Path(__file__).resolve().parents[1] / "tools" / "bench_pair.py"
 spec = importlib.util.spec_from_file_location("bench_pair", TOOL)
@@ -33,3 +37,26 @@ def test_summary_counts_wins_in_each_metric_direction():
     assert ops["per_pair_parent_change"] == [[50.0, 90.0], [60.0, 40.0], [55.0, 100.0]]
     assert ops["parent_q1_median_q3"] == [52.5, 55.0, 57.5]
     assert bench_pair.quartiles([3.0]) == [3.0, 3.0, 3.0]
+
+
+def test_a_failed_run_keeps_the_runs_before_it(monkeypatch, tmp_path):
+    shutil.copy(TOOL.parents[1] / "BENCHMARK.json", tmp_path)
+    names = [m["name"] for m in json.loads((tmp_path / "BENCHMARK.json").read_text())["end_to_end"]]
+    monkeypatch.setattr(bench_pair, "ROOT", str(tmp_path))
+    monkeypatch.setattr(bench_pair, "extract", lambda rev, into: None)
+    monkeypatch.setattr(bench_pair, "short", lambda rev: rev)
+    calls = []
+
+    def bench(tree, workload, seed):
+        calls.append(tree)
+        if len(calls) == 3:
+            raise RuntimeError("run 3 failed")
+        return {"correct": True, "metrics": {name: {"value": 1.0 * len(calls)} for name in names}}
+
+    monkeypatch.setattr(bench_pair, "bench", bench)
+    with pytest.raises(RuntimeError, match="run 3 failed"):
+        bench_pair.main(["abc1234", "partial", "--workload", "oracle", "--what", "w"])
+    record = json.loads((tmp_path / "BENCH_partial.json").read_text())
+    assert [(r["side"], r["pair"]) for r in record["runs"]] == [("parent", 1), ("change", 1)]
+    assert record["parent"] == "abc1234" and list(record["batches"]) == ["A"]
+    assert record["summary"]["oracle (batch A)"]["ops_per_s"]["per_pair_parent_change"] == [[1.0, 2.0]]

@@ -18,7 +18,8 @@ workload and batch, ``summary`` gives every end-to-end metric of the
 change tree's BENCHMARK.json as the parent's and the change's quartiles
 (q1, median, q3), the number of pairs in which the change is strictly
 better, and each pair's (parent, change) values.  ``--append`` adds a
-batch to an existing file and recomputes its summary.
+batch to an existing file and recomputes its summary.  A run that fails
+stops the script, and the file is still written with the runs before it.
 """
 
 from __future__ import annotations
@@ -164,11 +165,11 @@ def main(argv=None):
                           f"correct {last['correct']}", file=sys.stderr)
     finally:
         shutil.rmtree(scratch)
-
-    record["summary"] = summarize(record["runs"], metrics)
-    with open(out, "w") as fh:
-        json.dump(record, fh, indent=1)
-        fh.write("\n")
+        # a failed run keeps the runs recorded before it
+        record["summary"] = summarize(record["runs"], metrics)
+        with open(out, "w") as fh:
+            json.dump(record, fh, indent=1)
+            fh.write("\n")
     print(out)
     return 0
 
