@@ -314,6 +314,14 @@ def test_mirror_reverses_indices():
     assert mirror(m) == c
     x = (1,)
     assert eval(c, x)[0] == tuple(reversed(eval(m, x)[0]))
+    # a negation is relabelled as well
+    n = Circuit(3, c.annotations, (Negation(0), Comparator(0, 2), Negation(2)), 1)
+    mn = mirror(n)
+    assert mn.gates == (Negation(2), Comparator(2, 0), Negation(0))
+    assert mn.has_negations and mirror(mn) == n
+    for bit in (0, 1):
+        assert eval(n, (bit,), allow_negations=True)[0] == tuple(
+            reversed(eval(mn, (bit,), allow_negations=True)[0]))
 
 
 def test_compose_splices_inner_copies():
