@@ -266,29 +266,24 @@ def _run(gates, vals: list, mask: int, on_step=None) -> None:
             on_step(tuple(vals))
 
 
-def eval_extensions(base: Circuit, circuits: Sequence[Circuit], x: Sequence[Bit]) -> list:
-    """``[eval(c, x)[1] for c in circuits]``, running ``base`` at most once.
+def eval_tails(base: Circuit, tails: Sequence[tuple], x: Sequence[Bit]) -> list:
+    """``[eval(Circuit(base.num_wires, base.annotations, base.gates + gates,
+    wire), x)[1] for gates, wire in tails]``, running ``base`` once.
 
-    A circuit whose annotations equal ``base``'s and whose gates start with
-    ``base.gates`` runs only its remaining gates, on a copy of ``base``'s
-    final wire values.  Any other circuit runs in full.  Errors are those
-    of :func:`eval`, in list order.
+    Each tail's gates run on a copy of ``base``'s final wire values; they
+    are not range-checked.  Errors are those of :func:`eval`, in list order.
     """
     shared = None
-    k = len(base.gates)
     answers = []
-    for c in circuits:
-        if c.annotations != base.annotations or c.gates[:k] != base.gates:
-            answers.append(eval(c, x)[1])
-            continue
-        if c.has_negations:
+    for gates, wire in tails:
+        if base.has_negations or any(isinstance(g, Negation) for g in gates):
             raise NegationNotSupportedError("circuit contains negation gates")
         if shared is None:
             shared = list(resolve_inputs(base, x))
             _run(base.gates, shared, 1)
         vals = list(shared)
-        _run(c.gates[k:], vals, 1)
-        answers.append(vals[c.output_wire])
+        _run(gates, vals, 1)
+        answers.append(vals[wire])
     return answers
 
 

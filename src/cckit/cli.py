@@ -340,6 +340,9 @@ def main(argv=None) -> int:
         os.close(devnull)
         print(f"error: cannot write stdout: {e.strerror}", file=sys.stderr)
         return 2
+    except MemoryError:  # a request under the size limits that still did not fit
+        print("error: out of memory", file=sys.stderr)
+        return 2
     except Exception as e:  # a bug: keep exit 1 meaning "no"
         tb = e.__traceback__
         while tb.tb_next is not None:

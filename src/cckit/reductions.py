@@ -12,8 +12,6 @@ maps, node maps, rail maps).
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .circuit import (
     STAR,
     TRI_RAILS,
@@ -314,13 +312,11 @@ def sm_to_tri_circuit(inst: SMInstance):
     return cb.build(binding[("m", 0, 0)]), dict(binding)
 
 
-@lru_cache(maxsize=1)
 def sm_rail_prefix(inst: SMInstance):
-    """Shared front half of the optimal-pair circuits, double-railed once
-    per instance (the last instance is cached).  Returns (circuit,
-    cell_map, rail_map); the two maps name wires of the circuit before
-    double-railing.  Every pair circuit of the instance starts with this
-    circuit, so ``eval_extensions`` can run it once for all of them."""
+    """Shared front half of the optimal-pair circuits, double-railed.
+    Returns (circuit, cell_map, rail_map); the two maps name wires of the
+    circuit before double-railing.  Each pair circuit of the instance is
+    this circuit plus the pair's ``sm_pair_tail``."""
     tri_c, cell_map = sm_to_tri_circuit(inst)
     closed, rail_map = tri_to_bool(tri_c, (STAR,) * tri_c.num_inputs)
     railed, _ = double_rail(closed)
@@ -338,42 +334,50 @@ def _check_pair_size(n: int) -> None:
                             f"{wires} wires, over the limit of {SIZE_LIMIT}")
 
 
-def _optimal_pair_circuit(inst, pair, side):
-    """The railed prefix plus a tail of at most three gates, which is
-    written on the prefix's wires before double-railing and railed here."""
-    n = inst.n
+def _pair_in_range(n: int, pair: tuple) -> tuple:
     m, w = pair
     if not (0 <= m < n and 0 <= w < n):
         raise IndexOutOfRangeError(f"pair {pair} out of range")
-    _check_pair_size(n)
-    base, cell_map, rail_map = sm_rail_prefix(inst)
-    gates = []
+    return m, w
+
+
+def sm_pair_tail(inst: SMInstance, prefix, pair: tuple, side: str):
+    """The tail of ``pair``'s ``side``-optimal circuit ("m" or "w") on the
+    wires of ``prefix = sm_rail_prefix(inst)``: at most three gates written
+    before double-railing and railed here.  Returns (gates, answer_wire)."""
+    railed, cell_map, rail_map = prefix
+    m, w = _pair_in_range(inst.n, pair)
     if side == "m":
         rank = inst.man_rank[m][w]
         alpha, beta = rail_map[cell_map[("m", m, rank)]]
-        if rank == n - 1:
-            gates.append(Comparator(alpha, beta))
+        if rank == inst.n - 1:
+            gates = [Comparator(alpha, beta)]
         else:
             gamma = rail_map[cell_map[("m", m, rank + 1)]][0]
-            gates.append(Negation(gamma))
-            gates.append(Comparator(alpha, beta))
-            gates.append(Comparator(alpha, gamma))
+            gates = [Negation(gamma), Comparator(alpha, beta), Comparator(alpha, gamma)]
         answer_wire = alpha
     else:
         rank = inst.woman_rank[w][m]
         beta = rail_map[cell_map[("w", w, rank)]][1]
-        gates.append(Negation(beta))
-        if rank != n - 1:
+        gates = [Negation(beta)]
+        if rank != inst.n - 1:
             delta = rail_map[cell_map[("w", w, rank + 1)]][1]
             gates.append(Comparator(beta, delta))
         answer_wire = beta
-    t = base.num_wires - 1
-    cb = CircuitBuilder(base.annotations)
-    cb.extend(base.gates, base.has_negations)
-    for g in gates:
-        for a, b in _rail_gates(g, t):
-            cb.gate(a, b)
-    return cb.build(2 * answer_wire)
+    t = railed.num_wires - 1
+    return [Comparator(a, b) for g in gates for a, b in _rail_gates(g, t)], 2 * answer_wire
+
+
+def _optimal_pair_circuit(inst, pair, side):
+    """The railed prefix plus the pair's railed tail, through one builder."""
+    _pair_in_range(inst.n, pair)
+    _check_pair_size(inst.n)
+    prefix = sm_rail_prefix(inst)
+    gates, answer_wire = sm_pair_tail(inst, prefix, pair, side)
+    cb = CircuitBuilder(prefix[0].annotations)
+    cb.extend(prefix[0].gates)
+    cb.extend(gates)
+    return cb.build(answer_wire)
 
 
 def mosm_to_ccv(inst: SMInstance, pair: tuple) -> Circuit:

@@ -31,7 +31,7 @@ from .circuit import (
     dual,
     eval,
     eval_batch,
-    eval_extensions,
+    eval_tails,
     eval_tri,
     input_columns,
     normalize_down,
@@ -58,12 +58,11 @@ from .reductions import (
     close_circuit,
     double_rail,
     lfmm_to_ccvneg,
-    mosm_to_ccv,
+    sm_pair_tail,
     sm_rail_prefix,
     to_all_up,
     tri_to_bool,
     vlfmm_to_ccv,
-    wosm_to_ccv,
 )
 from .stable_marriage import (
     MatrixPair,
@@ -316,16 +315,26 @@ def _case_universal(rng, i):
     c = gen_circuit(rng.next64(), 6, 12, with_neg=False)
     m = max(2, c.num_wires + rng.below(2))
     n = len(c.gates) + rng.below(3)
-    x = rng.bits(c.num_inputs)
-    y = list(resolve_inputs(c, x)) + [0] * (m - c.num_wires)
-    enc = encode_control(c, m, n)
-    expected = eval(c, x)[0][0]
+    # every input vector at once, input j of row r being bit j of r:
+    # constant control columns, c's initial wire values as data columns
+    # and zero padding wires
+    k = c.num_inputs
+    count = 1 << k
+    mask = (1 << count) - 1
+    cols = input_columns(k)
+    start = eval_batch(Circuit(c.num_wires, c.annotations, (), c.output_wire), cols, count)
+    controls = [mask if bit else 0 for bit in encode_control(c, m, n)]
+    expected = eval_batch(c, cols, count)[0]
     if _flip_expected and i == 0:
-        expected ^= 1
+        expected ^= mask
     univ = build_universal(m, n)
-    _, answer = eval(univ, list(enc) + y)
-    if answer != expected:
-        yield _show("circuit", serialize_circuit(c), expected, answer)
+    answer = eval_batch(univ, controls + start + [0] * (m - c.num_wires), count)[0]
+    wrong = answer ^ expected
+    if wrong:
+        r = (wrong & -wrong).bit_length() - 1  # the lowest failing vector
+        x = [(r >> j) & 1 for j in range(k)]
+        yield _show(f"circuit (x {_vector_text(x)})", serialize_circuit(c),
+                    (expected >> r) & 1, (answer >> r) & 1)
 
 
 # -- three-valued lowering ---------------------------------------------------
@@ -630,8 +639,9 @@ def _case_sm_to_ccv(rng, i):
     for w in range(n):
         woman_match[swapped.match[w]] = w
     pairs = [(m, w) for m in range(n) for w in range(n)]
-    circuits = [build(inst, p) for p in pairs for build in (mosm_to_ccv, wosm_to_ccv)]
-    got = eval_extensions(sm_rail_prefix(inst)[0], circuits, ())
+    prefix = sm_rail_prefix(inst)
+    got = eval_tails(prefix[0], [sm_pair_tail(inst, prefix, p, side)
+                                 for p in pairs for side in "mw"], ())
     bad = None
     for (m, w), got_m, got_w in zip(pairs, got[::2], got[1::2]):
         want_m = 1 if man_opt.match[m] == w else 0

@@ -39,7 +39,10 @@ def test_summary_counts_wins_in_each_metric_direction():
     assert bench_pair.quartiles([3.0]) == [3.0, 3.0, 3.0]
 
 
-def test_a_failed_run_keeps_the_runs_before_it(monkeypatch, tmp_path):
+def record_stubbed(monkeypatch, tmp_path, label, last):
+    """Run the script on stubbed trees, with ``last(k, metrics)`` standing
+    for the last line of the k-th run, and load the record it writes.  A
+    run that raises or answers wrongly stops it at the third run."""
     shutil.copy(TOOL.parents[1] / "BENCHMARK.json", tmp_path)
     names = [m["name"] for m in json.loads((tmp_path / "BENCHMARK.json").read_text())["end_to_end"]]
     monkeypatch.setattr(bench_pair, "ROOT", str(tmp_path))
@@ -49,14 +52,33 @@ def test_a_failed_run_keeps_the_runs_before_it(monkeypatch, tmp_path):
 
     def bench(tree, workload, seed):
         calls.append(tree)
-        if len(calls) == 3:
-            raise RuntimeError("run 3 failed")
-        return {"correct": True, "metrics": {name: {"value": 1.0 * len(calls)} for name in names}}
+        return last(len(calls), {name: {"value": 1.0 * len(calls)} for name in names})
 
     monkeypatch.setattr(bench_pair, "bench", bench)
-    with pytest.raises(RuntimeError, match="run 3 failed"):
-        bench_pair.main(["abc1234", "partial", "--workload", "oracle", "--what", "w"])
-    record = json.loads((tmp_path / "BENCH_partial.json").read_text())
+    with pytest.raises(RuntimeError) as raised:
+        bench_pair.main(["abc1234", label, "--workload", "oracle", "--what", "w"])
+    assert len(calls) == 3
+    record = json.loads((tmp_path / f"BENCH_{label}.json").read_text())
     assert [(r["side"], r["pair"]) for r in record["runs"]] == [("parent", 1), ("change", 1)]
-    assert record["parent"] == "abc1234" and list(record["batches"]) == ["A"]
     assert record["summary"]["oracle (batch A)"]["ops_per_s"]["per_pair_parent_change"] == [[1.0, 2.0]]
+    return str(raised.value), record
+
+
+def test_a_failed_run_keeps_the_runs_before_it(monkeypatch, tmp_path):
+    def last(k, metrics):
+        if k == 3:
+            raise RuntimeError("run 3 failed")
+        return {"correct": True, "metrics": metrics}
+
+    message, record = record_stubbed(monkeypatch, tmp_path, "partial", last)
+    assert message == "run 3 failed"
+    assert record["parent"] == "abc1234" and list(record["batches"]) == ["A"]
+
+
+def test_a_run_with_wrong_answers_stops_like_a_failed_one(monkeypatch, tmp_path):
+    # perfbench/run.py exits 0 when ops fail, and says so in its last line
+    def last(k, metrics):
+        return {"correct": k != 3, "failed": 2 if k == 3 else 0, "metrics": metrics}
+
+    message, _ = record_stubbed(monkeypatch, tmp_path, "wrong", last)
+    assert message == "the change run of pair 2, seed 1, answered wrongly: 2 op(s) failed"

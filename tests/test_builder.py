@@ -31,7 +31,7 @@ from cckit.circuit import (
 from cckit.errors import BadShapeError, IndexOutOfRangeError
 from cckit.formats import parse_circuit, serialize_circuit
 from cckit.reachability import layered_circuit
-from cckit.reductions import mosm_to_ccv, sm_to_tri_circuit, tri_to_bool
+from cckit.reductions import mosm_to_ccv, sm_to_tri_circuit, tri_to_bool, wosm_to_ccv
 from cckit.verify import gen_circuit, gen_digraph, gen_sm, run_suite, split
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "cckit"
@@ -173,8 +173,8 @@ def test_every_construction_rebuilds_through_the_public_constructor(monkeypatch,
         assert run_suite(suite, 100, seed=5).passed
     assert run_suite("sm-to-ccv", 20, seed=5).passed
     # what those suites leave out: composition, the padded pebbling
-    # circuit, parsed as well, and the marriage circuit with its
-    # three-valued lowering
+    # circuit, parsed as well, the marriage circuit with its three-valued
+    # lowering, and the pair circuits, which sm-to-ccv answers by tails
     for i in range(20):
         outer = gen_circuit(split(11, i), 4, 6)
         inners = [gen_circuit(split(12, 8 * i + k), 4, 6) for k in range(outer.num_inputs)]
@@ -182,8 +182,12 @@ def test_every_construction_rebuilds_through_the_public_constructor(monkeypatch,
         layered_circuit(gen_digraph(split(13, i), 4, 0.3), 0, 0, pad_dummies=True)
     assert built[-1][0] == "reach_to_ccv"
     parse_circuit(serialize_circuit(built[-1][1]))
-    tri, _ = sm_to_tri_circuit(gen_sm(5, 3))
+    inst = gen_sm(5, 3)
+    tri, _ = sm_to_tri_circuit(inst)
     tri_to_bool(tri, (STAR,) * tri.num_inputs)
+    for m in range(3):
+        mosm_to_ccv(inst, (m, 0))
+        wosm_to_ccv(inst, (m, 2))
 
     assert {name for name, _ in built} == CONSTRUCTIONS
     through_init = set(map(id, inits))  # inits keeps each one alive

@@ -20,7 +20,7 @@ from cckit.circuit import (
     dual,
     eval,
     eval_batch,
-    eval_extensions,
+    eval_tails,
     eval_tri,
     input_columns,
     mirror,
@@ -351,33 +351,26 @@ def outcome(build):
 
 
 def extension(base, tail, w):
-    return Circuit(base.num_wires, base.annotations, base.gates + tail, w)
+    return Circuit(base.num_wires, base.annotations, base.gates + tuple(tail), w)
 
 
-def test_eval_extensions_answers_as_eval_does():
+def test_eval_tails_answers_as_eval_does():
     base = Circuit(4, (Input(0), Const(1), NegInput(1), Const(0)), (Comparator(0, 1), Comparator(2, 3)), 0)
-    circuits = [
-        base,
-        extension(base, (Comparator(1, 0),), 1),
-        extension(base, (Comparator(3, 0), Comparator(2, 1)), 2),
-        Circuit(4, base.annotations, base.gates[:1], 3),  # a prefix of base runs in full
-        Circuit(4, (Const(0),) * 4, base.gates + (Comparator(0, 1),), 1),  # other annotations
-        Circuit(2, (Input(1), Input(0)), (Comparator(0, 1),), 1),
-    ]
+    tails = [((), 0), ([Comparator(1, 0)], 1), ((Comparator(3, 0), Comparator(2, 1)), 2), ((), 3)]
     for x in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        assert eval_extensions(base, circuits, x) == [eval(c, x)[1] for c in circuits]
-    assert eval_extensions(base, [], (2,)) == []
+        assert eval_tails(base, tails, x) == [eval(extension(base, *t), x)[1] for t in tails]
+    assert eval_tails(base, [], (2,)) == []
 
 
-def test_eval_extensions_rejects_what_eval_rejects():
+def test_eval_tails_rejects_what_eval_rejects():
     base = Circuit(2, wires(2), (Comparator(0, 1),), 0)
-    ok = extension(base, (Comparator(1, 0),), 1)
-    negated = extension(base, (Negation(1),), 1)
-    alien = Circuit(1, (Const(0),), (Negation(0),), 0)
-    for circuits, x in (([ok, negated], (0, 1)), ([alien, ok], (0, 1)), ([ok], (0, 2)), ([ok], (1,))):
-        want = outcome(lambda: [eval(c, x)[1] for c in circuits])
+    negbase = Circuit(2, wires(2), (Negation(0),), 0)
+    ok, negated = ((Comparator(1, 0),), 1), ((Negation(1),), 1)
+    for b, tails, x in ((base, [ok, negated], (0, 1)), (negbase, [ok], (0, 1)), (base, [ok], (0, 2)),
+                        (base, [ok], (1,)), (base, [ok, negated], (1,))):
+        want = outcome(lambda: [eval(extension(b, *t), x)[1] for t in tails])
         assert isinstance(want, tuple)
-        assert outcome(lambda: eval_extensions(base, circuits, x)) == want
+        assert outcome(lambda: eval_tails(b, tails, x)) == want
 
 
 def count_runs(monkeypatch) -> list:
@@ -395,22 +388,11 @@ def count_runs(monkeypatch) -> list:
     return runs
 
 
-def test_eval_extensions_runs_the_base_once(monkeypatch):
+def test_eval_tails_runs_the_base_once(monkeypatch):
     base = Circuit(2, wires(2), (Comparator(0, 1),) * 50, 0)
-    tails = [(), (Comparator(1, 0),), (Comparator(0, 1), Comparator(1, 0))]
-    circuits = [extension(base, t, w) for t in tails for w in (0, 1)]
-    want = [eval(c, (1, 0))[1] for c in circuits]
+    tails = [(g, w) for g in ((), (Comparator(1, 0),), (Comparator(0, 1), Comparator(1, 0)))
+             for w in (0, 1)]
+    want = [eval(extension(base, *t), (1, 0))[1] for t in tails]
     runs = count_runs(monkeypatch)
-    assert eval_extensions(base, circuits, (1, 0)) == want
+    assert eval_tails(base, tails, (1, 0)) == want
     assert sorted(runs) == [0, 0, 1, 1, 2, 2, 50]
-
-
-def test_eval_extensions_knows_an_extension_by_equal_annotations(monkeypatch):
-    base = Circuit(2, wires(2), (Comparator(0, 1),) * 50, 0)
-    again = wires(2)
-    assert again == base.annotations and again is not base.annotations
-    circuits = [Circuit(2, again, base.gates + (Comparator(1, 0),), w) for w in (0, 1)]
-    want = [eval(c, (1, 0))[1] for c in circuits]
-    runs = count_runs(monkeypatch)
-    assert eval_extensions(base, circuits, (1, 0)) == want
-    assert sorted(runs) == [1, 1, 50]

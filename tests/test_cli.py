@@ -721,6 +721,21 @@ def test_oversized_lowerings_exit_two_before_building(tmp_path, name, message):
         2, "", f"error: {message} of 10000000\n")
 
 
+def test_a_lowering_out_of_memory_exits_two(tmp_path):
+    # a 700-wire cycle of 700 gates passes the vertex limit, but its graph
+    # does not fit in 512 MB: the child's MemoryError exits 2, not 3.  It
+    # takes about 1.2 to 1.8 s to fill the limit, hence the looser bound
+    path = tmp_path / "ring.ccv"
+    path.write_text("CCV v1\nwires 700\n" + "".join(f"annot {w} {w % 2}\n" for w in range(700))
+                    + "".join(f"gate {i} {(i + 1) % 700}\n" for i in range(700)) + "output 0\n")
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "cckit.cli", "reduce", "ccv-to-3vlfmm", str(path), "-"],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC},
+                          timeout=30, preexec_fn=limited_address_space)
+    assert time.perf_counter() - start < 5.0
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", "error: out of memory\n")
+
+
 def test_reduce_universal_refuses_a_circuit_answering_off_wire_zero(capsys, tmp_path):
     # UNIV(m, n) answers on data wire 0, so for a circuit answering on wire 1
     # it would answer a different question

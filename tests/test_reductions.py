@@ -13,7 +13,7 @@ from cckit.circuit import (
     NegInput,
     Negation,
     eval,
-    eval_extensions,
+    eval_tails,
     eval_tri,
 )
 from cckit.errors import (
@@ -33,6 +33,7 @@ from cckit.reductions import (
     lfmm3_to_sm,
     lfmm_to_ccvneg,
     mosm_to_ccv,
+    sm_pair_tail,
     sm_rail_prefix,
     sm_to_tri_circuit,
     to_all_up,
@@ -41,7 +42,7 @@ from cckit.reductions import (
     wosm_to_ccv,
 )
 from cckit.stable_marriage import SMInstance, all_stable_marriages, gale_shapley
-from cckit.verify import gen_circuit, gen_sm, SplitMix
+from cckit.verify import gen_circuit, gen_sm, run_suite, SplitMix
 
 
 def closed(m, consts, gates, out):
@@ -333,7 +334,7 @@ def test_optimal_pair_circuits_are_pinned():
     )
 
 
-def test_pair_circuits_rail_the_prefix_once(monkeypatch):
+def test_the_sm_to_ccv_suite_rails_one_prefix_per_case(monkeypatch):
     from cckit import reductions
 
     calls = []
@@ -342,33 +343,32 @@ def test_pair_circuits_rail_the_prefix_once(monkeypatch):
         calls.append(len(c.gates))
         return double_rail(c)
 
+    def no_pair_circuit(*args):
+        raise AssertionError("the suite built a pair circuit")
+
     monkeypatch.setattr(reductions, "double_rail", counting)
-    reductions.sm_rail_prefix.cache_clear()
-    inst = gen_sm(4242, 3)
-    circuits = [
-        build(inst, (m, w))
-        for build in (mosm_to_ccv, wosm_to_ccv)
-        for m in range(3)
-        for w in range(3)
-    ]
-    assert len(calls) == 1
-    prefix = 2 * calls[0]  # a comparator rails to two gates
-    assert all(c.gates[:prefix] == circuits[0].gates[:prefix] for c in circuits)
-    assert all(len(c.gates) - prefix <= 7 for c in circuits)  # NOT and two comparators
+    monkeypatch.setattr(reductions, "_optimal_pair_circuit", no_pair_circuit)
+    assert run_suite("sm-to-ccv", 12, seed=4242).passed
+    assert len(calls) == 12
 
 
 def test_pair_circuits_answer_through_one_prefix_evaluation():
     for seed in (1, 2, 3, 4242):
         for n in range(1, 5):
             inst = gen_sm(seed, n)
-            base = sm_rail_prefix(inst)[0]
-            circuits = [
-                build(inst, (m, w))
-                for m in range(n)
-                for w in range(n)
-                for build in (mosm_to_ccv, wosm_to_ccv)
-            ]
-            for c in circuits:
-                full = Circuit(c.num_wires, c.annotations, c.gates, c.output_wire)
-                assert c == full and c.has_negations is full.has_negations is False
-            assert eval_extensions(base, circuits, ()) == [eval(c, ())[1] for c in circuits]
+            prefix = sm_rail_prefix(inst)
+            tails, circuits = [], []
+            for pair in ((m, w) for m in range(n) for w in range(n)):
+                for side, build in (("m", mosm_to_ccv), ("w", wosm_to_ccv)):
+                    gates, wire = sm_pair_tail(inst, prefix, pair, side)
+                    c = build(inst, pair)
+                    assert (c.gates, c.output_wire) == (prefix[0].gates + tuple(gates), wire)
+                    assert len(gates) <= 7 and not any(isinstance(g, Negation) for g in gates)
+                    full = Circuit(c.num_wires, c.annotations, c.gates, c.output_wire)
+                    assert c == full and c.has_negations is full.has_negations is False
+                    tails.append((gates, wire))
+                    circuits.append(c)
+            assert eval_tails(prefix[0], tails, ()) == [eval(c, ())[1] for c in circuits]
+            for pair, side in (((0, -1), "m"), ((n, 0), "w")):
+                with pytest.raises(IndexOutOfRangeError, match=r"^pair \(.*\) out of range$"):
+                    sm_pair_tail(inst, prefix, pair, side)

@@ -164,6 +164,35 @@ def test_injected_mutation_is_caught_and_serialized():
     assert run_suite("universal", 3, seed=8).passed
 
 
+def test_universal_suite_checks_every_input_vector(monkeypatch):
+    from cckit.circuit import Comparator, eval, resolve_inputs
+    from cckit.universal import build_universal, encode_control
+
+    def mutant(m, n):
+        # one comparator too many: wrong where data wires 0 and 2 end as 1, 0
+        u = build_universal(m, n)
+        if m < 3:
+            return u
+        return Circuit(u.num_wires, u.annotations, u.gates + (Comparator(0, 2),), 0)
+
+    def one_vector_case(rng):
+        # the suite's check before it took every input: one drawn vector
+        c = gen_circuit(rng.next64(), 6, 12, with_neg=False)
+        m = max(2, c.num_wires + rng.below(2))
+        n = len(c.gates) + rng.below(3)
+        x = rng.bits(c.num_inputs)
+        y = list(resolve_inputs(c, x)) + [0] * (m - c.num_wires)
+        return eval(mutant(m, n), list(encode_control(c, m, n)) + y)[1] == eval(c, x)[0][0]
+
+    assert run_suite("universal", 10, seed=20).passed
+    assert all(one_vector_case(SplitMix(split(20, i))) for i in range(10))
+    monkeypatch.setattr(verify, "build_universal", mutant)
+    rep = run_suite("universal", 10, seed=20)
+    assert [idx for idx, _ in rep.failures] == [2, 3, 5]  # the gadget check is case 0
+    # the lowest failing vector of random case 1, x0 = x1 = 1
+    assert rep.failures[0][1].startswith("expected 1, got 0; circuit (x 11):\nCCV v1\n")
+
+
 def test_fixed_checks_number_their_own_cases(monkeypatch):
     # a wrong rail decoding fails every gate-table row with a 0 or 1 in it;
     # each row reports as its own case, ahead of the random case

@@ -18,8 +18,9 @@ workload and batch, ``summary`` gives every end-to-end metric of the
 change tree's BENCHMARK.json as the parent's and the change's quartiles
 (q1, median, q3), the number of pairs in which the change is strictly
 better, and each pair's (parent, change) values.  ``--append`` adds a
-batch to an existing file and recomputes its summary.  A run that fails
-stops the script, and the file is still written with the runs before it.
+batch to an existing file and recomputes its summary.  A run that fails,
+or that reports ``correct`` false or a ``failed`` count above 0, stops
+the script, and the file is still written with the runs before it.
 """
 
 from __future__ import annotations
@@ -156,6 +157,9 @@ def main(argv=None):
                 order = ("parent", "change") if pair % 2 else ("change", "parent")
                 for side in order:
                     last = bench(trees[side], args.workload, seed)
+                    if not last["correct"] or last.get("failed", 0):
+                        raise RuntimeError(f"the {side} run of pair {pair}, seed {seed}, "
+                                           f"answered wrongly: {last.get('failed')} op(s) failed")
                     record["runs"].append({
                         "batch": args.batch, "side": side, "workload": args.workload,
                         "seed": seed, "pair": pair, "first": order[0], "last": last,
