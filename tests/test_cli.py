@@ -387,6 +387,39 @@ def test_reduce_pass_output_is_pinned(capsys, tmp_path, name, source, extra, out
     assert sha_or_none(tmp_path / "out.map") == map_sha
 
 
+# the layered lowerings of a seeded closed circuit of 7 wires and 26 gates,
+# 4015 nodes per side: (pass, graph sha256, .map sha256, `lfmm` exit code and
+# stdout sha256 on the graph)
+LARGE_GRAPH_PINS = [
+    ("ccv-to-3vlfmm", "14cdd23324d6149dad8ea9e06c6f4af28c2c8e00d45be30480d26e2d3c6d0d07",
+     "9e7faa1a6b35b76cd876aedea8b90b4c2fbbccf45da61c51dbde89c7a3c5ee6e",
+     0, "cd50ab0aec8b3a969b7b1c9d0cedf6b8c7ddad6b770a1f1bfafa5a9d2b928613"),
+    ("ccv-to-3lfmm", "cc52837a300567c3e18934ae7bfeef83a784a7f0922790a8ca9f514e5277a9f8",
+     "9e7faa1a6b35b76cd876aedea8b90b4c2fbbccf45da61c51dbde89c7a3c5ee6e",
+     0, "143cd3c47cab1e0ff452aa7e4035ad6a42f36bef38a6ebcee96a243c76088bdd"),
+]
+
+
+@pytest.mark.parametrize("name, out_sha, map_sha, code, lfmm_sha", LARGE_GRAPH_PINS,
+                         ids=[pin[0] for pin in LARGE_GRAPH_PINS])
+def test_large_layered_graph_output_is_pinned(capsys, tmp_path, name, out_sha, map_sha,
+                                               code, lfmm_sha):
+    from cckit.formats import serialize_circuit
+    from cckit.reductions import close_circuit
+    from cckit.verify import gen_circuit
+
+    c = gen_circuit(2, 8, 40)
+    source = tmp_path / "in.ccv"
+    source.write_text(serialize_circuit(close_circuit(c, [i % 2 for i in range(c.num_inputs)])))
+    out = tmp_path / "out.graph"
+    assert run(capsys, "reduce", name, str(source), str(out)) == (0, "", "")
+    assert out.read_text().startswith("GRAPH v1\nbottom 4015\n" if name == "ccv-to-3vlfmm"
+                                      else "GRAPH v1\nbottom 4016\n")
+    assert (sha_or_none(out), sha_or_none(tmp_path / "out.graph.map")) == (out_sha, map_sha)
+    got, stdout, _ = run(capsys, "lfmm", str(out))
+    assert (got, hashlib.sha256(stdout.encode()).hexdigest()) == (code, lfmm_sha)
+
+
 def test_every_pass_is_pinned():
     from cckit.cli import PASSES
 
