@@ -19,7 +19,7 @@ from itertools import islice
 
 from .circuit import Circuit, CircuitBuilder, Comparator, Const, Input, NegInput
 from .errors import ParseError
-from .matching import BipartiteGraph
+from .matching import BipartiteGraph, adjacency, check_vertices
 from .reachability import Digraph
 from .stable_marriage import SMInstance
 
@@ -275,13 +275,15 @@ def parse_graph(text: str):
         raise ParseError(eof, "missing `bottom`")
     if top is None:
         raise ParseError(eof, "missing `top`")
-    return BipartiteGraph(bottom, top, frozenset(edges), _checked=True), target
+    # the rows hold one tuple per bottom, so refuse before allocating them
+    check_vertices(bottom, top)
+    return BipartiteGraph(bottom, top, _by_bottom=adjacency(bottom, edges)), target
 
 
 def serialize_graph(g: BipartiteGraph, designation=None) -> str:
     out = ["GRAPH v1", f"bottom {g.num_bottom}", f"top {g.num_top}"]
-    for (i, j) in sorted(g.edges):
-        out.append(f"edge {i} {j}")
+    for i, tops in enumerate(g.by_bottom):
+        out.extend(f"edge {i} {j}" for j in tops)
     if designation is not None:
         if designation[0] == "edge":
             i, j = designation[1]

@@ -7,39 +7,58 @@ The result depends only on the graph, and it is maximal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 from .errors import SIZE_LIMIT, BadShapeError, IndexOutOfRangeError, TooLargeError
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, repr=False)
 class BipartiteGraph:
     num_bottom: int
     num_top: int
-    edges: frozenset
     # one ascending tuple of neighbours per bottom vertex
-    by_bottom: tuple = field(init=False, repr=False, compare=False)
+    by_bottom: tuple
 
-    def __init__(self, num_bottom, num_top, edges, *, _checked=False):
-        """Check every field.  ``_checked`` is for ``parse_graph`` and ``ccv_to_3*lfmm``
-        alone: the counts are then taken as non-negative and the edges as in range."""
-        edges = frozenset(edges)
-        if not _checked and (num_bottom < 0 or num_top < 0):
-            raise BadShapeError("negative vertex count")
+    def __init__(self, num_bottom, num_top, edges=(), *, _by_bottom=None):
+        """Check every field.  ``_by_bottom`` is for ``parse_graph`` and the
+        graph lowerings alone: the rows, one ascending tuple of in-range tops
+        per bottom, then stand for ``edges`` and only the size limit is
+        checked."""
+        if _by_bottom is None:
+            edges = frozenset(edges)
+            if num_bottom < 0 or num_top < 0:
+                raise BadShapeError("negative vertex count")
         # the adjacency holds one tuple per vertex, so refuse before allocating it
         check_vertices(num_bottom, num_top)
-        if not _checked:
+        if _by_bottom is None:
             for (i, j) in edges:
                 if not (0 <= i < num_bottom and 0 <= j < num_top):
                     raise IndexOutOfRangeError(f"edge ({i}, {j}) out of range")
-        vars(self).update(num_bottom=num_bottom, num_top=num_top, edges=edges,
-                          by_bottom=_adjacency(num_bottom, edges))
+            _by_bottom = adjacency(num_bottom, edges)
+            vars(self)["edges"] = edges
+        vars(self).update(num_bottom=num_bottom, num_top=num_top, by_bottom=_by_bottom)
+
+    def __repr__(self):
+        return (f"BipartiteGraph(num_bottom={self.num_bottom!r}, num_top={self.num_top!r}, "
+                f"edges={self.edges!r})")
+
+    @cached_property
+    def edges(self) -> frozenset:
+        """The (bottom, top) pairs, read off ``by_bottom`` on first read."""
+        return frozenset((i, j) for i, tops in enumerate(self.by_bottom) for j in tops)
 
     @cached_property
     def by_top(self) -> tuple:
-        """One ascending tuple of neighbours per top vertex, built on first read."""
-        return _adjacency(self.num_top, [(j, i) for (i, j) in self.edges])
+        """One ascending tuple of neighbours per top vertex, built on first
+        read by walking the bottoms in order."""
+        out = [[] for _ in range(self.num_top)]
+        for i, tops in enumerate(self.by_bottom):
+            for j in tops:
+                out[j].append(i)
+        return tuple(map(tuple, out))
 
 
 def check_vertices(num_bottom: int, num_top: int) -> None:
@@ -49,7 +68,7 @@ def check_vertices(num_bottom: int, num_top: int) -> None:
                             f"over the limit of {SIZE_LIMIT}")
 
 
-def _adjacency(count: int, pairs) -> tuple:
+def adjacency(count: int, pairs) -> tuple:
     """For each u in 0..count-1, the v of every pair (u, v) in ascending order."""
     out = [[] for _ in range(count)]
     for (u, v) in pairs:
@@ -88,4 +107,6 @@ def vlfmm_decision(g: BipartiteGraph, w: int) -> int:
 
 
 def max_degree(g: BipartiteGraph) -> int:
-    return max(map(len, g.by_bottom + g.by_top), default=0)
+    """The largest degree on either side, the tops' counted off ``by_bottom``."""
+    tops = Counter(chain.from_iterable(g.by_bottom))
+    return max(max(map(len, g.by_bottom), default=0), max(tops.values(), default=0))

@@ -12,6 +12,8 @@ maps, node maps, rail maps).
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 from .circuit import (
     STAR,
     TRI_RAILS,
@@ -55,10 +57,10 @@ def to_all_up(c: Circuit):
     return up, {w: m - 1 - down_map[w] for w in down_map}
 
 
-def _layer_edges(c: Circuit, extra: int = 0):
-    """Edges of ccv_to_3vlfmm's graph, its node_map and its target top.
-    That graph, with ``extra`` more nodes per side, is refused past the
-    limit before any edge is made."""
+def _layer_rows(c: Circuit, extra: int = 0):
+    """ccv_to_3vlfmm's graph as its bottom rows, with its node_map and its
+    target top.  That graph, with ``extra`` more nodes per side, is refused
+    past the limit before any row is made."""
     if c.has_negations:
         raise NegationNotSupportedError("lower negations first")
     if not c.is_all_up:
@@ -68,33 +70,23 @@ def _layer_edges(c: Circuit, extra: int = 0):
     check_vertices(nodes, nodes)
     vals = resolve_inputs(c, ())
     # node (layer, wire) has id layer * m + wire; `here` is layer * m and
-    # `before` is (layer - 1) * m
-    edges = []
-    for x in range(m):
-        if vals[x] == 1:
-            edges.append((x, x))
+    # `before` is (layer - 1) * m.  Bottom (layer, wire) holds its wire's
+    # node of the layer before and its own node; the min wire v of a
+    # non-dummy gate also holds the max wire u's node, between the two.
+    rows = [(x,) if vals[x] == 1 else () for x in range(m)]
     for layer, g in enumerate(c.gates, start=1):
         here = layer * m
         before = here - m
-        involved = set()
+        rows.extend(zip(range(before, here), range(here, here + m)))
         if not g.is_dummy:
             u, v = g.max_wire, g.min_wire  # u < v since all-up
-            involved = {u, v}
-            edges.append((here + u, before + u))
-            edges.append((here + u, here + u))
-            edges.append((here + v, before + v))
-            edges.append((here + v, here + u))
-            edges.append((here + v, here + v))
-        for w in range(m):
-            if w not in involved:
-                edges.append((here + w, before + w))
-                edges.append((here + w, here + w))
+            rows[here + v] = (before + v, here + u, here + v)
     node_map = {
         (layer, wire): layer * m + wire
         for layer in range(len(c.gates) + 1)
         for wire in range(m)
     }
-    return edges, node_map, len(c.gates) * m + c.output_wire
+    return rows, node_map, len(c.gates) * m + c.output_wire
 
 
 def ccv_to_3vlfmm(c: Circuit):
@@ -106,9 +98,9 @@ def ccv_to_3vlfmm(c: Circuit):
     carries 1 at its layer.  Returns (graph, ("top", target), node_map)
     with node_map keyed by (layer, wire).
     """
-    edges, node_map, target = _layer_edges(c)
+    rows, node_map, target = _layer_rows(c)
     count = len(node_map)
-    return BipartiteGraph(count, count, frozenset(edges), _checked=True), ("top", target), node_map
+    return BipartiteGraph(count, count, _by_bottom=tuple(rows)), ("top", target), node_map
 
 
 def _greedy_gates(cb: CircuitBuilder, g: BipartiteGraph, offset: int = 0, skip=None) -> None:
@@ -147,13 +139,13 @@ def ccv_to_3lfmm(c: Circuit):
     """Edge-designated variant: one extra top/bottom pair turns top
     coverage into edge membership.  Same preconditions and node_map as
     ccv_to_3vlfmm.  Returns (graph, ("edge", (w, w)), node_map)."""
-    edges, node_map, old_target = _layer_edges(c, 1)
+    rows, node_map, old_target = _layer_rows(c, 1)
     w = len(node_map)  # id of both the new bottom and the new top
     # bottom w prefers the old target; it settles for top w exactly when
     # the old target was already matched, so the designated edge tracks
     # coverage.
-    edges += [(w, old_target), (w, w)]
-    return BipartiteGraph(w + 1, w + 1, frozenset(edges), _checked=True), ("edge", (w, w)), node_map
+    rows.append((old_target, w))
+    return BipartiteGraph(w + 1, w + 1, _by_bottom=tuple(rows)), ("edge", (w, w)), node_map
 
 
 def _rail_gates(g, t):
@@ -198,10 +190,11 @@ def lfmm_to_ccvneg(g: BipartiteGraph, edge: tuple) -> Circuit:
     y, cc = edge
     if not (0 <= y < g.num_bottom and 0 <= cc < g.num_top):
         raise IndexOutOfRangeError(f"edge ({y}, {cc}) out of range")
-    if (y, cc) not in g.edges:
+    if cc not in g.by_bottom[y]:
         raise PreconditionViolatedError(f"({y}, {cc}) is not an edge")
     B, T = y + 1, cc + 1
-    cut = BipartiteGraph(B, T, frozenset((i, j) for (i, j) in g.edges if i < B and j < T))
+    cut = BipartiteGraph(B, T, _by_bottom=tuple(tops[:bisect_left(tops, T)]
+                                                for tops in g.by_bottom[:B]))
     half = T + B
     cb = CircuitBuilder(([Const(0)] * T + [Const(1)] * B) * 2)
     _greedy_gates(cb, cut)

@@ -131,9 +131,9 @@ def inits(monkeypatch):
 
 
 def test_only_build_passes_the_negation_flag_to_the_constructor():
-    # and only the parsers and the ccv_to_3*lfmm lowerings, whose edges are in
-    # range by construction, pass the `_checked` flag of the graph and
-    # marriage constructors
+    # and only the graph parser and lowerings, whose rows are ascending and in
+    # range by construction, hand the graph constructor its `_by_bottom`
+    # rows; only the marriage parser passes that constructor's `_checked` flag
     callers = set()
     for path in SRC.glob("*.py"):
         for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -141,13 +141,14 @@ def test_only_build_passes_the_negation_flag_to_the_constructor():
                 for node in ast.walk(fn):
                     if isinstance(node, ast.Call):
                         callers.update((k.arg, path.name, fn.name) for k in node.keywords
-                                       if k.arg in ("_negations", "_checked"))
+                                       if k.arg in ("_negations", "_by_bottom", "_checked"))
     assert callers == {
         ("_negations", "circuit.py", "build"),
-        ("_checked", "formats.py", "parse_graph"),
+        ("_by_bottom", "formats.py", "parse_graph"),
+        ("_by_bottom", "reductions.py", "ccv_to_3vlfmm"),
+        ("_by_bottom", "reductions.py", "ccv_to_3lfmm"),
+        ("_by_bottom", "reductions.py", "lfmm_to_ccvneg"),
         ("_checked", "formats.py", "parse_sm"),
-        ("_checked", "reductions.py", "ccv_to_3vlfmm"),
-        ("_checked", "reductions.py", "ccv_to_3lfmm"),
     }
 
 

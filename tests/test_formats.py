@@ -1,8 +1,12 @@
 """Wire-format grammars: parsing, serialization, errors with line numbers."""
 
 import hashlib
+import os
 import pathlib
 import random
+import resource
+import subprocess
+import sys
 
 import cckit
 import pytest
@@ -31,6 +35,8 @@ from cckit.matching import BipartiteGraph
 from cckit.reachability import Digraph, layer, reach_to_ccv
 from cckit.stable_marriage import SMInstance
 from cckit.verify import gen_bipartite, gen_circuit, gen_digraph, gen_sm
+
+SRC = str(pathlib.Path(cckit.__file__).parent.parent)
 
 CIRCUIT = """\
 CCV v1
@@ -348,11 +354,31 @@ def test_public_constructors_reject_every_malformed_shape(cls, args, error, mess
     assert str(e.value) == message
 
 
+def limited_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+
+PARSE_HUGE_GRAPH = """\
+from cckit.errors import TooLargeError
+from cckit.formats import parse_graph
+try:
+    parse_graph("GRAPH v1\\nbottom 300000000\\ntop 1\\nedge 0 0\\n")
+except TooLargeError as e:
+    print(e)
+"""
+
+
 def test_a_graph_is_refused_before_its_adjacency_is_allocated():
     with pytest.raises(TooLargeError, match="a graph of 10000000 [+] 1 vertices is over the limit"):
         BipartiteGraph(10**7, 1, ())
-    with pytest.raises(TooLargeError, match="a graph of 300000000 [+] 1 vertices"):
-        parse_graph("GRAPH v1\nbottom 300000000\ntop 1\nedge 0 0\n")
+    # the parse runs in a child under a 512 MB address-space limit and a
+    # timeout, so that a missing guard fails this test instead of allocating
+    # for minutes
+    done = subprocess.run([sys.executable, "-c", PARSE_HUGE_GRAPH], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": SRC}, timeout=30,
+                          preexec_fn=limited_address_space)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        0, "a graph of 300000000 + 1 vertices is over the limit of 10000000\n", "")
 
 
 def test_parsed_values_carry_the_fields_the_public_constructors_fill():

@@ -23,7 +23,7 @@ from cckit.errors import (
     PreconditionViolatedError,
     TooLargeError,
 )
-from cckit.formats import serialize_circuit
+from cckit.formats import parse_graph, serialize_circuit, serialize_graph
 from cckit.matching import BipartiteGraph, lfm_matching, lfmm_decision, max_degree, vlfmm_decision
 from cckit.reductions import (
     ccv_to_3lfmm,
@@ -317,6 +317,25 @@ def test_layered_graphs_past_the_limit_are_refused_before_their_edges():
     c = Circuit(2000, (Const(0),) * 2000, (Comparator(1, 0),) * 2500, 0)
     with pytest.raises(TooLargeError, match=r"^a graph of 5002000 \+ 5002000 vertices"):
         ccv_to_3vlfmm(c)
+
+
+def test_layered_rows_equal_the_checked_construction():
+    # ccv_to_3*lfmm hand the constructor their rows unchecked: each graph
+    # equals the one the public constructor builds from its edge set
+    rng = SplitMix(27)
+    for _ in range(200):
+        c = gen_circuit(rng.next64(), 5, 8)
+        up, _ = to_all_up(close_circuit(c, [rng.below(2) for _ in range(c.num_inputs)]))
+        for g, desig, _ in (ccv_to_3vlfmm(up), ccv_to_3lfmm(up)):
+            checked = BipartiteGraph(g.num_bottom, g.num_top, g.edges)
+            assert (g, g.by_bottom) == (checked, checked.by_bottom)
+            transpose = [[] for _ in range(g.num_top)]
+            for i, j in sorted(g.edges):
+                transpose[j].append(i)
+            assert g.by_top == tuple(map(tuple, transpose))
+            assert max_degree(g) == max(map(len, g.by_bottom + g.by_top))
+            got = parse_graph(serialize_graph(g, desig))
+            assert (got, got[0].by_bottom) == ((g, desig), g.by_bottom)
 
 
 def test_optimal_pair_circuits_are_pinned():
