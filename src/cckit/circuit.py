@@ -53,34 +53,73 @@ def refines(finer: Tri, coarser: Tri) -> bool:
     return coarser == STAR or finer == coarser
 
 
-@dataclass(frozen=True)
+# Gates and annotations are frozen, slotted values, equal by class and
+# fields.  Each ``__init__`` stores its fields through the slot
+# descriptors' ``__set__`` (bound below each class), which skips the
+# frozen ``object.__setattr__`` route of the generated one; assignment
+# still raises ``FrozenInstanceError``.
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Const:
     value: Bit
 
+    def __init__(self, value: Bit):
+        _set_value(self, value)
 
-@dataclass(frozen=True)
+
+_set_value = Const.value.__set__
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Input:
     index: int
 
+    def __init__(self, index: int):
+        _set_input(self, index)
 
-@dataclass(frozen=True)
+
+_set_input = Input.index.__set__
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class NegInput:
     index: int
 
+    def __init__(self, index: int):
+        _set_neg_input(self, index)
 
-@dataclass(frozen=True)
+
+_set_neg_input = NegInput.index.__set__
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Comparator:
     min_wire: int
     max_wire: int
+
+    def __init__(self, min_wire: int, max_wire: int):
+        _set_min(self, min_wire)
+        _set_max(self, max_wire)
 
     @property
     def is_dummy(self) -> bool:
         return self.min_wire == self.max_wire
 
 
-@dataclass(frozen=True)
+_set_min = Comparator.min_wire.__set__
+_set_max = Comparator.max_wire.__set__
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Negation:
     wire: int
+
+    def __init__(self, wire: int):
+        _set_wire(self, wire)
+
+
+_set_wire = Negation.wire.__set__
 
 
 def _check_output(wire: int, n: int) -> None:

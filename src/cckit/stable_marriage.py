@@ -147,26 +147,46 @@ def _proposal_rounds(inst: SMInstance, both: bool):
     favourites in the same round too, and all of a round's removals read
     the lists the round started from.  Returns (men's favourites, women's
     favourites or None, rounds).
+
+    Removed pairs are never revived, so each person's favourite is kept
+    as a position in their list that only moves forward, past removed
+    pairs, when that favourite is removed.
     """
     n = inst.n
     alive = [[True] * n for _ in range(n)]  # alive[m][w]: pair not yet removed
-    topw = None
+    man_pref, woman_pref = inst.man_pref, inst.woman_pref
+    mpos = [0] * n
+    topm = [row[0] for row in man_pref]
+    if both:
+        wpos = [0] * n
+        topw = [row[0] for row in woman_pref]
+    else:
+        topw = None
     rounds = 0
     while True:
         rounds += 1
         if rounds > n * n:
             raise InternalBoundViolationError("proposal rounds exceeded n^2")
-        topm = [next(w for w in inst.man_pref[m] if alive[m][w]) for m in range(n)]
         best = _best_suitors(topm, inst.woman_rank, n)
         removals = [(m, w) for m, w in enumerate(topm) if best[w] != m]
         if both:
-            topw = [next(m for m in inst.woman_pref[w] if alive[m][w]) for w in range(n)]
             best = _best_suitors(topw, inst.man_rank, n)
             removals += [(m, w) for w, m in enumerate(topw) if best[m] != w]
         if not removals:
             return topm, topw, rounds
         for m, w in removals:
             alive[m][w] = False
+        for m, w in removals:
+            if topm[m] == w:
+                row, i, live = man_pref[m], mpos[m] + 1, alive[m]
+                while not live[row[i]]:
+                    i += 1
+                mpos[m], topm[m] = i, row[i]
+            if both and topw[w] == m:
+                row, i = woman_pref[w], wpos[w] + 1
+                while not alive[row[i]][w]:
+                    i += 1
+                wpos[w], topw[w] = i, row[i]
 
 
 def gale_shapley(inst: SMInstance):

@@ -1,5 +1,7 @@
 """Core IR and evaluator behaviour."""
 
+import dataclasses
+import inspect
 import random
 
 import pytest
@@ -41,6 +43,42 @@ from cckit.verify import gen_circuit, split
 
 def wires(n, *anns):
     return tuple(anns) if anns else tuple(Input(i) for i in range(n))
+
+
+# Each gate and annotation class: constructor arguments and its repr.
+IR_VALUES = [
+    (Const, (1,), "Const(value=1)"),
+    (Input, (2,), "Input(index=2)"),
+    (NegInput, (3,), "NegInput(index=3)"),
+    (Comparator, (4, 5), "Comparator(min_wire=4, max_wire=5)"),
+    (Negation, (6,), "Negation(wire=6)"),
+]
+
+
+@pytest.mark.parametrize("cls, args, text", IR_VALUES, ids=[c.__name__ for c, _, _ in IR_VALUES])
+def test_ir_values_are_frozen_slotted_values(cls, args, text):
+    names = [f.name for f in dataclasses.fields(cls)]
+    # the hand-written __init__ takes the fields, in field order
+    assert list(inspect.signature(cls.__init__).parameters)[1:] == names
+    v = cls(*args)
+    assert [getattr(v, name) for name in names] == list(args)
+    assert cls(**dict(zip(names, args))) == v
+    assert hash(cls(*args)) == hash(v)
+    assert v != cls(*(a + 1 for a in args))
+    assert repr(v) == text
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(v, names[0], 0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        delattr(v, names[0])
+    assert not hasattr(v, "__dict__")
+
+
+def test_ir_values_are_equal_only_within_a_class():
+    values = [Const(1), Input(1), NegInput(1), Negation(1), Comparator(1, 1)]
+    for i, a in enumerate(values):
+        for j, b in enumerate(values):
+            assert (a == b) == (i == j)
+    assert len(set(values)) == len(values)
 
 
 def test_single_gate_is_min_max():

@@ -1,5 +1,8 @@
 """Universal circuit construction and control encoding."""
 
+import gc
+import tracemalloc
+
 import pytest
 
 from cckit.circuit import Circuit, Comparator, Input, Negation, eval
@@ -96,3 +99,20 @@ def test_simulation_matches_direct_eval():
         controls = list(encode_control(c, m, n))
         u = build_universal(m, n)
         assert eval(u, controls + data)[1] == eval(c, x)[0][0]
+
+
+def test_universal_gates_hold_at_most_120_bytes_each():
+    """Slotted gates and annotations keep UNIV(7, 400) (67,200 gates,
+    33,607 wires) near 103 B per gate; dict-backed ones held 151-261 B."""
+    build_universal(2, 2)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        u = build_universal(7, 400)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    gates = len(u.gates)
+    assert gates == 67200
+    per_gate = held / gates
+    assert per_gate <= 120
