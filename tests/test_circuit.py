@@ -1,7 +1,9 @@
 """Core IR and evaluator behaviour."""
 
+import copy
 import dataclasses
 import inspect
+import pickle
 import random
 
 import pytest
@@ -38,11 +40,46 @@ from cckit.errors import (
     IndexOutOfRangeError,
     NegationNotSupportedError,
 )
-from cckit.verify import gen_circuit, split
+from cckit.lipschitz import TruthTable
+from cckit.matching import BipartiteGraph
+from cckit.reachability import Digraph
+from cckit.stable_marriage import IntervalState, MatrixPair, Marriage, SMInstance
+from cckit.verify import Report, gen_circuit, split
 
 
 def wires(n, *anns):
     return tuple(anns) if anns else tuple(Input(i) for i in range(n))
+
+
+def compared_fields(cls):
+    """The names of the fields a value is compared, hashed and shown by."""
+    return [f.name for f in dataclasses.fields(cls) if f.compare]
+
+
+def assert_value_contract(v, other, text, names, kept=()):
+    """``v`` equals only a value of its own class with equal compared
+    fields (``other`` differs in one), hashes as the tuple of those fields,
+    reads as ``text``, refuses to set or delete each of ``names``, and comes
+    back equal, with the same ``kept`` attributes, from pickle and copy."""
+    cls = type(v)
+    fields = tuple(getattr(v, name) for name in compared_fields(cls))
+    assert type(other) is cls and v != other and not v == other
+    assert v != fields and v.__eq__(fields) is NotImplemented
+    assert hash(v) == hash(fields)
+    assert repr(v) == text
+    for name in names:
+        with pytest.raises(AttributeError) as raised:
+            setattr(v, name, 0)
+        assert str(raised.value) == f"cannot assign to field {name!r}"
+        with pytest.raises(AttributeError) as raised:
+            delattr(v, name)
+        assert str(raised.value) == f"cannot delete field {name!r}"
+    assert tuple(getattr(v, name) for name in compared_fields(cls)) == fields
+    copies = [copy.copy(v), copy.deepcopy(v)]
+    copies += [pickle.loads(pickle.dumps(v, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for w in copies:
+        assert type(w) is cls and w == v and hash(w) == hash(v) and repr(w) == text
+        assert [getattr(w, name) for name in kept] == [getattr(v, name) for name in kept]
 
 
 # Each gate and annotation class: constructor arguments and its repr.
@@ -57,20 +94,61 @@ IR_VALUES = [
 
 @pytest.mark.parametrize("cls, args, text", IR_VALUES, ids=[c.__name__ for c, _, _ in IR_VALUES])
 def test_ir_values_are_frozen_slotted_values(cls, args, text):
-    names = [f.name for f in dataclasses.fields(cls)]
+    names = compared_fields(cls)
     # the hand-written __init__ takes the fields, in field order
     assert list(inspect.signature(cls.__init__).parameters)[1:] == names
     v = cls(*args)
     assert [getattr(v, name) for name in names] == list(args)
     assert cls(**dict(zip(names, args))) == v
     assert hash(cls(*args)) == hash(v)
-    assert v != cls(*(a + 1 for a in args))
-    assert repr(v) == text
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        setattr(v, names[0], 0)
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        delattr(v, names[0])
+    assert_value_contract(v, cls(*(a + 1 for a in args)), text, names)
     assert not hasattr(v, "__dict__")
+
+
+# Every other value class: a sample's constructor arguments, those of a
+# value differing in one compared field, the sample's repr, and the
+# attributes it keeps beside its compared fields.
+VALUES = [
+    (Circuit, (2, (Input(0), Const(1)), (Comparator(0, 1),), 1),
+     (2, (Input(0), Const(1)), (), 1),
+     "Circuit(num_wires=2, annotations=(Input(index=0), Const(value=1)), "
+     "gates=(Comparator(min_wire=0, max_wire=1),), output_wire=1)",
+     ("has_negations",)),
+    (BipartiteGraph, (2, 3, {(0, 2), (1, 0)}), (2, 3, {(0, 2)}),
+     "BipartiteGraph(num_bottom=2, num_top=3, edges=frozenset({(1, 0), (0, 2)}))",
+     ("edges", "by_top")),
+    (Digraph, (3, {(0, 1), (1, 2)}), (3, {(0, 1)}),
+     "Digraph(n=3, edges=frozenset({(0, 1), (1, 2)}))", ()),
+    (TruthTable, (1, 2, ((0, 1), (1, 0))), (1, 2, ((0, 1), (1, 1))),
+     "TruthTable(in_bits=1, out_bits=2, rows=((0, 1), (1, 0)))", ()),
+    (SMInstance, (2, ((0, 1), (1, 0)), ((1, 0), (0, 1))), (2, ((0, 1), (0, 1)), ((1, 0), (0, 1))),
+     "SMInstance(n=2, man_pref=((0, 1), (1, 0)), woman_pref=((1, 0), (0, 1)))",
+     ("man_rank", "woman_rank")),
+    (Marriage, ((1, 0),), ((0, 1),), "Marriage(match=(1, 0))", ()),
+    (IntervalState, (((0, 1), (0, 0)), ((1, 1), (0, 1))), (((0, 1), (0, 0)), ((1, 1), (1, 1))),
+     "IntervalState(man=((0, 1), (0, 0)), woman=((1, 1), (0, 1)))", ()),
+    (MatrixPair, (((1, STAR),), ((0,),)), (((1, STAR),), ((1,),)),
+     "MatrixPair(MM=((1, '*'),), WW=((0,),))", ()),
+    (Report, ("formats", 3, ((1, "bad"),)), ("formats", 3, ()),
+     "Report(suite='formats', cases=3, failures=((1, 'bad'),))", ()),
+]
+
+
+@pytest.mark.parametrize("cls, args, other, text, kept", VALUES,
+                         ids=[row[0].__name__ for row in VALUES])
+def test_values_are_frozen_values(cls, args, other, text, kept):
+    v = cls(*args)
+    assert cls(*args) == v and hash(cls(*args)) == hash(v)
+    names = compared_fields(cls) + list(kept) + ["unknown"]
+    assert_value_contract(v, cls(*other), text, names, kept)
+
+
+def test_values_are_equal_only_within_a_class():
+    man, woman = ((0, 0),), ((0, 0),)
+    assert IntervalState(man, woman) != MatrixPair(man, woman)
+    # has_negations is not compared
+    c = Circuit(1, (Input(0),), (), 0)
+    assert Circuit(1, (Input(0),), (), 0, _negations=True) == c
 
 
 def test_ir_values_are_equal_only_within_a_class():
