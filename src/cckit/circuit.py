@@ -19,15 +19,15 @@ three-valued codes alike: a comparator maps (p, q) to (p & q, p | q).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence, Union
+from collections.abc import Sequence
 
 from .errors import BadShapeError, IndexOutOfRangeError, NegationNotSupportedError
+from .value import Value
 
 Bit = int
 
 STAR = "*"
-Tri = Union[int, str]
+Tri = int | str
 
 TRI_RAILS = {0: (0, 0), STAR: (0, 1), 1: (1, 1)}
 TRI_CODE = {v: (a << 1) | b for v, (a, b) in TRI_RAILS.items()}
@@ -53,16 +53,14 @@ def refines(finer: Tri, coarser: Tri) -> bool:
     return coarser == STAR or finer == coarser
 
 
-# Gates and annotations are frozen, slotted values, equal by class and
-# fields.  Each ``__init__`` stores its fields through the slot
-# descriptors' ``__set__`` (bound below each class), which skips the
-# frozen ``object.__setattr__`` route of the generated one; assignment
-# still raises ``FrozenInstanceError``.
+# Gates and annotations are slotted values whose slots are their fields.
+# Each ``__init__`` stores its fields through the slot descriptors'
+# ``__set__`` (bound below each class), past the refusing
+# ``Value.__setattr__``.
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Const:
-    value: Bit
+class Const(Value):
+    __slots__ = _fields = ("value",)
 
     def __init__(self, value: Bit):
         _set_value(self, value)
@@ -71,9 +69,8 @@ class Const:
 _set_value = Const.value.__set__
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Input:
-    index: int
+class Input(Value):
+    __slots__ = _fields = ("index",)
 
     def __init__(self, index: int):
         _set_input(self, index)
@@ -82,9 +79,8 @@ class Input:
 _set_input = Input.index.__set__
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class NegInput:
-    index: int
+class NegInput(Value):
+    __slots__ = _fields = ("index",)
 
     def __init__(self, index: int):
         _set_neg_input(self, index)
@@ -93,10 +89,8 @@ class NegInput:
 _set_neg_input = NegInput.index.__set__
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Comparator:
-    min_wire: int
-    max_wire: int
+class Comparator(Value):
+    __slots__ = _fields = ("min_wire", "max_wire")
 
     def __init__(self, min_wire: int, max_wire: int):
         _set_min(self, min_wire)
@@ -111,9 +105,8 @@ _set_min = Comparator.min_wire.__set__
 _set_max = Comparator.max_wire.__set__
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Negation:
-    wire: int
+class Negation(Value):
+    __slots__ = _fields = ("wire",)
 
     def __init__(self, wire: int):
         _set_wire(self, wire)
@@ -127,13 +120,9 @@ def _check_output(wire: int, n: int) -> None:
         raise IndexOutOfRangeError(f"output wire {wire} out of range")
 
 
-@dataclass(frozen=True, init=False)
-class Circuit:
-    num_wires: int
-    annotations: tuple
-    gates: tuple
-    output_wire: int
-    has_negations: bool = field(init=False, repr=False, compare=False)
+class Circuit(Value):
+    # ``has_negations`` is kept beside the fields, neither compared nor shown
+    _fields = ("num_wires", "annotations", "gates", "output_wire")
 
     def __init__(self, num_wires, annotations, gates, output_wire, *, _negations=None):
         """Check every field; ``has_negations`` is set from the gates.

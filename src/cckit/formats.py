@@ -189,7 +189,7 @@ def serialize_circuit(c: Circuit) -> str:
             token = tokens[id(a)] = _annot_token(a)
         out.append(f"annot {w} {token}")
     # One line per distinct gate object, keyed by id: the circuit keeps every
-    # gate alive, and hashing a frozen dataclass by value costs a Python call.
+    # gate alive, and hashing a gate by value costs a Python call.
     formatted = {}
     for g in c.gates:
         line = formatted.get(id(g))

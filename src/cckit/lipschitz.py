@@ -8,32 +8,29 @@ weak function becomes strict by prefixing one parity bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .circuit import Circuit, eval_batch, input_columns
 from .errors import BadShapeError, PreconditionViolatedError, TooLargeError
+from .value import Value
 
 
-@dataclass(frozen=True)
-class TruthTable:
+class TruthTable(Value):
     """Complete table: rows[i] is the output vector for input number i,
     reading bit j of i as the value of input j."""
 
-    in_bits: int
-    out_bits: int
-    rows: tuple
+    _fields = ("in_bits", "out_bits", "rows")
 
-    def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(tuple(r) for r in self.rows))
-        if self.in_bits < 0 or self.out_bits < 0:
+    def __init__(self, in_bits, out_bits, rows):
+        rows = tuple(tuple(r) for r in rows)
+        if in_bits < 0 or out_bits < 0:
             raise BadShapeError("negative bit counts")
-        if self.in_bits > 16:
-            raise TooLargeError(f"{self.in_bits} input bits exceeds the guard")
-        if len(self.rows) != 1 << self.in_bits:
-            raise BadShapeError(f"expected {1 << self.in_bits} rows")
-        for r in self.rows:
-            if len(r) != self.out_bits:
+        if in_bits > 16:
+            raise TooLargeError(f"{in_bits} input bits exceeds the guard")
+        if len(rows) != 1 << in_bits:
+            raise BadShapeError(f"expected {1 << in_bits} rows")
+        for r in rows:
+            if len(r) != out_bits:
                 raise BadShapeError("ragged output row")
+        vars(self).update(in_bits=in_bits, out_bits=out_bits, rows=rows)
 
 
 def _hamming(a, b):

@@ -8,19 +8,16 @@ The result depends only on the graph, and it is maximal.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 
 from .errors import SIZE_LIMIT, BadShapeError, IndexOutOfRangeError, TooLargeError
+from .value import Value
 
 
-@dataclass(frozen=True, init=False, repr=False)
-class BipartiteGraph:
-    num_bottom: int
-    num_top: int
-    # one ascending tuple of neighbours per bottom vertex
-    by_bottom: tuple
+class BipartiteGraph(Value):
+    # ``by_bottom`` holds one ascending tuple of neighbours per bottom vertex
+    _fields = ("num_bottom", "num_top", "by_bottom")
 
     def __init__(self, num_bottom, num_top, edges=(), *, _by_bottom=None):
         """Check every field.  ``_by_bottom`` is for ``parse_graph`` and the
@@ -44,6 +41,9 @@ class BipartiteGraph:
     def __repr__(self):
         return (f"BipartiteGraph(num_bottom={self.num_bottom!r}, num_top={self.num_top!r}, "
                 f"edges={self.edges!r})")
+
+    def __reduce__(self):
+        return self.__class__, (self.num_bottom, self.num_top, self.edges)
 
     @cached_property
     def edges(self) -> frozenset:

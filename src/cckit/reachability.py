@@ -10,7 +10,6 @@ made ordered with :func:`layer`.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from .circuit import Circuit, CircuitBuilder, Const
 from .errors import (
@@ -20,20 +19,20 @@ from .errors import (
     PreconditionViolatedError,
     TooLargeError,
 )
+from .value import Value
 
 
-@dataclass(frozen=True)
-class Digraph:
-    n: int
-    edges: frozenset
+class Digraph(Value):
+    _fields = ("n", "edges")
 
-    def __post_init__(self):
-        object.__setattr__(self, "edges", frozenset(self.edges))
-        if self.n < 1:
+    def __init__(self, n, edges):
+        edges = frozenset(edges)
+        if n < 1:
             raise BadShapeError("need at least one node")
-        for (u, v) in self.edges:
-            if not (0 <= u < self.n and 0 <= v < self.n):
+        for (u, v) in edges:
+            if not (0 <= u < n and 0 <= v < n):
                 raise IndexOutOfRangeError(f"edge ({u}, {v}) out of range")
+        vars(self).update(n=n, edges=edges)
 
 
 def reachable_set(g: Digraph, src: int) -> set:

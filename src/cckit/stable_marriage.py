@@ -27,7 +27,6 @@ preference row, r = 0 being the favourite.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 from .circuit import STAR, TRI_CODE, TRI_VALUE, tri_and, tri_or
 from .errors import (
@@ -36,18 +35,15 @@ from .errors import (
     PreconditionViolatedError,
     TooLargeError,
 )
+from .value import Value
 
 
-@dataclass(frozen=True, init=False)
-class SMInstance:
+class SMInstance(Value):
     """Preference rows plus their inverse: ``man_rank[m][w]`` is the rank of
-    woman w in man m's row, and ``woman_rank`` the same for women."""
+    woman w in man m's row, and ``woman_rank`` the same for women.  The
+    rank tables are kept beside the fields, neither compared nor shown."""
 
-    n: int
-    man_pref: tuple
-    woman_pref: tuple
-    man_rank: tuple = field(init=False, repr=False, compare=False)
-    woman_rank: tuple = field(init=False, repr=False, compare=False)
+    _fields = ("n", "man_pref", "woman_pref")
 
     def __init__(self, n, man_pref, woman_pref, *, _checked=False):
         """Check every field.  ``_checked`` is for ``parse_sm`` alone: n >= 1 and
@@ -77,34 +73,36 @@ class SMInstance:
                           man_rank=ranks(man_pref), woman_rank=ranks(woman_pref))
 
 
-@dataclass(frozen=True)
-class Marriage:
-    match: tuple
+class Marriage(Value):
+    _fields = ("match",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "match", tuple(self.match))
-        if sorted(self.match) != list(range(len(self.match))):
+    def __init__(self, match):
+        match = tuple(match)
+        if sorted(match) != list(range(len(match))):
             raise BadShapeError("marriage is not a bijection")
+        vars(self)["match"] = match
 
     @property
     def pairs(self) -> frozenset:
         return frozenset(enumerate(self.match))
 
 
-@dataclass(frozen=True)
-class IntervalState:
+class IntervalState(Value):
     """Per-person contiguous rank ranges (lo, hi), inclusive, 0-based."""
 
-    man: tuple
-    woman: tuple
+    _fields = ("man", "woman")
+
+    def __init__(self, man, woman):
+        vars(self).update(man=man, woman=woman)
 
 
-@dataclass(frozen=True)
-class MatrixPair:
+class MatrixPair(Value):
     """MM indexed [man][woman identity], WW indexed [woman][man identity]."""
 
-    MM: tuple
-    WW: tuple
+    _fields = ("MM", "WW")
+
+    def __init__(self, MM, WW):
+        vars(self).update(MM=MM, WW=WW)
 
 
 def _inverse(perm) -> tuple:

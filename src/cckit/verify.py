@@ -15,9 +15,7 @@ least one case is asked for), and collects and sorts the failures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
-from typing import Callable, NamedTuple
 
 from . import lipschitz
 from .circuit import (
@@ -84,6 +82,7 @@ from .stable_marriage import (
     symmetric_gs,
 )
 from .universal import build_universal, encode_control
+from .value import Value
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -129,25 +128,25 @@ def split(seed: int, index: int) -> int:
     return SplitMix((seed + (index + 1) * _GAMMA) & _MASK).next64()
 
 
-@dataclass(frozen=True)
-class Report:
-    suite: str
-    cases: int
-    failures: tuple
+class Report(Value):
+    _fields = ("suite", "cases", "failures")
+
+    def __init__(self, suite, cases, failures):
+        vars(self).update(suite=suite, cases=cases, failures=failures)
 
     @property
     def passed(self) -> bool:
         return not self.failures
 
 
-class Suite(NamedTuple):
+class Suite(Value):
     """``case(rng, i)`` and each fixed check yield failure messages;
     ``cap``, if set, bounds the number of cases."""
 
-    case: Callable
-    default: int
-    fixed: tuple = ()
-    cap: int | None = None
+    _fields = ("case", "default", "fixed", "cap")
+
+    def __init__(self, case, default, fixed=(), cap=None):
+        vars(self).update(case=case, default=default, fixed=fixed, cap=cap)
 
 
 def gen_circuit(seed: int, m_max: int, g_max: int, with_neg: bool = False) -> Circuit:

@@ -82,3 +82,30 @@ def test_a_run_with_wrong_answers_stops_like_a_failed_one(monkeypatch, tmp_path)
 
     message, _ = record_stubbed(monkeypatch, tmp_path, "wrong", last)
     assert message == "the change run of pair 2, seed 1, answered wrongly: 2 op(s) failed"
+
+
+def test_the_claim_rule_needs_the_gain_above_the_parents_quartile_distance():
+    # the recorded pairs of the IR slots change: batch oracle wins 10/10 by a
+    # median of 35.1 ops/s, inside the parent's 43.1 quartile distance
+    record = json.loads((TOOL.parents[1] / "BENCH_ir_slots.json").read_text())
+    summary = bench_pair.summarize(record["runs"], [("ops_per_s", "higher")])
+    first, second = summary["oracle (batch oracle)"], summary["oracle (batch oracle-2)"]
+    assert first["ops_per_s"]["change_wins"] == second["ops_per_s"]["change_wins"] == "10/10"
+    assert (first["ops_per_s"]["median_gain"], first["ops_per_s"]["parent_quartile_distance"]) == (
+        35.118, 43.136)
+    assert first["ops_per_s"]["claim_rule_met"] is False
+    assert second["ops_per_s"]["claim_rule_met"] is True
+
+
+def test_the_claim_rule_counts_a_gain_in_the_better_direction():
+    runs = [run("parent", k, 50.0 + k, 6.0 + k / 10) for k in range(1, 11)]
+    runs += [run("change", k, 40.0 + k, 5.0 + k / 10) for k in range(1, 11)]
+    rows = bench_pair.summarize(runs, [("ops_per_s", "higher"), ("op_p50_ms", "lower")])["oracle (batch B)"]
+    # the change is 10 ops/s slower and 1 ms faster in every pair
+    assert (rows["ops_per_s"]["median_gain"], rows["ops_per_s"]["claim_rule_met"]) == (-10.0, False)
+    assert (rows["op_p50_ms"]["median_gain"], rows["op_p50_ms"]["parent_quartile_distance"]) == (1.0, 0.45)
+    assert rows["op_p50_ms"]["claim_rule_met"] is True
+    runs[-1] = run("change", 10, 50.0, 7.5)  # one pair lost: 9/10 still holds
+    assert bench_pair.summarize(runs, [("op_p50_ms", "lower")])["oracle (batch B)"]["op_p50_ms"]["claim_rule_met"]
+    runs[-2] = run("change", 9, 50.0, 7.5)  # 8/10 does not
+    assert not bench_pair.summarize(runs, [("op_p50_ms", "lower")])["oracle (batch B)"]["op_p50_ms"]["claim_rule_met"]

@@ -1,7 +1,6 @@
 """Core IR and evaluator behaviour."""
 
 import copy
-import dataclasses
 import inspect
 import pickle
 import random
@@ -53,7 +52,7 @@ def wires(n, *anns):
 
 def compared_fields(cls):
     """The names of the fields a value is compared, hashed and shown by."""
-    return [f.name for f in dataclasses.fields(cls) if f.compare]
+    return list(cls._fields)
 
 
 def assert_value_contract(v, other, text, names, kept=()):
@@ -101,7 +100,7 @@ def test_ir_values_are_frozen_slotted_values(cls, args, text):
     assert [getattr(v, name) for name in names] == list(args)
     assert cls(**dict(zip(names, args))) == v
     assert hash(cls(*args)) == hash(v)
-    assert_value_contract(v, cls(*(a + 1 for a in args)), text, names)
+    assert_value_contract(v, cls(*(a + 1 for a in args)), text, names + ["unknown"])
     assert not hasattr(v, "__dict__")
 
 

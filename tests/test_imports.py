@@ -1,10 +1,13 @@
 """Every name a cckit module imports is used in that module, no cckit
 module imports a sibling's underscore name, every module-level
-underscore name is used in the module that defines it, and every error
-class but the base is raised somewhere."""
+underscore name is used in the module that defines it, every error
+class but the base is raised somewhere, and importing the command line
+pulls in none of the modules a cold start cannot afford."""
 
 import ast
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -155,3 +158,22 @@ def test_the_scan_sees_an_unraised_error_class():
         ast.parse("try:\n    raise Bare\nexcept Caught:\n    raise\nerr = Built('unused')\n"),
     ]
     assert unraised_error_classes(errors, modules) == ["Built", "Caught", "SelfRaised"]
+
+
+# Run in a fresh ``python -I``: prints the modules that importing cckit.cli
+# adds to those the bare interpreter (and its ``site``) already had.
+COLD_START = (
+    "import sys\n"
+    "before = set(sys.modules)\n"
+    "sys.path.insert(0, sys.argv[1])\n"
+    "import cckit.cli\n"
+    "print(*sorted(set(sys.modules) - before))\n"
+)
+
+
+def test_importing_the_cli_imports_no_dataclasses_inspect_or_typing():
+    done = subprocess.run([sys.executable, "-I", "-c", COLD_START, str(SRC.parent)],
+                          capture_output=True, text=True, check=True)
+    new = set(done.stdout.split())
+    assert {"cckit", "cckit.cli", "cckit.verify"} <= new
+    assert new & {"dataclasses", "inspect", "typing"} == set()

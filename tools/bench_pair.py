@@ -17,7 +17,12 @@ The file gets ``label``, ``what``, ``parent``, ``host``, ``command``,
 workload and batch, ``summary`` gives every end-to-end metric of the
 change tree's BENCHMARK.json as the parent's and the change's quartiles
 (q1, median, q3), the number of pairs in which the change is strictly
-better, and each pair's (parent, change) values.  ``--append`` adds a
+better, and each pair's (parent, change) values.  It also says whether a
+claim of a gain in that metric holds: ``median_gain`` is the change's
+median minus the parent's, signed so that a gain is positive,
+``parent_quartile_distance`` is the parent's q3 minus its q1, and
+``claim_rule_met`` is true when the change wins at least 9/10 of the pairs
+and ``median_gain`` exceeds ``parent_quartile_distance``.  ``--append`` adds a
 batch to an existing file and recomputes its summary.  A run that fails,
 or that reports ``correct`` false or a ``failed`` count above 0, stops
 the script, and the file is still written with the runs before it.
@@ -72,13 +77,17 @@ def bench(tree, workload, seed):
 def quartiles(values):
     """[q1, median, q3], with the quartiles taken inclusively."""
     if len(values) < 2:
-        return [round(v, 3) for v in values * 3]
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return [round(q1, 3), round(median, 3), round(q3, 3)]
+        return values * 3
+    return statistics.quantiles(values, n=4, method="inclusive")
+
+
+def rounded(values):
+    return [round(v, 3) for v in values]
 
 
 def summarize(runs, metrics):
-    """Quartiles, wins and per-pair values per (workload, batch) and metric."""
+    """Quartiles, wins, per-pair values and whether a claim of a gain holds,
+    per (workload, batch) and metric."""
     groups = {}
     for run in runs:
         key = f"{run['workload']} (batch {run['batch']})"
@@ -91,12 +100,21 @@ def summarize(runs, metrics):
         for name, better in metrics:
             values = [(p["parent"][name]["value"], p["change"][name]["value"]) for p in both]
             wins = sum(c > p if better == "higher" else c < p for p, c in values)
+            parent = quartiles([p for p, _ in values])
+            change = quartiles([c for _, c in values])
+            gain = distance = 0.0
+            if values:
+                gain = (change[1] - parent[1]) * (1 if better == "higher" else -1)
+                distance = parent[2] - parent[0]
             rows[name] = {
                 "better": better,
-                "parent_q1_median_q3": quartiles([p for p, _ in values]),
-                "change_q1_median_q3": quartiles([c for _, c in values]),
+                "parent_q1_median_q3": rounded(parent),
+                "change_q1_median_q3": rounded(change),
                 "change_wins": f"{wins}/{len(values)}",
-                "per_pair_parent_change": [[round(p, 3), round(c, 3)] for p, c in values],
+                "median_gain": round(gain, 3),
+                "parent_quartile_distance": round(distance, 3),
+                "claim_rule_met": bool(values) and 10 * wins >= 9 * len(values) and gain > distance,
+                "per_pair_parent_change": [rounded(pair) for pair in values],
             }
         summary[key] = rows
     return summary
