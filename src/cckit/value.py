@@ -1,7 +1,5 @@
 """The base class of cckit's immutable values."""
 
-from __future__ import annotations
-
 from operator import attrgetter
 
 
@@ -11,16 +9,16 @@ class Value:
 
     A subclass names those fields, in ``__init__`` order, in ``_fields``.
     They give its hash (that of their tuple), its repr, and its pickling and
-    copying: a value is rebuilt by calling its class on them.  Setting or
-    deleting any attribute raises ``AttributeError``, so an ``__init__``
+    copying: a value is rebuilt by calling its class on them (a class whose
+    ``__init__`` takes other arguments overrides ``__reduce__``).  Setting
+    or deleting any attribute raises ``AttributeError``, so an ``__init__``
     stores through ``vars(self)`` or the slot descriptors.
     """
 
     __slots__ = ()
     _fields = ()
 
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
+    def __init_subclass__(cls):
         get = attrgetter(*cls._fields)
         # an attrgetter of one name returns the bare value, not a 1-tuple
         cls._key = staticmethod(get if len(cls._fields) > 1 else lambda v: (get(v),))
