@@ -1,5 +1,6 @@
 """Command-line behaviour: output shapes and exit codes."""
 
+import errno
 import hashlib
 import io
 import os
@@ -7,6 +8,7 @@ import pathlib
 import resource
 import subprocess
 import sys
+import threading
 import time
 
 import cckit
@@ -380,11 +382,107 @@ def pin_source(tmp_path, source):
     ids=PIN_IDS,
 )
 def test_reduce_pass_output_is_pinned(capsys, tmp_path, name, source, extra, out_sha, map_sha):
+    # each output already holds a longer text, which the pass must replace whole
     source = pin_source(tmp_path, source)
-    out = tmp_path / "out"
+    out, side = tmp_path / "out", tmp_path / "out.map"
+    out.write_text(JUNK)
+    if map_sha is not None:
+        side.write_text(JUNK)
     assert run(capsys, "reduce", name, source, str(out), *extra) == (0, "", "")
     assert sha_or_none(out) == out_sha
-    assert sha_or_none(tmp_path / "out.map") == map_sha
+    assert sha_or_none(side) == map_sha
+    assert max(out.stat().st_size, side.stat().st_size if side.exists() else 0) < len(JUNK)
+
+
+# what an output path held before a run: longer than any pinned output
+JUNK = "# junk that no pass writes\n" * 4000
+DUAL_SHA = next(pin[3] for pin in REDUCE_PINS if pin[0] == "dual")
+
+
+def test_an_output_reached_through_a_symlink_writes_its_target(capsys, tmp_path):
+    target, link = tmp_path / "target.ccv", tmp_path / "link.ccv"
+    target.write_text(JUNK)
+    link.symlink_to(target)
+    assert run(capsys, "reduce", "dual", fx("const_demo.ccv"), str(link)) == (0, "", "")
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert sha_or_none(target) == DUAL_SHA
+
+
+def test_a_hard_linked_output_shows_the_new_bytes_through_both_names(capsys, tmp_path):
+    first, second = tmp_path / "first.ccv", tmp_path / "second.ccv"
+    first.write_text(JUNK)
+    os.link(first, second)
+    assert run(capsys, "reduce", "dual", fx("const_demo.ccv"), str(second)) == (0, "", "")
+    assert first.stat().st_ino == second.stat().st_ino
+    assert sha_or_none(first) == sha_or_none(second) == DUAL_SHA
+
+
+def test_an_existing_output_keeps_its_mode_and_a_new_one_gets_the_umask(capsys, tmp_path):
+    old, new = tmp_path / "old.ccv", tmp_path / "new.ccv"
+    old.write_text(JUNK)
+    old.chmod(0o640)
+    umask = os.umask(0o022)
+    try:
+        for out in (old, new):
+            assert run(capsys, "reduce", "dual", fx("const_demo.ccv"), str(out)) == (0, "", "")
+    finally:
+        os.umask(umask)
+    assert (old.stat().st_mode & 0o7777, new.stat().st_mode & 0o7777) == (0o640, 0o644)
+    assert sha_or_none(old) == sha_or_none(new) == DUAL_SHA
+
+
+def test_reduce_writes_into_a_device_or_a_fifo_as_it_is(capsys, tmp_path):
+    assert run(capsys, "reduce", "dual", fx("const_demo.ccv"), os.devnull) == (0, "", "")
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert run(capsys, "reduce", "dual", fx("const_demo.ccv"), str(fifo)) == (0, "", "")
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert hashlib.sha256(got[0]).hexdigest() == DUAL_SHA
+
+
+def test_an_unwritable_output_prints_one_pinned_error_line(capsys, tmp_path):
+    for out, why in ((tmp_path, "Is a directory"),
+                     (tmp_path / "no" / "out.ccv", "No such file or directory")):
+        code, stdout, err = run(capsys, "reduce", "dual", fx("const_demo.ccv"), str(out))
+        assert (code, stdout, err) == (2, "", f"error: cannot write {out}: {why}\n")
+
+
+def test_a_failed_write_leaves_no_old_bytes_after_the_new_ones(monkeypatch, tmp_path):
+    from cckit import cli
+    from cckit.errors import CckitError
+
+    class HalfWriter:
+        """A text file that takes half of what it is given and then fails, as a full disk does."""
+
+        def __init__(self, fh):
+            self._fh = fh
+
+        def __getattr__(self, name):
+            return getattr(self._fh, name)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return self._fh.__exit__(*exc)
+
+        def write(self, text):
+            self._fh.write(text[: len(text) // 2])
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    out = tmp_path / "out.ccv"
+    out.write_text(JUNK)
+    real_open = open
+    monkeypatch.setattr(cli, "open", lambda *a, **kw: HalfWriter(real_open(*a, **kw)),
+                        raising=False)
+    text = "CCV v1\nwires 2\n" + "gate 0 1\n" * 500 + "output 0\n"
+    with pytest.raises(CckitError, match=f"^cannot write {out}: No space left on device$"):
+        cli._write(str(out), text)
+    assert out.read_text() == text[: len(text) // 2]
 
 
 # the layered lowerings of a seeded closed circuit of 7 wires and 26 gates,
@@ -646,13 +744,15 @@ def test_unexpected_exception_exits_three(capsys, monkeypatch):
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("argv", [
-    ["eval", fx("annotated_demo.ccv"), "--input", "111"],
-    ["eval", fx("annotated_demo.ccv"), "--input", "111", "--trace"],
-    ["verify", "tri-lowering"],
-], ids=["eval", "eval-trace", "verify"])
+@pytest.mark.parametrize("argv, stdin", [
+    (["eval", fx("annotated_demo.ccv"), "--input", "111"], None),
+    (["eval", fx("annotated_demo.ccv"), "--input", "111", "--trace"], None),
+    (["verify", "tri-lowering"], None),
+    (["lfmm", fx("edge_decision_demo.graph")], None),
+    (["gs", "-", "--alg", "2"], TWO_SM.encode()),
+], ids=["eval", "eval-trace", "verify", "lfmm", "gs-alg-2"])
 @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
-def test_closed_stdout_pipe_exits_two_with_one_error_line(argv, unbuffered):
+def test_closed_stdout_pipe_exits_two_with_one_error_line(argv, stdin, unbuffered):
     # the read end is closed before the child starts, so its first write or
     # its final flush fails: deterministic, unlike a racing `| head`
     env = {**os.environ, "PYTHONPATH": SRC, "PYTHONUNBUFFERED": unbuffered}
@@ -660,7 +760,7 @@ def test_closed_stdout_pipe_exits_two_with_one_error_line(argv, unbuffered):
     os.close(read_end)
     try:
         done = subprocess.run([sys.executable, "-m", "cckit.cli", *argv], stdout=write_end,
-                              stderr=subprocess.PIPE, env=env, timeout=60)
+                              stderr=subprocess.PIPE, input=stdin, env=env, timeout=60)
     finally:
         os.close(write_end)
     assert (done.returncode, done.stderr) == (2, b"error: cannot write stdout: Broken pipe\n")
