@@ -11,6 +11,7 @@ import argparse
 import functools
 import itertools
 import os
+import stat
 import sys
 
 from .circuit import STAR, dual, eval, eval_tri, normalize_down
@@ -60,13 +61,33 @@ def _read(path: str) -> str:
         raise CckitError(f"{path} is not UTF-8 text (byte {e.start})") from None
 
 
+# no O_TRUNC: on a file system that discards freed blocks, truncating an
+# existing output to zero and refilling it costs several times the write
+_WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
+
+
 def _write(path: str, text: str):
+    """Write ``text`` to ``path``, or to stdout for ``-``.
+
+    An existing regular file is overwritten in place and then cut at the
+    end of what was written, so it keeps its inode, links and mode and
+    holds exactly the new bytes; a FIFO or a device is written as it is.
+    If the write fails, the file is cut at what reached it first, so no
+    old bytes follow the new ones.  A run killed mid-write leaves a broken
+    file, as a truncating open did.
+    """
     if path == "-":
         sys.stdout.write(text)
         return
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        fd = os.open(path, _WRITE_FLAGS, 0o666)
+        with open(fd, "w", encoding="utf-8") as fh:
+            try:
+                fh.write(text)
+                fh.flush()
+            finally:
+                if stat.S_ISREG(os.fstat(fd).st_mode):
+                    os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
     except OSError as e:
         raise CckitError(f"cannot write {path}: {e.strerror or e}") from None
 
@@ -123,8 +144,9 @@ def _tri_lower(c, args):
 
 def _ccv_to_lfmm(lower, c, args):
     up, wires = _wired(to_all_up(close_circuit(c, _bits(c, args.input or ""))))
-    g, desig, node_map = lower(up)
-    return (g, desig), wires + [f"n{l},{w} {i}" for (l, w), i in sorted(node_map.items())]
+    m = up.num_wires
+    return lower(up), wires + [
+        f"n{l},{w} {l * m + w}" for l in range(len(up.gates) + 1) for w in range(m)]
 
 
 def _vlfmm_to_ccv(gd, args):
@@ -218,21 +240,19 @@ def cmd_reduce(args) -> int:
 
 def cmd_lfmm(args) -> int:
     g, desig = _load("graph", args.file)
-    for i, j in sorted(lfm_matching(g)):
-        print(f"v{i} w{j}")
-    if desig is None:
-        return 0
-    decide = lfmm_decision if desig[0] == "edge" else vlfmm_decision
-    answer = decide(g, desig[1])
-    print(f"answer={answer}")
-    return 0 if answer == 1 else 1
+    lines = [f"v{i} w{j}\n" for i, j in sorted(lfm_matching(g))]
+    code = 0
+    if desig is not None:
+        decide = lfmm_decision if desig[0] == "edge" else vlfmm_decision
+        answer = decide(g, desig[1])
+        lines.append(f"answer={answer}\n")
+        code = 0 if answer == 1 else 1
+    sys.stdout.write("".join(lines))
+    return code
 
 
-def _print_marriage(mar, label=None):
-    if label:
-        print(label)
-    for m, w in sorted(mar.pairs):
-        print(f"m{m} w{w}")
+def _marriage_lines(mar, label=None):
+    return ([f"{label}\n"] if label else []) + [f"m{m} w{w}\n" for m, w in sorted(mar.pairs)]
 
 
 def cmd_gs(args) -> int:
@@ -240,7 +260,7 @@ def cmd_gs(args) -> int:
     alg = args.alg
     if alg == 1:
         mar, _ = gale_shapley(inst)
-        _print_marriage(mar)
+        sys.stdout.write("".join(_marriage_lines(mar)))
         return 0
     if alg == 2:
         man, woman, _ = symmetric_gs(inst)
@@ -248,8 +268,8 @@ def cmd_gs(args) -> int:
         # algorithms 3 to 6 all return (S_M, S_W, final state, rounds)
         run = (interval_run, delayed_interval_run, interval_logic_run, subramanian_run)
         man, woman, _, _ = run[alg - 3](inst)
-    _print_marriage(man, "man-optimal:")
-    _print_marriage(woman, "woman-optimal:")
+    lines = _marriage_lines(man, "man-optimal:") + _marriage_lines(woman, "woman-optimal:")
+    sys.stdout.write("".join(lines))
     return 0
 
 
@@ -257,7 +277,7 @@ def cmd_reach(args) -> int:
     g = _load("digraph", args.file)
     c, _ = layered_circuit(g, args.src, args.target)
     _, answer = eval(c, ())
-    print(f"reachable={answer}")
+    sys.stdout.write(f"reachable={answer}\n")
     return 0 if answer == 1 else 1
 
 

@@ -58,16 +58,16 @@ def to_all_up(c: Circuit):
 
 
 def _layer_rows(c: Circuit, extra: int = 0):
-    """ccv_to_3vlfmm's graph as its bottom rows, with its node_map and its
-    target top.  That graph, with ``extra`` more nodes per side, is refused
-    past the limit before any row is made."""
+    """ccv_to_3vlfmm's graph as its bottom rows, with its node count per
+    side and its target top.  That graph, with ``extra`` more nodes per
+    side, is refused past the limit before any row is made."""
     if c.has_negations:
         raise NegationNotSupportedError("lower negations first")
     if not c.is_all_up:
         raise PreconditionViolatedError("apply to_all_up first")
     m = c.num_wires
-    nodes = (len(c.gates) + 1) * m + extra
-    check_vertices(nodes, nodes)
+    count = (len(c.gates) + 1) * m
+    check_vertices(count + extra, count + extra)
     vals = resolve_inputs(c, ())
     # node (layer, wire) has id layer * m + wire; `here` is layer * m and
     # `before` is (layer - 1) * m.  Bottom (layer, wire) holds its wire's
@@ -81,26 +81,20 @@ def _layer_rows(c: Circuit, extra: int = 0):
         if not g.is_dummy:
             u, v = g.max_wire, g.min_wire  # u < v since all-up
             rows[here + v] = (before + v, here + u, here + v)
-    node_map = {
-        (layer, wire): layer * m + wire
-        for layer in range(len(c.gates) + 1)
-        for wire in range(m)
-    }
-    return rows, node_map, len(c.gates) * m + c.output_wire
+    return rows, count, len(c.gates) * m + c.output_wire
 
 
 def ccv_to_3vlfmm(c: Circuit):
     """Gate-by-gate lowering of an all-up circuit to degree-3 greedy matching.
 
-    Both vertex sides carry one node per (layer, wire), id layer*m + wire,
-    layer 0 holding the inputs and layer l the state after l gates.  A top
-    node ends up covered by the greedy matching exactly when its wire
-    carries 1 at its layer.  Returns (graph, ("top", target), node_map)
-    with node_map keyed by (layer, wire).
+    Both vertex sides carry one node per (layer, wire), with id
+    ``layer * c.num_wires + wire``, layer 0 holding the inputs and layer l
+    the state after l gates.  A top node ends up covered by the greedy
+    matching exactly when its wire carries 1 at its layer.  Returns
+    (graph, ("top", target)).
     """
-    rows, node_map, target = _layer_rows(c)
-    count = len(node_map)
-    return BipartiteGraph(count, count, _by_bottom=tuple(rows)), ("top", target), node_map
+    rows, count, target = _layer_rows(c)
+    return BipartiteGraph(count, count, _by_bottom=tuple(rows)), ("top", target)
 
 
 def _greedy_gates(cb: CircuitBuilder, g: BipartiteGraph, offset: int = 0, skip=None) -> None:
@@ -137,15 +131,15 @@ def vlfmm_to_ccv(g: BipartiteGraph, target_top: int, pad_dummies: bool = False) 
 
 def ccv_to_3lfmm(c: Circuit):
     """Edge-designated variant: one extra top/bottom pair turns top
-    coverage into edge membership.  Same preconditions and node_map as
-    ccv_to_3vlfmm.  Returns (graph, ("edge", (w, w)), node_map)."""
-    rows, node_map, old_target = _layer_rows(c, 1)
-    w = len(node_map)  # id of both the new bottom and the new top
-    # bottom w prefers the old target; it settles for top w exactly when
-    # the old target was already matched, so the designated edge tracks
-    # coverage.
+    coverage into edge membership.  Same preconditions and node ids
+    ``layer * c.num_wires + wire`` as ccv_to_3vlfmm.  Returns
+    (graph, ("edge", (w, w)))."""
+    rows, w, old_target = _layer_rows(c, 1)
+    # w is the id of both the new bottom and the new top.  Bottom w prefers
+    # the old target; it settles for top w exactly when the old target was
+    # already matched, so the designated edge tracks coverage.
     rows.append((old_target, w))
-    return BipartiteGraph(w + 1, w + 1, _by_bottom=tuple(rows)), ("edge", (w, w)), node_map
+    return BipartiteGraph(w + 1, w + 1, _by_bottom=tuple(rows)), ("edge", (w, w))
 
 
 def _rail_gates(g, t):

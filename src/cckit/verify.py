@@ -253,10 +253,9 @@ def _negation_lowered(c):
 
 
 def _layer_statuses(c):
-    g, _, node_map = ccv_to_3vlfmm(c)
-    return tuple(
-        vlfmm_decision(g, node_map[(len(c.gates), w)]) for w in range(c.num_wires)
-    )
+    g, _ = ccv_to_3vlfmm(c)
+    last = len(c.gates) * c.num_wires
+    return tuple(vlfmm_decision(g, last + w) for w in range(c.num_wires))
 
 
 # (fixture, computation on the parsed fixture, exact expected value)
@@ -437,12 +436,12 @@ def _case_reductions(rng, i):
     if _flip_expected and i == 0:
         expected ^= 1
     up, _ = to_all_up(closed)
-    cover, (_, top), _ = ccv_to_3vlfmm(up)
+    cover, (_, top) = ccv_to_3vlfmm(up)
     if max_degree(cover) > 3:
         yield "ccv_to_3vlfmm degree exceeds 3"
     if vlfmm_decision(cover, top) != expected:
         yield "coverage lowering wrong:\n" + serialize_circuit(closed)
-    member, (_, edge), _ = ccv_to_3lfmm(up)
+    member, (_, edge) = ccv_to_3lfmm(up)
     if max_degree(member) > 3:
         yield "ccv_to_3lfmm degree exceeds 3"
     if lfmm_decision(member, edge) != expected:

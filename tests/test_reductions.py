@@ -67,15 +67,20 @@ def test_to_all_up_keeps_values():
     assert up.output_wire == wmap[1]
 
 
+def node(c, layer, wire):
+    """The id of (layer, wire) on both sides of c's layered lowerings."""
+    return layer * c.num_wires + wire
+
+
 def test_coverage_lowering_tracks_every_layer():
     c = closed(2, (1, 1), [Comparator(1, 0)], 0)
-    g, desig, node_map = ccv_to_3vlfmm(c)
-    assert desig == ("top", node_map[(1, 0)])
+    g, desig = ccv_to_3vlfmm(c)
+    assert desig == ("top", node(c, 1, 0))
     assert max_degree(g) <= 3
     # wire values after the gate are (1, 1); layer-0 tops are both taken
     for layer in (0, 1):
         for w in (0, 1):
-            assert vlfmm_decision(g, node_map[(layer, w)]) == 1
+            assert vlfmm_decision(g, node(c, layer, w)) == 1
 
 
 def test_coverage_lowering_requires_all_up():
@@ -96,8 +101,8 @@ def test_within_layer_bottom_order_matters():
     put the max-side node first; this pins the requirement down.
     """
     c = closed(2, (1, 1), [Comparator(1, 0)], 0)
-    g, _, node_map = ccv_to_3vlfmm(c)
-    good = {node_map[(1, w)]: vlfmm_decision(g, node_map[(1, w)]) for w in (0, 1)}
+    g, _ = ccv_to_3vlfmm(c)
+    good = {node(c, 1, w): vlfmm_decision(g, node(c, 1, w)) for w in (0, 1)}
     assert good == {2: 1, 3: 1}
 
     # same edge structure with bottoms 2 and 3 exchanged
@@ -111,8 +116,8 @@ def test_within_layer_bottom_order_matters():
 
 def test_edge_lowering_appends_one_pair():
     c = closed(2, (1, 1), [Comparator(1, 0)], 0)
-    cov, _, cov_map = ccv_to_3vlfmm(c)
-    edge, desig, edge_map = ccv_to_3lfmm(c)
+    cov, _ = ccv_to_3vlfmm(c)
+    edge, desig = ccv_to_3lfmm(c)
     assert edge.num_top == cov.num_top + 1
     assert edge.num_bottom == cov.num_bottom + 1
     assert max_degree(edge) <= 3
@@ -326,7 +331,7 @@ def test_layered_rows_equal_the_checked_construction():
     for _ in range(200):
         c = gen_circuit(rng.next64(), 5, 8)
         up, _ = to_all_up(close_circuit(c, [rng.below(2) for _ in range(c.num_inputs)]))
-        for g, desig, _ in (ccv_to_3vlfmm(up), ccv_to_3lfmm(up)):
+        for g, desig in (ccv_to_3vlfmm(up), ccv_to_3lfmm(up)):
             checked = BipartiteGraph(g.num_bottom, g.num_top, g.edges)
             assert (g, g.by_bottom) == (checked, checked.by_bottom)
             transpose = [[] for _ in range(g.num_top)]

@@ -225,7 +225,7 @@ def test_three_degree_outputs_hold_the_bound():
     for _ in range(20):
         c = gen_circuit(rng.next64(), 5, 8, with_neg=False)
         up, _ = to_all_up(close_circuit(c, rng.bits(c.num_inputs)))
-        g, _, _ = ccv_to_3vlfmm(up)
+        g, _ = ccv_to_3vlfmm(up)
         assert max_degree(g) <= 3
 
 
