@@ -58,16 +58,16 @@ def to_all_up(c: Circuit):
 
 
 def _layer_rows(c: Circuit, extra: int = 0):
-    """ccv_to_3vlfmm's graph as its bottom rows, with its node count per
-    side and its target top.  That graph, with ``extra`` more nodes per
-    side, is refused past the limit before any row is made."""
+    """ccv_to_3vlfmm's graph as its bottom rows, one per node, with its
+    target top.  That graph, with ``extra`` more nodes per side, is refused
+    past the limit before any row is made."""
     if c.has_negations:
         raise NegationNotSupportedError("lower negations first")
     if not c.is_all_up:
         raise PreconditionViolatedError("apply to_all_up first")
     m = c.num_wires
-    count = (len(c.gates) + 1) * m
-    check_vertices(count + extra, count + extra)
+    nodes = (len(c.gates) + 1) * m + extra
+    check_vertices(nodes, nodes)
     vals = resolve_inputs(c, ())
     # node (layer, wire) has id layer * m + wire; `here` is layer * m and
     # `before` is (layer - 1) * m.  Bottom (layer, wire) holds its wire's
@@ -81,7 +81,7 @@ def _layer_rows(c: Circuit, extra: int = 0):
         if not g.is_dummy:
             u, v = g.max_wire, g.min_wire  # u < v since all-up
             rows[here + v] = (before + v, here + u, here + v)
-    return rows, count, len(c.gates) * m + c.output_wire
+    return rows, len(c.gates) * m + c.output_wire
 
 
 def ccv_to_3vlfmm(c: Circuit):
@@ -93,7 +93,8 @@ def ccv_to_3vlfmm(c: Circuit):
     matching exactly when its wire carries 1 at its layer.  Returns
     (graph, ("top", target)).
     """
-    rows, count, target = _layer_rows(c)
+    rows, target = _layer_rows(c)
+    count = len(rows)
     return BipartiteGraph(count, count, _by_bottom=tuple(rows)), ("top", target)
 
 
@@ -134,10 +135,11 @@ def ccv_to_3lfmm(c: Circuit):
     coverage into edge membership.  Same preconditions and node ids
     ``layer * c.num_wires + wire`` as ccv_to_3vlfmm.  Returns
     (graph, ("edge", (w, w)))."""
-    rows, w, old_target = _layer_rows(c, 1)
-    # w is the id of both the new bottom and the new top.  Bottom w prefers
-    # the old target; it settles for top w exactly when the old target was
-    # already matched, so the designated edge tracks coverage.
+    rows, old_target = _layer_rows(c, 1)
+    w = len(rows)  # id of both the new bottom and the new top
+    # bottom w prefers the old target; it settles for top w exactly when
+    # the old target was already matched, so the designated edge tracks
+    # coverage.
     rows.append((old_target, w))
     return BipartiteGraph(w + 1, w + 1, _by_bottom=tuple(rows)), ("edge", (w, w))
 
