@@ -396,3 +396,23 @@ def test_pair_circuits_answer_through_one_prefix_evaluation():
             for pair, side in (((0, -1), "m"), ((n, 0), "w")):
                 with pytest.raises(IndexOutOfRangeError, match=r"^pair \(.*\) out of range$"):
                     sm_pair_tail(inst, prefix, pair, side)
+
+
+def test_marriage_cells_and_tails_are_pinned():
+    # sha256 of every final cell's wire, (side, person, rank) ascending, and
+    # every pair's tail for both sides as ((min, max) pairs, answer wire)
+    h = hashlib.sha256()
+    for seed in range(1, 11):
+        for n in range(1, 7):
+            inst = gen_sm(seed, n)
+            prefix = sm_rail_prefix(inst)
+            cells = [prefix[1][(side, p, r)] for side in "mw" for p in range(n) for r in range(n)]
+            tails = []
+            for pair in ((m, w) for m in range(n) for w in range(n)):
+                for side in "mw":
+                    gates, wire = sm_pair_tail(inst, prefix, pair, side)
+                    tails.append(([(g.min_wire, g.max_wire) for g in gates], wire))
+            h.update(repr((cells, tails)).encode())
+    assert h.hexdigest() == (
+        "f7b4c853266a75740a561a85762587d295d96022a60f84fa5606b6394443a2d7"
+    )
