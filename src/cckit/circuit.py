@@ -170,23 +170,22 @@ class Circuit(Value):
                 top = a.index
         return top + 1
 
+    def _tips_all(self, up: bool) -> bool:
+        """No negations, and every non-dummy comparator has its tip at the
+        smaller index (``up``) or at the larger one."""
+        return not self.has_negations and all(
+            g.is_dummy or (g.max_wire < g.min_wire) == up
+            for g in self.gates if isinstance(g, Comparator))
+
     @property
     def is_all_down(self) -> bool:
         """Every non-dummy comparator has its tip at the larger index."""
-        return all(
-            g.is_dummy or g.min_wire < g.max_wire
-            for g in self.gates
-            if isinstance(g, Comparator)
-        ) and not self.has_negations
+        return self._tips_all(False)
 
     @property
     def is_all_up(self) -> bool:
         """Every non-dummy comparator has its tip at the smaller index."""
-        return all(
-            g.is_dummy or g.max_wire < g.min_wire
-            for g in self.gates
-            if isinstance(g, Comparator)
-        ) and not self.has_negations
+        return self._tips_all(True)
 
 
 class CircuitBuilder:
@@ -315,21 +314,23 @@ def eval_tails(base: Circuit, tails: Sequence[tuple], x: Sequence[Bit]) -> list:
     return answers
 
 
+def digit_at_least(n: int, place: int, t: int, count: int) -> int:
+    """Bit r says digit ``place`` of r in base n (0 is the units digit) is
+    at least t, for r < count.  One period of stride * n bits holds a
+    block of ones at offset stride * t; the period is then doubled."""
+    stride = n ** place
+    col = ((1 << (stride * (n - t))) - 1) << (stride * t)
+    width = stride * n
+    while width < count:
+        col |= col << width
+        width *= 2
+    return col & ((1 << count) - 1)
+
+
 def input_columns(k: int) -> list:
     """All 2^k Boolean input vectors as ``k`` columns for :func:`eval_batch`:
-    bit r of column j is ``(r >> j) & 1``."""
-    size = 1 << k
-    cols = []
-    for j in range(k):
-        half = 1 << j
-        # rows half..2*half-1 of the first period, then the period doubled
-        col = ((1 << half) - 1) << half
-        width = 2 * half
-        while width < size:
-            col |= col << width
-            width *= 2
-        cols.append(col)
-    return cols
+    bit r of column j is ``(r >> j) & 1``, the base-2 digit j of r."""
+    return [digit_at_least(2, j, 1, 1 << k) for j in range(k)]
 
 
 def eval_batch(c: Circuit, columns: Sequence[int], count: int) -> list:

@@ -53,12 +53,9 @@ class BipartiteGraph(Value):
     @cached_property
     def by_top(self) -> tuple:
         """One ascending tuple of neighbours per top vertex, built on first
-        read by walking the bottoms in order."""
-        out = [[] for _ in range(self.num_top)]
-        for i, tops in enumerate(self.by_bottom):
-            for j in tops:
-                out[j].append(i)
-        return tuple(map(tuple, out))
+        read as the ``adjacency`` of the transposed edges."""
+        return adjacency(self.num_top, ((j, i) for i, tops in enumerate(self.by_bottom)
+                                        for j in tops))
 
 
 def check_vertices(num_bottom: int, num_top: int) -> None:

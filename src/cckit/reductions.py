@@ -255,61 +255,61 @@ def lfmm3_to_sm(g: BipartiteGraph, n: int) -> SMInstance:
     return SMInstance(2 * n, rows(g.by_bottom), rows(g.by_top))
 
 
-def sm_to_tri_circuit(inst: SMInstance):
+def sm_cell_wire(n: int, side: str, person: int, rank: int, iteration: int) -> int:
+    """The wire of ``sm_to_tri_circuit`` that holds cell (side, person, rank)
+    after ``iteration`` iterations: MM(person, ·) for side "m", WW(person, ·)
+    for "w", at that person's preference rank.
+
+    With s = 0 for "m" and n for "w", the circuit starts on one wire per
+    cell, (s + person) * n + rank.  Each iteration moves every cell up one
+    rank, drops the last rank and appends fresh rank-0 wires, the men's and
+    then the women's.  So with j = iteration - rank, the cell still holds
+    its first wire (s + person) * n - j when j <= 0, and otherwise the
+    rank-0 wire appended by iteration j.
+    """
+    s = 0 if side == "m" else n
+    j = iteration - rank
+    if j <= 0:
+        return (s + person) * n - j
+    return 2 * n * n + 2 * n * (j - 1) + s + person
+
+
+def sm_to_tri_circuit(inst: SMInstance) -> Circuit:
     """Fixed-point marriage matrices as a three-valued circuit.
 
     One comparator per (man, woman) pair per iteration, placed on the
     wires currently bound to cells MM(m, w) and WW(w, m): the conjunction
     side feeds m's next-rank MM cell and the disjunction side w's
     next-rank WW cell.  First-rank cells rebind to fresh constant wires
-    each iteration and last-rank outputs are dropped.  Star-initialized
+    each iteration and last-rank outputs are dropped; ``sm_cell_wire``
+    names the wire of each cell after each iteration.  Star-initialized
     cells are annotated as distinct inputs, so evaluating under an
     all-STAR vector reproduces the fixed-point computation; 2n*n
-    iterations guarantee convergence.  Returns (circuit, cell_map) with
-    cell_map keyed by ("m"|"w", person, rank).
+    iterations guarantee convergence.  The answer is man 0's first cell.
     """
     n = inst.n
-    cb = CircuitBuilder()
-    binding = {}
-    next_in = 0
-    for side, base in (("m", Const(1)), ("w", Const(0))):
-        for p in range(n):
-            binding[(side, p, 0)] = cb.wire(base)
-            for r in range(1, n):
-                binding[(side, p, r)] = cb.wire(Input(next_in))
-                next_in += 1
-
+    # row i (man i, then woman i - n) starts on wires i * n + r: its
+    # constant at rank 0, then its own inputs
+    cb = CircuitBuilder(Input(i * (n - 1) + r - 1) if r else Const(int(i < n))
+                        for i in range(2 * n) for r in range(n))
     mrank, wrank = inst.man_rank, inst.woman_rank
-    for _ in range(2 * n * n):
-        nxt = dict(binding)
+    for k in range(2 * n * n):
         for m in range(n):
             for w in range(n):
-                rm = mrank[m][w]
-                rw = wrank[w][m]
-                a = binding[("m", m, rm)]
-                b = binding[("w", w, rw)]
-                cb.gate(a, b)
-                if rm + 1 < n:
-                    nxt[("m", m, rm + 1)] = a
-                if rw + 1 < n:
-                    nxt[("w", w, rw + 1)] = b
-        for m in range(n):
-            nxt[("m", m, 0)] = cb.wire(Const(1))
-        for w in range(n):
-            nxt[("w", w, 0)] = cb.wire(Const(0))
-        binding = nxt
-    return cb.build(binding[("m", 0, 0)]), dict(binding)
+                cb.gate(sm_cell_wire(n, "m", m, mrank[m][w], k),
+                        sm_cell_wire(n, "w", w, wrank[w][m], k))
+        cb.wires([Const(1)] * n + [Const(0)] * n)
+    return cb.build(sm_cell_wire(n, "m", 0, 0, 2 * n * n))
 
 
-def sm_rail_prefix(inst: SMInstance):
-    """Shared front half of the optimal-pair circuits, double-railed.
-    Returns (circuit, cell_map, rail_map); the two maps name wires of the
-    circuit before double-railing.  Each pair circuit of the instance is
-    this circuit plus the pair's ``sm_pair_tail``."""
-    tri_c, cell_map = sm_to_tri_circuit(inst)
-    closed, rail_map = tri_to_bool(tri_c, (STAR,) * tri_c.num_inputs)
-    railed, _ = double_rail(closed)
-    return railed, cell_map, rail_map
+def sm_rail_prefix(inst: SMInstance) -> Circuit:
+    """Shared front half of the optimal-pair circuits: ``sm_to_tri_circuit``
+    under an all-STAR vector, through ``tri_to_bool`` and then
+    ``double_rail``.  Each pair circuit of the instance is this circuit
+    plus the pair's ``sm_pair_tail``."""
+    tri_c = sm_to_tri_circuit(inst)
+    closed, _ = tri_to_bool(tri_c, (STAR,) * tri_c.num_inputs)
+    return double_rail(closed)[0]
 
 
 def _check_pair_size(n: int) -> None:
@@ -330,41 +330,45 @@ def _pair_in_range(n: int, pair: tuple) -> tuple:
     return m, w
 
 
-def sm_pair_tail(inst: SMInstance, prefix, pair: tuple, side: str):
+def sm_pair_tail(inst: SMInstance, pair: tuple, side: str):
     """The tail of ``pair``'s ``side``-optimal circuit ("m" or "w") on the
-    wires of ``prefix = sm_rail_prefix(inst)``: at most three gates written
-    before double-railing and railed here.  Returns (gates, answer_wire)."""
-    railed, cell_map, rail_map = prefix
-    m, w = _pair_in_range(inst.n, pair)
+    wires of ``sm_rail_prefix(inst)``: at most three gates written on the
+    rails of ``tri_to_bool``, where cell wire c sits on rails 2c and 2c + 1,
+    and railed here with the prefix's zero wire 16n^3 + 8n^2.  Returns
+    (gates, answer_wire)."""
+    n = inst.n
+    m, w = _pair_in_range(n, pair)
+    person, rank = (m, inst.man_rank[m][w]) if side == "m" else (w, inst.woman_rank[w][m])
+
+    def rail(r, k):  # rail k of the person's final cell at rank r
+        return 2 * sm_cell_wire(n, side, person, r, 2 * n * n) + k
+
     if side == "m":
-        rank = inst.man_rank[m][w]
-        alpha, beta = rail_map[cell_map[("m", m, rank)]]
-        if rank == inst.n - 1:
+        alpha, beta = rail(rank, 0), rail(rank, 1)
+        if rank == n - 1:
             gates = [Comparator(alpha, beta)]
         else:
-            gamma = rail_map[cell_map[("m", m, rank + 1)]][0]
+            gamma = rail(rank + 1, 0)
             gates = [Negation(gamma), Comparator(alpha, beta), Comparator(alpha, gamma)]
         answer_wire = alpha
     else:
-        rank = inst.woman_rank[w][m]
-        beta = rail_map[cell_map[("w", w, rank)]][1]
+        beta = rail(rank, 1)
         gates = [Negation(beta)]
-        if rank != inst.n - 1:
-            delta = rail_map[cell_map[("w", w, rank + 1)]][1]
-            gates.append(Comparator(beta, delta))
+        if rank != n - 1:
+            gates.append(Comparator(beta, rail(rank + 1, 1)))
         answer_wire = beta
-    t = railed.num_wires - 1
+    t = 16 * n**3 + 8 * n * n
     return [Comparator(a, b) for g in gates for a, b in _rail_gates(g, t)], 2 * answer_wire
 
 
 def _optimal_pair_circuit(inst, pair, side):
-    """The railed prefix plus the pair's railed tail, through one builder."""
-    _pair_in_range(inst.n, pair)
+    """The railed prefix plus the pair's railed tail, through one builder;
+    the tail checks the pair before the prefix is built."""
+    gates, answer_wire = sm_pair_tail(inst, pair, side)
     _check_pair_size(inst.n)
     prefix = sm_rail_prefix(inst)
-    gates, answer_wire = sm_pair_tail(inst, prefix, pair, side)
-    cb = CircuitBuilder(prefix[0].annotations)
-    cb.extend(prefix[0].gates)
+    cb = CircuitBuilder(prefix.annotations)
+    cb.extend(prefix.gates)
     cb.extend(gates)
     return cb.build(answer_wire)
 

@@ -20,12 +20,14 @@ from functools import partial
 from . import lipschitz
 from .circuit import (
     STAR,
+    TRI_RAILS,
     Circuit,
     Comparator,
     Const,
     Input,
     NegInput,
     Negation,
+    digit_at_least,
     dual,
     eval,
     eval_batch,
@@ -337,7 +339,7 @@ def _case_universal(rng, i):
 
 # -- three-valued lowering ---------------------------------------------------
 
-_RAIL_DECODE = {(0, 0): 0, (0, 1): STAR, (1, 1): 1}
+_RAIL_DECODE = {rails: v for v, rails in TRI_RAILS.items()}
 
 
 def _tri_row(p, q):
@@ -537,19 +539,6 @@ def _case_sm_ladder(rng, i):
                 yield show("man-optimal partner is not the best stable partner")
 
 
-def _digit_at_least(n: int, place: int, t: int, count: int) -> int:
-    """Bit r says digit ``place`` of r in base n (0 is the units digit) is
-    at least t, for r < count.  One period of stride * n bits holds a
-    block of ones at offset stride * t; the period is then doubled."""
-    stride = n ** place
-    col = ((1 << (stride * (n - t))) - 1) << (stride * t)
-    width = stride * n
-    while width < count:
-        col |= col << width
-        width *= 2
-    return col & ((1 << count) - 1)
-
-
 def feasible_candidates(inst: SMInstance) -> list:
     """Indices, ascending, of the feasible candidates for ``inst``.
 
@@ -569,9 +558,9 @@ def feasible_candidates(inst: SMInstance) -> list:
     mask = (1 << count) - 1
     mrank, wrank = inst.man_rank, inst.woman_rank
     # man 0's digit is fixed within a chunk, so his row is set per chunk
-    MM = [None] + [[_digit_at_least(n, 2 * n - 1 - m, mrank[m][w], count) for w in range(n)]
+    MM = [None] + [[digit_at_least(n, 2 * n - 1 - m, mrank[m][w], count) for w in range(n)]
                    for m in range(1, n)]
-    WW = [[mask ^ _digit_at_least(n, n - 1 - w, wrank[w][m], count) for m in range(n)]
+    WW = [[mask ^ digit_at_least(n, n - 1 - w, wrank[w][m], count) for m in range(n)]
           for w in range(n)]
     found = []
     for lead in range(n):
@@ -637,9 +626,8 @@ def _case_sm_to_ccv(rng, i):
     for w in range(n):
         woman_match[swapped.match[w]] = w
     pairs = [(m, w) for m in range(n) for w in range(n)]
-    prefix = sm_rail_prefix(inst)
-    got = eval_tails(prefix[0], [sm_pair_tail(inst, prefix, p, side)
-                                 for p in pairs for side in "mw"], ())
+    got = eval_tails(sm_rail_prefix(inst), [sm_pair_tail(inst, p, side)
+                                            for p in pairs for side in "mw"], ())
     bad = None
     for (m, w), got_m, got_w in zip(pairs, got[::2], got[1::2]):
         want_m = 1 if man_opt.match[m] == w else 0

@@ -184,7 +184,7 @@ def test_every_construction_rebuilds_through_the_public_constructor(monkeypatch,
     assert built[-1][0] == "reach_to_ccv"
     parse_circuit(serialize_circuit(built[-1][1]))
     inst = gen_sm(5, 3)
-    tri, _ = sm_to_tri_circuit(inst)
+    tri = sm_to_tri_circuit(inst)
     tri_to_bool(tri, (STAR,) * tri.num_inputs)
     for m in range(3):
         mosm_to_ccv(inst, (m, 0))

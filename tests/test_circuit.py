@@ -20,6 +20,7 @@ from cckit.circuit import (
     NegInput,
     Negation,
     compose,
+    digit_at_least,
     dual,
     eval,
     eval_batch,
@@ -350,6 +351,15 @@ def test_input_columns_hold_row_bits():
         assert len(cols) == k
         for j, col in enumerate(cols):
             assert col == sum(((r >> j) & 1) << r for r in range(1 << k))
+
+
+def test_digit_columns_hold_each_row_digit():
+    for n in (2, 3, 4):
+        for place in range(3):
+            for t in range(n):
+                for count in (1, n ** place, n ** (place + 1), 2 * n ** 3 + 5):
+                    want = sum(1 << r for r in range(count) if r // n**place % n >= t)
+                    assert digit_at_least(n, place, t, count) == want, (n, place, t, count)
 
 
 def test_batch_matches_scalar_eval_on_every_vector():

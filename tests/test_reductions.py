@@ -33,6 +33,7 @@ from cckit.reductions import (
     lfmm3_to_sm,
     lfmm_to_ccvneg,
     mosm_to_ccv,
+    sm_cell_wire,
     sm_pair_tail,
     sm_rail_prefix,
     sm_to_tri_circuit,
@@ -251,13 +252,16 @@ def test_square_matching_preconditions():
 
 def test_marriage_circuit_budget():
     inst = gen_sm(7, 3)
-    c, cell_map = sm_to_tri_circuit(inst)
+    c = sm_to_tri_circuit(inst)
     n = inst.n
     assert c.num_wires == 2 * n * n + 4 * n**3
     assert len(c.gates) == 2 * n**4
-    assert set(cell_map) == {
-        (side, p, r) for side in "mw" for p in range(n) for r in range(n)
-    }
+    assert c.output_wire == sm_cell_wire(n, "m", 0, 0, 2 * n * n) == c.num_wires - 2 * n
+    # after iteration k the 2n^2 cells sit on distinct wires made by then
+    for k in range(2 * n * n + 1):
+        cells = {sm_cell_wire(n, side, p, r, k) for side in "mw" for p in range(n)
+                 for r in range(n)}
+        assert len(cells) == 2 * n * n and max(cells) < 2 * n * n + 2 * n * k
 
 
 def test_marriage_circuit_matches_fixed_point():
@@ -266,15 +270,44 @@ def test_marriage_circuit_matches_fixed_point():
     for seed in (2, 71, 828):
         inst = gen_sm(seed, 1 + seed % 3)
         n = inst.n
-        c, cell_map = sm_to_tri_circuit(inst)
+        c = sm_to_tri_circuit(inst)
         outputs, _ = eval_tri(c, [STAR] * c.num_inputs)
         _, _, final, _ = subramanian_run(inst)
         for m in range(n):
             for r in range(n):
-                assert outputs[cell_map[("m", m, r)]] == final.MM[m][inst.man_pref[m][r]]
+                wire = sm_cell_wire(n, "m", m, r, 2 * n * n)
+                assert outputs[wire] == final.MM[m][inst.man_pref[m][r]]
         for w in range(n):
             for r in range(n):
-                assert outputs[cell_map[("w", w, r)]] == final.WW[w][inst.woman_pref[w][r]]
+                wire = sm_cell_wire(n, "w", w, r, 2 * n * n)
+                assert outputs[wire] == final.WW[w][inst.woman_pref[w][r]]
+
+
+def test_marriage_circuit_steps_with_the_fixed_point_every_iteration():
+    # after iteration k (n^2 gates) the cells equal rung 6's matrices after
+    # pass k, and stay at the fixed point once it is reached
+    from cckit.circuit import TRI_CODE, _run, resolve_tri_inputs
+    from cckit.stable_marriage import _matrix_fixed_point
+
+    iterations = 0
+    for seed in range(1, 25):
+        for n in range(1, 6):
+            inst = gen_sm(seed, n)
+            passes = []
+            _matrix_fixed_point(inst, True, on_step=passes.append)
+            c = sm_to_tri_circuit(inst)
+            vals = resolve_tri_inputs(c, [STAR] * c.num_inputs)
+            for k in range(2 * n * n + 1):
+                _run(c.gates[(k - 1) * n * n:k * n * n] if k else (), vals, TRI_CODE[1])
+                mp = passes[min(k, len(passes) - 1)]
+                for side, rows, pref in (("m", mp.MM, inst.man_pref),
+                                         ("w", mp.WW, inst.woman_pref)):
+                    got = [[vals[sm_cell_wire(n, side, p, r, k)] for r in range(n)]
+                           for p in range(n)]
+                    want = [[TRI_CODE[rows[p][q]] for q in pref[p]] for p in range(n)]
+                    assert got == want, (seed, n, k, side)
+                iterations += 1
+    assert iterations == 24 * sum(2 * n * n + 1 for n in range(1, 6))
 
 
 def test_optimal_pair_circuits():
@@ -297,7 +330,7 @@ def test_pair_circuits_past_the_limit_are_refused_before_building():
     # the closed form the guard reads: the railed prefix, and a tail of at most 7 gates
     for n in (1, 2, 3):
         inst = gen_sm(n, n)
-        prefix = sm_rail_prefix(inst)[0]
+        prefix = sm_rail_prefix(inst)
         assert (len(prefix.gates), prefix.num_wires) == (8 * n**4 + 2, 16 * n**3 + 8 * n**2 + 1)
         for m in range(n):
             for build in (mosm_to_ccv, wosm_to_ccv):
@@ -384,18 +417,18 @@ def test_pair_circuits_answer_through_one_prefix_evaluation():
             tails, circuits = [], []
             for pair in ((m, w) for m in range(n) for w in range(n)):
                 for side, build in (("m", mosm_to_ccv), ("w", wosm_to_ccv)):
-                    gates, wire = sm_pair_tail(inst, prefix, pair, side)
+                    gates, wire = sm_pair_tail(inst, pair, side)
                     c = build(inst, pair)
-                    assert (c.gates, c.output_wire) == (prefix[0].gates + tuple(gates), wire)
+                    assert (c.gates, c.output_wire) == (prefix.gates + tuple(gates), wire)
                     assert len(gates) <= 7 and not any(isinstance(g, Negation) for g in gates)
                     full = Circuit(c.num_wires, c.annotations, c.gates, c.output_wire)
                     assert c == full and c.has_negations is full.has_negations is False
                     tails.append((gates, wire))
                     circuits.append(c)
-            assert eval_tails(prefix[0], tails, ()) == [eval(c, ())[1] for c in circuits]
+            assert eval_tails(prefix, tails, ()) == [eval(c, ())[1] for c in circuits]
             for pair, side in (((0, -1), "m"), ((n, 0), "w")):
                 with pytest.raises(IndexOutOfRangeError, match=r"^pair \(.*\) out of range$"):
-                    sm_pair_tail(inst, prefix, pair, side)
+                    sm_pair_tail(inst, pair, side)
 
 
 def test_marriage_cells_and_tails_are_pinned():
@@ -405,12 +438,12 @@ def test_marriage_cells_and_tails_are_pinned():
     for seed in range(1, 11):
         for n in range(1, 7):
             inst = gen_sm(seed, n)
-            prefix = sm_rail_prefix(inst)
-            cells = [prefix[1][(side, p, r)] for side in "mw" for p in range(n) for r in range(n)]
+            cells = [sm_cell_wire(n, side, p, r, 2 * n * n) for side in "mw" for p in range(n)
+                     for r in range(n)]
             tails = []
             for pair in ((m, w) for m in range(n) for w in range(n)):
                 for side in "mw":
-                    gates, wire = sm_pair_tail(inst, prefix, pair, side)
+                    gates, wire = sm_pair_tail(inst, pair, side)
                     tails.append(([(g.min_wire, g.max_wire) for g in gates], wire))
             h.update(repr((cells, tails)).encode())
     assert h.hexdigest() == (

@@ -221,7 +221,7 @@ def test_ladder_outputs_are_pinned():
             [marriage_to_feasible(inst, mar) for mar in stables],
         )
         h.update(repr(outputs).encode())
-        h.update(serialize_circuit(sm_to_tri_circuit(inst)[0]).encode())
+        h.update(serialize_circuit(sm_to_tri_circuit(inst)).encode())
     assert h.hexdigest() == LADDER_SHA
 
 
