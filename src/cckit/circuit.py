@@ -44,10 +44,6 @@ def tri_or(a: Tri, b: Tri) -> Tri:
     return TRI_VALUE[TRI_CODE[a] | TRI_CODE[b]]
 
 
-def tri_not(v: Tri) -> Tri:
-    return TRI_VALUE[_CODE_NOT[TRI_CODE[v]]]
-
-
 def refines(finer: Tri, coarser: Tri) -> bool:
     """True when ``finer`` only pins down stars of ``coarser``."""
     return coarser == STAR or finer == coarser

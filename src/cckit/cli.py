@@ -138,8 +138,9 @@ def _wired(pair):
 
 
 def _tri_lower(c, args):
-    out_c, rails = tri_to_bool(c, _bits(c, args.input or ""))
-    return out_c, [f"w{w} w{a},w{b}" for w, (a, b) in sorted(rails.items())]
+    # tri wire w sits on rails 2w and 2w + 1
+    return tri_to_bool(c, _bits(c, args.input or "")), [
+        f"w{w} w{2 * w},w{2 * w + 1}" for w in range(c.num_wires)]
 
 
 def _ccv_to_lfmm(lower, c, args):
@@ -195,7 +196,9 @@ def _universal(c, args):
 PASSES = {
     "normalize-down": ("ccv", "ccv", (), lambda c, args: _wired(normalize_down(c))),
     "dual": ("ccv", "ccv", (), lambda c, args: (dual(c), None)),
-    "neg-elim": ("ccv", "ccv", (), lambda c, args: _wired(double_rail(c))),
+    # original wire w is railed wire 2w
+    "neg-elim": ("ccv", "ccv", (), lambda c, args: (
+        double_rail(c), [f"w{w} w{2 * w}" for w in range(c.num_wires)])),
     "tri-lower": ("ccv", "ccv", ("input",), _tri_lower),
     "ccv-to-3vlfmm": ("ccv", "graph", ("input",),
                       lambda c, args: _ccv_to_lfmm(ccv_to_3vlfmm, c, args)),

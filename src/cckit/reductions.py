@@ -154,14 +154,12 @@ def _rail_gates(g, t):
     return (z, t), (z + 1, z), (t, z + 1)
 
 
-def double_rail(c: Circuit):
+def double_rail(c: Circuit) -> Circuit:
     """Negation-free equivalent over rail pairs (2w, 2w+1).
 
     Wire 2w mirrors original wire w and wire 2w+1 its complement at every
     prefix; wire 2m starts 0 and returns to 0 after each negation gadget.
-    Returns (circuit, wire_map) with wire_map[w] == 2w.
     """
-    m = c.num_wires
     cb = CircuitBuilder()
     for a in c.annotations:
         cb.wires((a, negated(a)))
@@ -169,7 +167,7 @@ def double_rail(c: Circuit):
     for g in c.gates:
         for p, q in _rail_gates(g, t):
             cb.gate(p, q)
-    return cb.build(2 * c.output_wire), {w: 2 * w for w in range(m)}
+    return cb.build(2 * c.output_wire)
 
 
 def lfmm_to_ccvneg(g: BipartiteGraph, edge: tuple) -> Circuit:
@@ -201,7 +199,7 @@ def lfmm_to_ccvneg(g: BipartiteGraph, edge: tuple) -> Circuit:
     return cb.build(c_full)
 
 
-def tri_to_bool(c: Circuit, x):
+def tri_to_bool(c: Circuit, x) -> Circuit:
     """Boolean rail-pair simulation of a three-valued circuit.
 
     Each tri wire w becomes rails (2w, 2w+1) holding its ``TRI_RAILS``
@@ -209,7 +207,6 @@ def tri_to_bool(c: Circuit, x):
     railwise and the rail order never breaks.  Inputs are resolved against
     ``x`` so the result is a closed instance; a final comparator lands
     rail1 AND rail2 of the designated pair on the designated wire.
-    Returns (circuit, rail_map).
     """
     if c.has_negations:
         raise NegationNotSupportedError("three-valued circuits are negation-free")
@@ -221,7 +218,7 @@ def tri_to_bool(c: Circuit, x):
         cb.gate(2 * g.min_wire + 1, 2 * g.max_wire + 1)
     d = c.output_wire
     cb.gate(2 * d, 2 * d + 1)
-    return cb.build(2 * d), {w: (2 * w, 2 * w + 1) for w in range(c.num_wires)}
+    return cb.build(2 * d)
 
 
 def lfmm3_to_sm(g: BipartiteGraph, n: int) -> SMInstance:
@@ -308,8 +305,7 @@ def sm_rail_prefix(inst: SMInstance) -> Circuit:
     ``double_rail``.  Each pair circuit of the instance is this circuit
     plus the pair's ``sm_pair_tail``."""
     tri_c = sm_to_tri_circuit(inst)
-    closed, _ = tri_to_bool(tri_c, (STAR,) * tri_c.num_inputs)
-    return double_rail(closed)[0]
+    return double_rail(tri_to_bool(tri_c, (STAR,) * tri_c.num_inputs))
 
 
 def _check_pair_size(n: int) -> None:

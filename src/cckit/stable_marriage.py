@@ -60,17 +60,9 @@ class SMInstance(Value):
                     if sorted(row) != list(range(n)):
                         raise BadShapeError(f"row {row} is not a permutation")
 
-        def ranks(rows):
-            out = []
-            for row in rows:
-                rank = [0] * n
-                for r, p in enumerate(row):
-                    rank[p] = r
-                out.append(tuple(rank))
-            return tuple(out)
-
         vars(self).update(n=n, man_pref=man_pref, woman_pref=woman_pref,
-                          man_rank=ranks(man_pref), woman_rank=ranks(woman_pref))
+                          man_rank=tuple(map(_inverse, man_pref)),
+                          woman_rank=tuple(map(_inverse, woman_pref)))
 
 
 class Marriage(Value):

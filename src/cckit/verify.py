@@ -65,6 +65,7 @@ from .reductions import (
     vlfmm_to_ccv,
 )
 from .stable_marriage import (
+    IntervalState,
     MatrixPair,
     SMInstance,
     all_stable_marriages,
@@ -250,7 +251,7 @@ def _load(name: str):
 
 
 def _negation_lowered(c):
-    lowered, _ = double_rail(c)
+    lowered = double_rail(c)
     return eval(c, (), allow_negations=True)[0], eval(lowered, ())[:2]
 
 
@@ -345,12 +346,8 @@ _RAIL_DECODE = {rails: v for v, rails in TRI_RAILS.items()}
 def _tri_row(p, q):
     table = Circuit(2, (Input(0), Input(1)), (Comparator(0, 1),), 0)
     want, _ = eval_tri(table, (p, q))
-    lowered, rail_map = tri_to_bool(table, (p, q))
-    outputs, _ = eval(lowered, ())
-    got = tuple(
-        _RAIL_DECODE.get((outputs[a], outputs[b]))
-        for (a, b) in (rail_map[w] for w in range(2))
-    )
+    outputs, _ = eval(tri_to_bool(table, (p, q)), ())
+    got = tuple(_RAIL_DECODE.get((outputs[2 * w], outputs[2 * w + 1])) for w in range(2))
     if got != want:
         yield f"gate table row ({p},{q}): {got} != {want}"
 
@@ -362,7 +359,8 @@ def _case_tri(rng, i):
     c = gen_circuit(rng.next64(), 5, 12, with_neg=False)
     x = [rng.choice((0, STAR, 1)) for _ in range(c.num_inputs)]
     want_outputs, want_answer = eval_tri(c, x)
-    lowered, rail_map = tri_to_bool(c, x)
+    # tri wire w sits on rails 2w and 2w + 1
+    lowered = tri_to_bool(c, x)
     snaps = []
     outputs, answer = eval(lowered, (), on_step=snaps.append)
     bad = None
@@ -373,13 +371,10 @@ def _case_tri(rng, i):
         if s % 2 and s != last:
             continue
         for w in range(c.num_wires):
-            a, b = rail_map[w]
-            if snap[a] > snap[b]:
+            if snap[2 * w] > snap[2 * w + 1]:
                 bad = f"rail order broken on wire {w} at step {s}"
-    decoded = tuple(
-        _RAIL_DECODE[(outputs[a], outputs[b])]
-        for (a, b) in (rail_map[w] for w in range(c.num_wires))
-    )
+    decoded = tuple(_RAIL_DECODE[(outputs[2 * w], outputs[2 * w + 1])]
+                    for w in range(c.num_wires))
     if decoded != want_outputs:
         bad = f"decoded {decoded}, wanted {want_outputs}"
     if answer != (1 if want_answer == 1 else 0):
@@ -470,7 +465,7 @@ def _case_reductions(rng, i):
     # negation removal, with the complement invariant along the way
     cn = gen_circuit(rng.next64(), 5, 10, with_neg=True)
     closed_n = close_circuit(cn, rng.bits(cn.num_inputs))
-    plain, _ = double_rail(closed_n)
+    plain = double_rail(closed_n)
     _, want = eval(closed_n, (), allow_negations=True)
     snaps = []
     _, got = eval(plain, (), on_step=snaps.append)
@@ -582,16 +577,15 @@ def feasible_candidates(inst: SMInstance) -> list:
 
 
 def candidate_pair(inst: SMInstance, r: int) -> MatrixPair:
-    """Candidate r of :func:`feasible_candidates` as a matrix pair."""
+    """Candidate r of :func:`feasible_candidates` as a matrix pair: the
+    ``matrix_of_intervals`` of single-rank intervals at its digits."""
     n = inst.n
     digits = []
     for _ in range(2 * n):
         r, d = divmod(r, n)
-        digits.append(d)
+        digits.append((d, d))
     digits.reverse()
-    MM = tuple(tuple(int(rank <= d) for rank in ranks) for ranks, d in zip(inst.man_rank, digits))
-    WW = tuple(tuple(int(rank > d) for rank in ranks) for ranks, d in zip(inst.woman_rank, digits[n:]))
-    return MatrixPair(MM, WW)
+    return matrix_of_intervals(inst, IntervalState(tuple(digits[:n]), tuple(digits[n:])))
 
 
 def _case_feasible(rng, i):
@@ -682,28 +676,21 @@ def _case_structural(rng, i):
     # the wire function on distinct inputs, one column per wire: bit r of
     # a column is the wire's output on input vector r
     m = c.num_wires
-    count = 1 << m
-    mask = (1 << count) - 1
     inputs = input_columns(m)
-    wires = eval_batch(_distinct_inputs(c), inputs, count)
+    wires = eval_batch(_distinct_inputs(c), inputs, 1 << m)
+    if not lipschitz.is_one_lipschitz(lipschitz.TruthTable(m, m, wires), strict=True):
+        yield show("wire function is not strictly 1-Lipschitz")
     # bit r of each *_bad is set where vector r fails that check; the
     # outputs' popcount parity must equal the inputs'
-    parity_bad = strict_bad = mono_bad = 0
+    parity_bad = mono_bad = 0
     for col in inputs + wires:
         parity_bad ^= col
-    for b in range(m):
+    for b, col in enumerate(inputs):
         step = 1 << b
-        low = inputs[b] ^ mask  # rows r with bit b clear, paired with r + step
-        ones = twos = 0  # rows where at least one / two wires differ
+        down = 0  # rows r where some wire falls from r to r + step
         for w in wires:
-            up = w >> step
-            diff = (w ^ up) & low
-            twos |= ones & diff
-            ones |= diff
-            mono_bad |= w & ~up & low
-        strict_bad |= (ones ^ low) | twos
-    if strict_bad:
-        yield show("wire function is not strictly 1-Lipschitz")
+            down |= w & ~(w >> step)
+        mono_bad |= down & ~col  # kept where bit b of r is clear
     # report the lowest failing row, popcount first on a tie
     first = (parity_bad | mono_bad) & -(parity_bad | mono_bad)
     if first & parity_bad:
@@ -723,15 +710,13 @@ def _case_structural(rng, i):
 
 
 def _strict_identity():
-    ident = lipschitz.TruthTable(
-        2, 2, tuple(((r >> 0) & 1, (r >> 1) & 1) for r in range(4))
-    )
+    ident = lipschitz.TruthTable(2, 2, input_columns(2))
     if lipschitz.is_one_lipschitz(ident, strict=True) != 1:
         yield "identity should be strictly 1-Lipschitz"
 
 
 def _strict_constant():
-    const = lipschitz.TruthTable(2, 1, ((0,),) * 4)
+    const = lipschitz.TruthTable(2, 1, (0,))
     if lipschitz.is_one_lipschitz(const) != 1 or lipschitz.is_one_lipschitz(
         const, strict=True
     ):
@@ -745,22 +730,21 @@ def _case_strictification(rng, i):
     c = _distinct_inputs(gen_circuit(rng.next64(), 4, 8, with_neg=False))
     table = lipschitz.circuit_function(c)
     drop = rng.below(table.out_bits)
-    weak = lipschitz.TruthTable(
-        table.in_bits,
-        table.out_bits - 1,
-        tuple(r[:drop] + r[drop + 1 :] for r in table.rows),
-    )
+    cols = table.columns
+    weak = lipschitz.TruthTable(table.in_bits, table.out_bits - 1, cols[:drop] + cols[drop + 1 :])
     bad = None
     if lipschitz.is_one_lipschitz(weak) != 1:
         bad = "dropping one output should stay weakly 1-Lipschitz"
     g = lipschitz.strictify(weak)
     if lipschitz.is_one_lipschitz(g, strict=True) != 1:
         bad = "strictify failed to reach strictness"
-    for r, row in enumerate(g.rows):
-        if sum(row) % 2 != bin(r).count("1") % 2:
-            bad = "output parity must match input parity"
-        if row[1:] != weak.rows[r]:
-            bad = "strictify must only prepend one bit"
+    parity = 0
+    for col in input_columns(table.in_bits) + list(g.columns):
+        parity ^= col
+    if parity:
+        bad = "output parity must match input parity"
+    if g.columns[1:] != weak.columns:
+        bad = "strictify must only prepend one bit"
     if bad:
         yield bad + "\n" + serialize_circuit(c)
 

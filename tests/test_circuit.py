@@ -32,7 +32,6 @@ from cckit.circuit import (
     refines,
     resolve_inputs,
     tri_and,
-    tri_not,
     tri_or,
 )
 from cckit.errors import (
@@ -119,8 +118,8 @@ VALUES = [
      ("edges", "by_top")),
     (Digraph, (3, {(0, 1), (1, 2)}), (3, {(0, 1)}),
      "Digraph(n=3, edges=frozenset({(0, 1), (1, 2)}))", ()),
-    (TruthTable, (1, 2, ((0, 1), (1, 0))), (1, 2, ((0, 1), (1, 1))),
-     "TruthTable(in_bits=1, out_bits=2, rows=((0, 1), (1, 0)))", ()),
+    (TruthTable, (1, 2, (0b10, 0b01)), (1, 2, (0b10, 0b11)),
+     "TruthTable(in_bits=1, out_bits=2, columns=(2, 1))", ("rows",)),
     (SMInstance, (2, ((0, 1), (1, 0)), ((1, 0), (0, 1))), (2, ((0, 1), (0, 1)), ((1, 0), (0, 1))),
      "SMInstance(n=2, man_pref=((0, 1), (1, 0)), woman_pref=((1, 0), (0, 1)))",
      ("man_rank", "woman_rank")),
@@ -259,9 +258,11 @@ def test_tri_tables():
             # on the codes, the chain's min and max are & and |
             assert TRI_VALUE[TRI_CODE[a] & TRI_CODE[b]] == lo, (a, b)
             assert TRI_VALUE[TRI_CODE[a] | TRI_CODE[b]] == hi, (a, b)
-    assert tri_not(STAR) == STAR
-    assert tri_not(0) == 1
-    assert tri_not(1) == 0
+    # a negated input's wire starts at NOT of the value
+    negated = Circuit(1, (NegInput(0),), (), 0)
+    assert eval_tri(negated, (STAR,))[1] == STAR
+    assert eval_tri(negated, (0,))[1] == 1
+    assert eval_tri(negated, (1,))[1] == 0
     assert refines(1, STAR) and refines(0, STAR)
     assert refines(STAR, STAR) and not refines(STAR, 1)
 

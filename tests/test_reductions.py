@@ -181,12 +181,12 @@ def test_double_rail_keeps_answer_and_complements():
         c = gen_circuit(rng.next64(), 5, 10, with_neg=True)
         shut = close_circuit(c, rng.bits(c.num_inputs))
         want = eval(shut, (), allow_negations=True)[1]
-        plain, wmap = double_rail(shut)
+        plain = double_rail(shut)
         assert not plain.has_negations
         outputs, answer = eval(plain, ())
         assert answer == want
         for w in range(shut.num_wires):
-            assert outputs[wmap[w]] + outputs[wmap[w] + 1] == 1
+            assert outputs[2 * w] + outputs[2 * w + 1] == 1
         assert outputs[2 * shut.num_wires] == 0
 
 
@@ -200,8 +200,8 @@ def test_double_rail_gate_list():
         1,
     )
     C = Comparator
-    out, wmap = double_rail(c)
-    assert (out.num_wires, out.output_wire, wmap) == (5, 2, {0: 0, 1: 2})
+    out = double_rail(c)
+    assert (out.num_wires, out.output_wire) == (5, 2)
     assert out.annotations == (Const(1), Const(0), NegInput(0), Input(0), Const(0))
     assert out.gates == (C(2, 2), C(3, 3), C(0, 2), C(3, 1), C(2, 4), C(3, 2), C(4, 3))
 
@@ -212,17 +212,16 @@ def test_tri_lowering_gate_table():
     for p in (0, STAR, 1):
         for q in (0, STAR, 1):
             want = eval_tri(c, (p, q))[0]
-            lowered, rails = tri_to_bool(c, (p, q))
-            outs = eval(lowered, ())[0]
-            got = tuple(decode[(outs[a], outs[b])] for (a, b) in (rails[0], rails[1]))
+            outs = eval(tri_to_bool(c, (p, q)), ())[0]
+            # tri wire w sits on rails 2w and 2w + 1
+            got = tuple(decode[(outs[2 * w], outs[2 * w + 1])] for w in (0, 1))
             assert got == want
 
 
 def test_tri_lowering_answer_is_definite_one():
     c = Circuit(1, (Input(0),), (), 0)
     for v, expect in ((0, 0), (STAR, 0), (1, 1)):
-        lowered, _ = tri_to_bool(c, (v,))
-        assert eval(lowered, ())[1] == expect
+        assert eval(tri_to_bool(c, (v,)), ())[1] == expect
 
 
 def test_tri_lowering_rejects_negations():

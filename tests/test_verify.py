@@ -38,6 +38,7 @@ from cckit.verify import (
     run_suite,
     split,
 )
+from test_lipschitz import row_lipschitz
 
 # frozen first-run hashes; any change to the PRNG or the generators is a
 # compatibility break and should be a deliberate one
@@ -287,7 +288,7 @@ def old_case_structural(rng, i):
 
     distinct = verify._distinct_inputs(c)
     table = lipschitz.circuit_function(distinct)
-    if lipschitz.is_one_lipschitz(table, strict=True) != 1:
+    if row_lipschitz(table, strict=True) != 1:
         yield show("wire function is not strictly 1-Lipschitz")
     m = c.num_wires
     for r in range(len(table.rows)):
